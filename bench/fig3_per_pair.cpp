@@ -59,13 +59,18 @@ int main() {
                    bench::pct(single_or_two, pairs));
 
   std::printf("\nstacked per-pair composition, imports (x: pairs by correctness):\n");
+  // Pair order feeds the tie order of the correctness sort; fix it.
   std::vector<report::StatusCounts> import_pairs;
-  for (const auto& [pair, counts] : agg.pair_imports()) import_pairs.push_back(counts);
+  for (const auto* entry : report::sorted_entries(agg.pair_imports())) {
+    import_pairs.push_back(entry->second);
+  }
   std::printf("%s", report::render_stacked(import_pairs, 72, 12).c_str());
 
   std::printf("\nstacked per-pair composition, exports:\n");
   std::vector<report::StatusCounts> export_pairs;
-  for (const auto& [pair, counts] : agg.pair_exports()) export_pairs.push_back(counts);
+  for (const auto* entry : report::sorted_entries(agg.pair_exports())) {
+    export_pairs.push_back(entry->second);
+  }
   std::printf("%s", report::render_stacked(export_pairs, 72, 12).c_str());
   maybe_write_csv("fig3_pairs_import.csv", import_pairs);
   maybe_write_csv("fig3_pairs_export.csv", export_pairs);

@@ -25,7 +25,7 @@ cmake --build "$BUILD" -j --target \
   server_test query_test irr_index_test fault_injection_test loader_files_test obs_test \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
   persist_test repl_test delta_test delta_fuzz_test arena_interner_test rand_test \
-  rpslyzer_cli
+  verifier_test report_test rpslyzer_cli
 
 run_labeled() {
   local spec="$1" exclude="${2:-}" labels="${3:-fault}"
@@ -45,6 +45,10 @@ run_labeled() {
 # programmatically by fault_injection_test, where the test controls the
 # blast radius.
 run_labeled "" "" "fault|persist|repl|delta|parallel"
+# Unlabeled suites: the verifier's reject-all fast path (its item vectors
+# are sized exactly) and the hashed report aggregation.
+"$BUILD/tests/verifier_test"
+"$BUILD/tests/report_test"
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
 run_labeled "cache.get=error;cache.put=error" 'Server\.|ResponseCache'
 run_labeled "irr.parse=truncate(65536)"

@@ -19,7 +19,9 @@
 //  * per-AS import/export rules lowered into flat CompiledRule arrays with
 //    plain-ASN peer classes resolved for an O(log n) fast reject;
 //  * AS-path regexes pre-lowered to the src/aspath predicate NFA;
-//  * customer cones and the §5.1.2 only-provider bit computed per aut-num.
+//  * customer cones and the §5.1.2 only-provider bit computed per aut-num;
+//  * per aut-num, direction and family, the merged outcome of a peer that
+//    no rule names (RejectAll), so such checks skip the per-rule loop.
 //
 // Everything is const after build(); a shared_ptr<const
 // CompiledPolicySnapshot> is safely shared across any number of threads
@@ -27,6 +29,8 @@
 // tests/compile_snapshot_test.cpp — is that verification verdicts are
 // identical to the interpreted path, item for item.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -104,12 +108,37 @@ struct CompiledRule {
   std::vector<ir::Asn> no_match_asns;  // report order (factor order, deduped)
 };
 
+/// The merged outcome of one direction's rules for one address family when
+/// no rule names the peer: every covering rule then fast-rejects, so the
+/// result of the per-rule loop is known at build time. Only sound when every
+/// covering rule is `simple`; otherwise the verifier always runs the loop.
+struct RejectAll {
+  bool simple = false;    // every rule covering the family is simple
+  bool no_match = false;  // some such rule has factors: NoMatchPeering, else NotApplicable
+  std::span<const ir::Asn> peers;  // sorted union of the covering rules' peers
+  /// MatchRemoteAsNum order: rules in order, each rule's report order, first
+  /// occurrence of an ASN kept (what combine_best's merge yields).
+  std::span<const ir::Asn> no_match_asns;
+
+  friend bool operator==(const RejectAll& a, const RejectAll& b) {
+    return a.simple == b.simple && a.no_match == b.no_match &&
+           std::ranges::equal(a.peers, b.peers) &&
+           std::ranges::equal(a.no_match_asns, b.no_match_asns);
+  }
+};
+
 struct CompiledAutNum {
   const ir::AutNum* an = nullptr;
   std::vector<CompiledRule> imports;
   std::vector<CompiledRule> exports;
   std::span<const ir::Asn> customer_cone;  // sorted; export-self relaxation
   bool only_provider = false;              // §5.1.2 only-provider-policies bit
+  /// Import v4, import v6, export v4, export v6.
+  std::array<RejectAll, 4> reject_all;
+
+  const RejectAll& reject_all_for(bool is_import, bool v4) const noexcept {
+    return reject_all[(is_import ? 0 : 2) + (v4 ? 0 : 1)];
+  }
 };
 
 /// What an incremental rebuild must recompile: the transitive closure of
@@ -269,6 +298,33 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
                         const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
   void build_aut_nums(const CompiledPolicySnapshot* previous = nullptr,
                       const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
+  /// Fills every aut-num's RejectAll entries into a snapshot's reject_pool_,
+  /// one aut-num at a time right after its rules are compiled or restored
+  /// (while they are still in cache). The pool grows meanwhile, so entries
+  /// record offsets and finish() takes the spans. build_aut_nums and the
+  /// persistence codec's restore are the two users.
+  class RejectAllBuilder {
+   public:
+    RejectAllBuilder(std::vector<ir::Asn>& pool, std::size_t aut_nums);
+    /// Derive `can`'s entries from its CompiledRules.
+    void derive(CompiledAutNum& can);
+    /// Copy the entries of `previous`, the same aut-num with the same rules.
+    void carry(CompiledAutNum& can, const CompiledAutNum& previous);
+    void finish();
+
+   private:
+    struct Placed {
+      RejectAll* entry;
+      std::size_t peers, asns, size;  // offsets into the pool; both lists have `size` ASNs
+    };
+    std::size_t append(std::span<const ir::Asn> asns);
+    void derive(const std::vector<CompiledRule>& rules, RejectAll& v4, RejectAll& v6);
+
+    std::vector<ir::Asn>& pool_;
+    std::vector<Placed> placed_;
+    std::array<std::vector<ir::Asn>, 2> staged_;  // per family, rule order
+    std::vector<std::uint8_t> seen_;  // by position in the sorted union
+  };
   void compile_filter(const ir::Filter& filter);
   CompiledRule compile_rule(const ir::Rule& rule) const;
 
@@ -305,6 +361,8 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::vector<ir::Asn> as_set_pool_;
   std::vector<ir::Asn> origin_pool_;
   std::vector<ir::Asn> cone_pool_;
+  // RejectAll spans; unlike the pools above, filled on restore too.
+  std::vector<ir::Asn> reject_pool_;
   std::vector<LengthInterval> interval_pool_;
 };
 

@@ -584,6 +584,7 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
     total += cones.back().size();
   }
   cone_pool_.reserve(total);
+  RejectAllBuilder reject_all(reject_pool_, index_->ir().aut_nums.size());
   std::size_t i = 0;
   for (const auto& [asn, an] : index_->ir().aut_nums) {
     CompiledAutNum compiled;
@@ -603,8 +604,21 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
     cone_pool_.insert(cone_pool_.end(), cone.begin(), cone.end());
     compiled.customer_cone = std::span<const ir::Asn>(cone_pool_).subspan(offset, cone.size());
     compiled.only_provider = only_provider_policies(*index_, *relations_, asn);
-    aut_nums_.emplace(asn, std::move(compiled));
+    CompiledAutNum& can = aut_nums_.emplace(asn, std::move(compiled)).first->second;
+    // A clean aut-num compiled the same rules last generation (the rule
+    // counts only guard against a stale pairing).
+    const CompiledAutNum* prev = previous != nullptr && dirty != nullptr &&
+                                         !dirty->aut_nums.contains(asn)
+                                     ? previous->compiled_aut_num(asn)
+                                     : nullptr;
+    if (prev != nullptr && prev->imports.size() == can.imports.size() &&
+        prev->exports.size() == can.exports.size()) {
+      reject_all.carry(can, *prev);
+    } else {
+      reject_all.derive(can);
+    }
   }
+  reject_all.finish();
   // Filter-set bodies are reached by name at evaluation time; precompile
   // their regexes too so the hot path never falls back to per-call NFA
   // construction.
@@ -614,6 +628,105 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   }
   if (stats != nullptr) {
     stats->regexes_recompiled = regexes_.size() - stats->regexes_reused;
+  }
+}
+
+CompiledPolicySnapshot::RejectAllBuilder::RejectAllBuilder(std::vector<ir::Asn>& pool,
+                                                           std::size_t aut_nums)
+    : pool_(pool) {
+  pool_.clear();
+  placed_.reserve(4 * aut_nums);
+}
+
+std::size_t CompiledPolicySnapshot::RejectAllBuilder::append(std::span<const ir::Asn> asns) {
+  const std::size_t offset = pool_.size();
+  pool_.insert(pool_.end(), asns.begin(), asns.end());
+  return offset;
+}
+
+void CompiledPolicySnapshot::RejectAllBuilder::carry(CompiledAutNum& can,
+                                                     const CompiledAutNum& previous) {
+  for (std::size_t i = 0; i < can.reject_all.size(); ++i) {
+    const RejectAll& from = previous.reject_all[i];
+    can.reject_all[i] = {from.simple, from.no_match, {}, {}};
+    const std::size_t peers = append(from.peers);
+    placed_.push_back({&can.reject_all[i], peers, append(from.no_match_asns), from.peers.size()});
+  }
+}
+
+void CompiledPolicySnapshot::RejectAllBuilder::derive(CompiledAutNum& can) {
+  derive(can.imports, can.reject_all[0], can.reject_all[1]);
+  derive(can.exports, can.reject_all[2], can.reject_all[3]);
+}
+
+void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<CompiledRule>& rules,
+                                                      RejectAll& v4, RejectAll& v6) {
+  // One pass stages each family's ASNs in rule order: the merged list
+  // before deduplication.
+  std::array<bool, 2> simple{true, true};
+  std::array<bool, 2> no_match{false, false};
+  bool same_cover = true;
+  staged_[0].clear();
+  staged_[1].clear();
+  for (const CompiledRule& rule : rules) {
+    same_cover = same_cover && rule.covers_v4 == rule.covers_v6;
+    const std::array<bool, 2> covers{rule.covers_v4, rule.covers_v6};
+    for (std::size_t f = 0; f < 2; ++f) {
+      if (!covers[f] || !simple[f]) continue;
+      if (!rule.simple) {
+        simple[f] = false;
+        continue;
+      }
+      no_match[f] = no_match[f] || !rule.no_factors;
+      staged_[f].insert(staged_[f].end(), rule.no_match_asns.begin(), rule.no_match_asns.end());
+    }
+  }
+  const std::array<RejectAll*, 2> out{&v4, &v6};
+  for (std::size_t f = 0; f < 2; ++f) {
+    *out[f] = {simple[f], simple[f] && no_match[f], {}, {}};
+    if (f == 1 && same_cover) {
+      if (simple[0]) {
+        Placed shared = placed_.back();
+        shared.entry = &v6;
+        placed_.push_back(shared);
+      }
+      break;
+    }
+    if (!simple[f]) continue;
+    // A simple rule's peers are its no_match_asns sorted, so the union of
+    // peers is the staged list sorted and deduplicated.
+    const std::vector<ir::Asn>& list = staged_[f];
+    const std::size_t start = append(list);
+    const auto first = pool_.begin() + static_cast<std::ptrdiff_t>(start);
+    std::sort(first, pool_.end());
+    pool_.erase(std::unique(first, pool_.end()), pool_.end());
+    const std::size_t count = pool_.size() - start;
+    if (count == list.size()) {
+      append(list);
+    } else {
+      // Keep each ASN's first occurrence. The marks are all zero between
+      // entries; push_back may move the pool, so the union is re-found.
+      if (seen_.size() < count) seen_.resize(count);
+      for (ir::Asn asn : list) {
+        const auto union_begin = pool_.begin() + static_cast<std::ptrdiff_t>(start);
+        const auto union_end = union_begin + static_cast<std::ptrdiff_t>(count);
+        const auto at = static_cast<std::size_t>(
+            std::lower_bound(union_begin, union_end, asn) - union_begin);
+        if (seen_[at] != 0) continue;
+        seen_[at] = 1;
+        pool_.push_back(asn);
+      }
+      std::fill_n(seen_.begin(), count, std::uint8_t{0});
+    }
+    placed_.push_back({out[f], start, start + count, count});
+  }
+}
+
+void CompiledPolicySnapshot::RejectAllBuilder::finish() {
+  const std::span<const ir::Asn> pool(pool_);
+  for (const Placed& p : placed_) {
+    p.entry->peers = pool.subspan(p.peers, p.size);
+    p.entry->no_match_asns = pool.subspan(p.asns, p.size);
   }
 }
 

@@ -441,6 +441,8 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
       throw SnapshotError("snapshot aut-num table disagrees with its own IR");
     }
     snap->aut_nums_.reserve(count);
+    // Not persisted: derived from the restored rules, no format change.
+    CompiledPolicySnapshot::RejectAllBuilder reject_all(snap->reject_pool_, count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const ir::Asn asn = r.u32();
       auto an_it = ir.aut_nums.find(asn);
@@ -481,8 +483,9 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
           rules->push_back(std::move(rule));
         }
       }
-      snap->aut_nums_.emplace(asn, std::move(can));
+      reject_all.derive(snap->aut_nums_.emplace(asn, std::move(can)).first->second);
     }
+    reject_all.finish();
   });
 
   with_section(view, SectionId::kNfa, [&] {

@@ -1,5 +1,6 @@
 #include "rpslyzer/report/aggregate.hpp"
 
+#include <algorithm>
 #include <optional>
 
 namespace rpslyzer::report {
@@ -110,7 +111,31 @@ std::optional<SpecialCategory> special_category(verify::Reason reason) {
   }
 }
 
+bool is_filter_reason(verify::Reason reason) {
+  using verify::Reason;
+  switch (reason) {
+    case Reason::kMatchFilter:
+    case Reason::kMatchFilterAsNum:
+    case Reason::kMatchFilterAsSet:
+    case Reason::kMatchFilterRouteSet:
+    case Reason::kMatchFilterPrefixes:
+    case Reason::kMatchFilterAsPath:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
+
+// Sized for the scale-4 synthetic corpus (about 1.1k ASes, 25k pairs) so a
+// full batch rehashes at most a few times.
+Aggregator::Aggregator() {
+  as_imports_.reserve(1024);
+  as_exports_.reserve(1024);
+  pair_imports_.reserve(16384);
+  pair_exports_.reserve(16384);
+}
 
 void Aggregator::add_check(Asn self, Asn from, Asn to, bool is_import,
                            const verify::CheckResult& check) {
@@ -135,21 +160,9 @@ void Aggregator::add_check(Asn self, Asn from, Asn to, bool is_import,
     }
   } else if (check.status == Status::kUnverified) {
     ++unverified_checks_;
-    bool filter_involved = false;
-    for (const auto& item : check.items) {
-      switch (item.reason) {
-        case verify::Reason::kMatchFilter:
-        case verify::Reason::kMatchFilterAsNum:
-        case verify::Reason::kMatchFilterAsSet:
-        case verify::Reason::kMatchFilterRouteSet:
-        case verify::Reason::kMatchFilterPrefixes:
-        case verify::Reason::kMatchFilterAsPath:
-          filter_involved = true;
-          break;
-        default:
-          break;
-      }
-    }
+    const bool filter_involved =
+        std::any_of(check.items.begin(), check.items.end(),
+                    [](const verify::ReportItem& item) { return is_filter_reason(item.reason); });
     if (!filter_involved) ++unverified_peering_undeclared_;
   }
 }
@@ -170,7 +183,7 @@ void Aggregator::add(const bgp::Route& route, const std::vector<verify::HopCheck
 }
 
 std::map<Asn, StatusCounts> Aggregator::as_combined() const {
-  std::map<Asn, StatusCounts> out = as_imports_;
+  std::map<Asn, StatusCounts> out(as_imports_.begin(), as_imports_.end());
   for (const auto& [asn, counts] : as_exports_) out[asn].merge(counts);
   return out;
 }

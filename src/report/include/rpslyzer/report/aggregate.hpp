@@ -4,8 +4,13 @@
 // plus the unrecorded breakdown (Figure 5) and special-case breakdown
 // (Figure 6).
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "rpslyzer/bgp/route.hpp"
 #include "rpslyzer/verify/status.hpp"
@@ -53,24 +58,48 @@ enum class SpecialCategory : std::uint8_t {
 inline constexpr std::size_t kSpecialCategoryCount = 6;
 const char* to_string(SpecialCategory c) noexcept;
 
+using AsnPair = std::pair<Asn, Asn>;
+
+struct AsnPairHash {
+  std::size_t operator()(const AsnPair& pair) const noexcept {
+    const std::uint64_t key = (std::uint64_t{pair.first} << 32) | pair.second;
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 16);
+  }
+};
+
+// The aggregation tables are hashed: iteration order is unspecified, so a
+// consumer whose output depends on it sorts first (sorted_entries).
+using PerAs = std::unordered_map<Asn, StatusCounts>;
+using PerPair = std::unordered_map<AsnPair, StatusCounts, AsnPairHash>;
+using UnrecordedPerAs = std::unordered_map<Asn, std::array<std::size_t, kUnrecordedCategoryCount>>;
+using SpecialPerAs = std::unordered_map<Asn, std::array<std::size_t, kSpecialCategoryCount>>;
+
+/// A hashed table's entries in key order.
+template <typename Table>
+std::vector<const typename Table::value_type*> sorted_entries(const Table& table) {
+  std::vector<const typename Table::value_type*> out;
+  out.reserve(table.size());
+  for (const auto& entry : table) out.push_back(&entry);
+  std::sort(out.begin(), out.end(), [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
+
 /// Streaming aggregator: feed each route's hop checks once.
 class Aggregator {
  public:
+  Aggregator();
+
   void add(const bgp::Route& route, const std::vector<verify::HopCheck>& hops);
 
   // --- Figure 2: per AS ---
-  const std::map<Asn, StatusCounts>& as_imports() const noexcept { return as_imports_; }
-  const std::map<Asn, StatusCounts>& as_exports() const noexcept { return as_exports_; }
-  /// Combined (imports + exports) per AS.
+  const PerAs& as_imports() const noexcept { return as_imports_; }
+  const PerAs& as_exports() const noexcept { return as_exports_; }
+  /// Combined (imports + exports) per AS, in ASN order.
   std::map<Asn, StatusCounts> as_combined() const;
 
   // --- Figure 3: per directed AS pair (from, to) ---
-  const std::map<std::pair<Asn, Asn>, StatusCounts>& pair_imports() const noexcept {
-    return pair_imports_;
-  }
-  const std::map<std::pair<Asn, Asn>, StatusCounts>& pair_exports() const noexcept {
-    return pair_exports_;
-  }
+  const PerPair& pair_imports() const noexcept { return pair_imports_; }
+  const PerPair& pair_exports() const noexcept { return pair_exports_; }
 
   // --- Figure 4: per route (all hops, both directions) ---
   const std::vector<StatusCounts>& routes() const noexcept { return routes_; }
@@ -78,16 +107,10 @@ class Aggregator {
   const StatusCounts& first_hops() const noexcept { return first_hops_; }
 
   // --- Figure 5: per AS, which unrecorded categories appeared ---
-  const std::map<Asn, std::array<std::size_t, kUnrecordedCategoryCount>>& unrecorded()
-      const noexcept {
-    return unrecorded_;
-  }
+  const UnrecordedPerAs& unrecorded() const noexcept { return unrecorded_; }
 
   // --- Figure 6: per AS, which special cases appeared ---
-  const std::map<Asn, std::array<std::size_t, kSpecialCategoryCount>>& special_cases()
-      const noexcept {
-    return special_;
-  }
+  const SpecialPerAs& special_cases() const noexcept { return special_; }
 
   std::size_t total_checks() const noexcept { return total_checks_; }
   std::size_t total_routes() const noexcept { return routes_.size(); }
@@ -104,14 +127,14 @@ class Aggregator {
   void add_check(Asn self, Asn from, Asn to, bool is_import,
                  const verify::CheckResult& check);
 
-  std::map<Asn, StatusCounts> as_imports_;
-  std::map<Asn, StatusCounts> as_exports_;
-  std::map<std::pair<Asn, Asn>, StatusCounts> pair_imports_;
-  std::map<std::pair<Asn, Asn>, StatusCounts> pair_exports_;
+  PerAs as_imports_;
+  PerAs as_exports_;
+  PerPair pair_imports_;
+  PerPair pair_exports_;
   std::vector<StatusCounts> routes_;
   StatusCounts first_hops_;
-  std::map<Asn, std::array<std::size_t, kUnrecordedCategoryCount>> unrecorded_;
-  std::map<Asn, std::array<std::size_t, kSpecialCategoryCount>> special_;
+  UnrecordedPerAs unrecorded_;
+  SpecialPerAs special_;
   std::size_t total_checks_ = 0;
   std::size_t unverified_checks_ = 0;
   std::size_t unverified_peering_undeclared_ = 0;

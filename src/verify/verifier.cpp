@@ -174,6 +174,20 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
       return {Status::kUnrecorded, {{Reason::kUnrecordedNoRules, self, {}}}};
     }
 
+    // No rule names the peer: every covering rule fast-rejects, and the
+    // merged outcome of the loop below was fixed at build time.
+    const compile::RejectAll& reject = can->reject_all_for(is_import, route.prefix.is_v4());
+    if (reject.simple &&
+        !std::binary_search(reject.peers.begin(), reject.peers.end(), peer)) {
+      RuleOutcome best{
+          reject.no_match ? EvalClass::kNoMatchPeering : EvalClass::kNotApplicable, {}};
+      best.items.reserve(reject.no_match_asns.size() + 1);  // + a safelist item
+      for (Asn a : reject.no_match_asns) {
+        best.items.push_back({Reason::kMatchRemoteAsNum, a, {}});
+      }
+      return classify(std::move(best), self, peer, is_import, route);
+    }
+
     internal::EvalContextT<compile::CompiledPolicySnapshot> ctx{
         *snapshot_, options_, self, peer, route.prefix, announced_path, route.origin()};
 
@@ -242,6 +256,7 @@ CheckResult Verifier::check_import(Asn to, Asn from, const bgp::Route& route,
 std::vector<HopCheck> Verifier::verify_route(const bgp::Route& route) const {
   std::vector<HopCheck> hops;
   if (route.path.size() < 2) return hops;
+  hops.reserve(route.path.size() - 1);
   // Walk from the origin toward the collector: pair (X = path[i+1] exports,
   // Y = path[i] imports); the path X announces is path[i+1..].
   for (std::size_t i = route.path.size() - 1; i-- > 0;) {

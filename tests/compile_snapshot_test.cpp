@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <memory>
 
 #include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/irr/loader.hpp"
+#include "rpslyzer/persist/snapshot_io.hpp"
 #include "rpslyzer/query/query.hpp"
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/server/client.hpp"
@@ -142,6 +146,241 @@ TEST(CompiledSnapshot, QueryEngineBackendsAgreeByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
+// Hand-written corpora
+// ---------------------------------------------------------------------------
+
+struct OwnedCorpus {
+  util::Diagnostics diag;
+  ir::Ir ir;
+  irr::Index index;
+  relations::AsRelations relations;
+
+  explicit OwnedCorpus(std::string_view text, std::string_view serial1 = {})
+      : ir(irr::parse_dump(text, "TEST", diag)),
+        index(ir),
+        relations(relations::AsRelations::parse(serial1, diag)) {}
+};
+
+// Aliasing pointers: the snapshot keeps the whole corpus alive.
+std::shared_ptr<const irr::Index> index_of(const std::shared_ptr<OwnedCorpus>& corpus) {
+  return {corpus, &corpus->index};
+}
+std::shared_ptr<const relations::AsRelations> relations_of(
+    const std::shared_ptr<OwnedCorpus>& corpus) {
+  return {corpus, &corpus->relations};
+}
+
+std::shared_ptr<const compile::CompiledPolicySnapshot> make_corpus(
+    std::string_view text, std::string_view serial1 = {}) {
+  auto owned = std::make_shared<OwnedCorpus>(text, serial1);
+  return compile::CompiledPolicySnapshot::build(index_of(owned), relations_of(owned));
+}
+
+// ---------------------------------------------------------------------------
+// The precomputed reject-all outcome
+// ---------------------------------------------------------------------------
+
+// AS100's rules cover the cases the RejectAll derivation must merge: an ASN
+// named by several rules, v4-only and v6-only rules, a rule for both
+// families, and an empty term. AS200 (an as-set peering) and AS300 (a
+// peering-set) turn the fast path off; AS400 has only an empty term.
+constexpr const char* kRejectCorpus =
+    "aut-num: AS100\n"
+    "import: from AS2 accept ANY\n"
+    "import: from AS2 accept AS2\n"
+    "import: from AS3 accept AS3\n"
+    "mp-import: afi ipv6.unicast from AS4 from AS2 accept ANY\n"
+    "mp-import: afi ipv4.unicast from AS6 accept AS6\n"
+    "import: {}\n"
+    "mp-import: { from AS7 accept ANY; from AS2 accept AS2 }\n"
+    "export: to AS2 announce AS100\n"
+    "export: to AS5 announce AS100\n"
+    "export: to AS2 announce ANY\n"
+    "mp-export: afi ipv6.unicast to AS8 announce AS100\n\n"
+    "aut-num: AS200\n"
+    "import: from AS-PEERS accept ANY\n"
+    "import: from AS9 accept ANY\n"
+    "export: to AS9 announce AS200\n\n"
+    "aut-num: AS300\n"
+    "import: from prng-test accept ANY\n"
+    "export: to AS11 announce AS300\n\n"
+    "aut-num: AS400\n"
+    "import: {}\n\n"
+    "as-set: AS-PEERS\nmembers: AS9, AS10\n\n"
+    "peering-set: prng-test\npeering: AS11\n\n"
+    "route: 10.100.0.0/16\norigin: AS100\n\n"
+    "route6: 2001:db8::/32\norigin: AS100\n\n"
+    "route: 10.3.0.0/16\norigin: AS3\n";
+
+// AS100 provides for AS3 (import-customer relaxation) and AS9 (an uphill
+// import the fast path must safelist); AS50 provides for AS100.
+constexpr const char* kRejectRelations = "50|100|-1\n100|3|-1\n100|9|-1\n2|100|0\n";
+
+std::vector<ir::Asn> asns(std::span<const ir::Asn> span) { return {span.begin(), span.end()}; }
+
+const compile::RejectAll& reject_entry(const compile::CompiledPolicySnapshot& snap, ir::Asn asn,
+                                       bool is_import, bool v4) {
+  const compile::CompiledAutNum* can = snap.compiled_aut_num(asn);
+  EXPECT_NE(can, nullptr) << asn;
+  return can->reject_all_for(is_import, v4);
+}
+
+/// Every aut-num's four entries equal between two snapshots of one corpus.
+void expect_same_reject_all(const compile::CompiledPolicySnapshot& got,
+                            const compile::CompiledPolicySnapshot& want) {
+  for (const auto& [asn, an] : want.index().ir().aut_nums) {
+    const compile::CompiledAutNum* g = got.compiled_aut_num(asn);
+    const compile::CompiledAutNum* w = want.compiled_aut_num(asn);
+    ASSERT_NE(g, nullptr) << asn;
+    ASSERT_NE(w, nullptr) << asn;
+    for (std::size_t i = 0; i < w->reject_all.size(); ++i) {
+      EXPECT_TRUE(g->reject_all[i] == w->reject_all[i]) << "AS" << asn << " entry " << i;
+    }
+  }
+}
+
+/// Every directed pair over `ases`, in both families and with a transit
+/// hop through AS100, checked against the interpreted backend.
+void expect_matches_interpreted(std::shared_ptr<const compile::CompiledPolicySnapshot> snap,
+                                const std::vector<ir::Asn>& ases) {
+  for (const bool relax : {false, true}) {
+    verify::VerifyOptions options;
+    options.relaxations = relax;
+    options.safelists = relax;
+    verify::Verifier interpreted(snap->index(), snap->relations(), options);
+    verify::Verifier compiled(snap, options);
+    std::size_t n = 0;
+    for (const char* prefix : {"10.100.0.0/16", "10.3.0.0/16", "2001:db8::/32"}) {
+      for (ir::Asn x : ases) {
+        for (ir::Asn y : ases) {
+          if (x == y) continue;
+          for (std::vector<bgp::Asn> path :
+               {std::vector<bgp::Asn>{x, y}, std::vector<bgp::Asn>{x, 100, y}}) {
+            if (path.size() == 3 && (x == 100 || y == 100)) continue;
+            const bgp::Route route{*net::Prefix::parse(prefix), path};
+            expect_same_hops(compiled.verify_route(route), interpreted.verify_route(route), n);
+            EXPECT_EQ(compiled.report(route), interpreted.report(route)) << n;
+            ++n;
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+}
+
+const std::vector<ir::Asn> kRejectAses = {2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 50, 100, 200, 300, 400};
+
+TEST(RejectAll, MergesCoveringRulesPerDirectionAndFamily) {
+  auto snap = make_corpus(kRejectCorpus, kRejectRelations);
+
+  // Imports, v4: AS2 repeats across rules, right away and again at the end
+  // (first occurrence kept), the v6-only rule is skipped, the empty term
+  // adds nothing.
+  const compile::RejectAll& in4 = reject_entry(*snap, 100, true, true);
+  EXPECT_TRUE(in4.simple);
+  EXPECT_TRUE(in4.no_match);
+  EXPECT_EQ(asns(in4.peers), (std::vector<ir::Asn>{2, 3, 6, 7}));
+  EXPECT_EQ(asns(in4.no_match_asns), (std::vector<ir::Asn>{2, 3, 6, 7}));
+  // Imports, v6: only the v6-only rule and the both-families rule cover.
+  const compile::RejectAll& in6 = reject_entry(*snap, 100, true, false);
+  EXPECT_TRUE(in6.simple);
+  EXPECT_EQ(asns(in6.peers), (std::vector<ir::Asn>{2, 4, 7}));
+  EXPECT_EQ(asns(in6.no_match_asns), (std::vector<ir::Asn>{4, 2, 7}));
+  // Exports: plain export is v4 only, the mp-export v6 only.
+  EXPECT_EQ(asns(reject_entry(*snap, 100, false, true).no_match_asns),
+            (std::vector<ir::Asn>{2, 5}));
+  EXPECT_EQ(asns(reject_entry(*snap, 100, false, false).no_match_asns),
+            (std::vector<ir::Asn>{8}));
+
+  // A set or peering-set peering turns the fast path off for its family.
+  EXPECT_FALSE(reject_entry(*snap, 200, true, true).simple);
+  EXPECT_FALSE(reject_entry(*snap, 300, true, true).simple);
+  EXPECT_TRUE(reject_entry(*snap, 200, false, true).simple);
+  // Plain import is v4 only: nothing covers v6, so it stays on.
+  EXPECT_TRUE(reject_entry(*snap, 200, true, false).simple);
+
+  // Only an empty term: NotApplicable, no items.
+  const compile::RejectAll& empty = reject_entry(*snap, 400, true, true);
+  EXPECT_TRUE(empty.simple);
+  EXPECT_FALSE(empty.no_match);
+  EXPECT_TRUE(empty.peers.empty());
+  EXPECT_TRUE(empty.no_match_asns.empty());
+}
+
+TEST(RejectAll, FastPathMatchesInterpretedBackend) {
+  auto snap = make_corpus(kRejectCorpus, kRejectRelations);
+  expect_matches_interpreted(snap, kRejectAses);
+
+  verify::Verifier compiled(snap);
+  const bgp::Route v4{*net::Prefix::parse("10.100.0.0/16"), {100, 9}};
+  // AS9 is named by no rule: the merged list, then the uphill safelist item.
+  const verify::CheckResult uphill = compiled.check_import(100, 9, v4, {});
+  EXPECT_EQ(uphill.status, verify::Status::kSafelisted);
+  ASSERT_EQ(uphill.items.size(), 5u);
+  EXPECT_EQ(uphill.items[0], (verify::ReportItem{verify::Reason::kMatchRemoteAsNum, 2, {}}));
+  EXPECT_EQ(uphill.items[3], (verify::ReportItem{verify::Reason::kMatchRemoteAsNum, 7, {}}));
+  EXPECT_EQ(uphill.items[4].reason, verify::Reason::kSpecUphill);
+  // AS3 is named by exactly one rule: the per-rule loop evaluates its filter.
+  const bgp::Route customer{*net::Prefix::parse("10.99.0.0/16"), {100, 3}};
+  const verify::CheckResult relaxed = compiled.check_import(100, 3, customer, {});
+  EXPECT_EQ(relaxed.status, verify::Status::kRelaxed);
+  EXPECT_EQ(relaxed.items.back().reason, verify::Reason::kRelaxedImportCustomer);
+  // Only an empty term covers: unverified with no items at all.
+  const verify::CheckResult none = compiled.check_import(400, 100, v4, {});
+  EXPECT_EQ(none.status, verify::Status::kUnverified);
+  EXPECT_TRUE(none.items.empty());
+}
+
+TEST(RejectAll, SurvivesPersistRoundTrip) {
+  auto snap = make_corpus(kRejectCorpus, kRejectRelations);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("rpslyzer-reject-all-" + std::to_string(::getpid()) + ".rps");
+  persist::write_snapshot(*snap, path);
+  auto restored = persist::open_snapshot(path);
+  std::filesystem::remove(path);
+  expect_same_reject_all(*restored, *snap);
+  expect_matches_interpreted(restored, kRejectAses);
+}
+
+TEST(RejectAll, IncrementalBuildCarriesCleanAndRederivesDirty) {
+  auto old_corpus = std::make_shared<OwnedCorpus>(kRejectCorpus, kRejectRelations);
+  auto previous =
+      compile::CompiledPolicySnapshot::build(index_of(old_corpus), relations_of(old_corpus));
+  auto rebuild = [&](const std::string& text, std::set<ir::Asn> dirty_asns) {
+    auto corpus = std::make_shared<OwnedCorpus>(text, kRejectRelations);
+    compile::DirtySet dirty;
+    dirty.aut_nums = std::move(dirty_asns);
+    auto incremental = compile::CompiledPolicySnapshot::build_incremental(
+        index_of(corpus), relations_of(corpus), *previous, dirty);
+    auto scratch = make_corpus(text, kRejectRelations);
+    expect_same_reject_all(*incremental, *scratch);
+    expect_matches_interpreted(incremental, kRejectAses);
+    return incremental;
+  };
+
+  // AS400 changes; AS100's entries are carried over from `previous`.
+  std::string text = kRejectCorpus;
+  const std::string as400 = "aut-num: AS400\nimport: {}\n";
+  text.replace(text.find(as400), as400.size(),
+               "aut-num: AS400\nimport: {}\nimport: from AS100 accept ANY\n");
+  auto clean = rebuild(text, {400});
+  EXPECT_TRUE(reject_entry(*clean, 100, true, true) == reject_entry(*previous, 100, true, true));
+  EXPECT_EQ(asns(reject_entry(*clean, 400, true, true).peers), (std::vector<ir::Asn>{100}));
+
+  // AS100 gains a both-families rule naming AS12: its entries are re-derived.
+  text = kRejectCorpus;
+  const std::string as100 = "aut-num: AS100\n";
+  text.replace(text.find(as100), as100.size(),
+               "aut-num: AS100\nmp-import: from AS12 from AS3 accept ANY\n");
+  auto dirty = rebuild(text, {100});
+  EXPECT_EQ(asns(reject_entry(*dirty, 100, true, true).no_match_asns),
+            (std::vector<ir::Asn>{12, 3, 2, 6, 7}));
+  EXPECT_EQ(asns(reject_entry(*dirty, 100, true, false).no_match_asns),
+            (std::vector<ir::Asn>{12, 3, 4, 2, 7}));
+}
+
+// ---------------------------------------------------------------------------
 // Server integration: the !v verb and compile.build quarantine
 // ---------------------------------------------------------------------------
 
@@ -154,23 +393,6 @@ constexpr const char* kServerCorpus =
     "export: to AS64500 announce ANY\n\n"
     "route: 10.0.0.0/8\norigin: AS64500\n\n"
     "route: 198.51.100.0/24\norigin: AS64502\n";
-
-struct OwnedCorpus {
-  util::Diagnostics diag;
-  ir::Ir ir;
-  irr::Index index;
-  relations::AsRelations relations;
-
-  explicit OwnedCorpus(const char* text)
-      : ir(irr::parse_dump(text, "TEST", diag)), index(ir) {}
-};
-
-std::shared_ptr<const compile::CompiledPolicySnapshot> make_corpus(const char* text) {
-  auto owned = std::make_shared<OwnedCorpus>(text);
-  return compile::CompiledPolicySnapshot::build(
-      std::shared_ptr<const irr::Index>(owned, &owned->index),
-      std::shared_ptr<const relations::AsRelations>(owned, &owned->relations));
-}
 
 server::ServerConfig test_config() {
   server::ServerConfig config;

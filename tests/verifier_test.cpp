@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/irr/loader.hpp"
 
 namespace rpslyzer::verify {
@@ -547,6 +548,44 @@ TEST(Verifier, ShortPathsHaveNoHops) {
   Verifier v(w.index, w.relations);
   EXPECT_TRUE(v.verify_route(route("8.8.8.0/24", {1})).empty());
   EXPECT_TRUE(v.verify_route(route("8.8.8.0/24", {})).empty());
+}
+
+TEST(Verifier, UndeclaredPeerOfLargeAsMatchesOnBothBackends) {
+  // An AS with a hundred single-peer rules, the first peer named twice, checked
+  // against peers it never names: the compiled backend answers these from
+  // its precomputed reject-all list, the interpreted one rule by rule.
+  std::string rpsl = "aut-num: AS2\nimport: from AS1000 accept AS1000\n";
+  for (int peer = 1000; peer < 1100; ++peer) {
+    rpsl += "import: from AS" + std::to_string(peer) + " accept ANY\n";
+    rpsl += "export: to AS" + std::to_string(peer) + " announce AS2\n";
+  }
+  rpsl += "mp-import: afi ipv6.unicast from AS1100 accept ANY\n";
+  util::Diagnostics diag;
+  // AS3 buys transit from AS2 (uphill import); AS4 has no relationship.
+  World w(rpsl, "2|3|-1\n", diag);
+  auto snapshot = compile::CompiledPolicySnapshot::build(
+      std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &w.index),
+      std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(), &w.relations));
+  Verifier interpreted(w.index, w.relations);
+  Verifier compiled(snapshot);
+  for (const char* prefix : {"10.0.0.0/8", "2001:db8::/32"}) {
+    for (bgp::Asn peer : {3u, 4u, 1000u, 1050u, 1100u}) {
+      const Route r = route(prefix, {2, peer});
+      EXPECT_EQ(compiled.report(r), interpreted.report(r)) << prefix << " AS" << peer;
+      const CheckResult want = interpreted.check_import(2, peer, r, {});
+      const CheckResult got = compiled.check_import(2, peer, r, {});
+      EXPECT_EQ(got.status, want.status) << prefix << " AS" << peer;
+      EXPECT_EQ(got.items, want.items) << prefix << " AS" << peer;
+    }
+  }
+  const CheckResult uphill = compiled.check_import(2, 3, route("10.0.0.0/8", {2, 3}), {});
+  EXPECT_EQ(uphill.status, Status::kSafelisted);
+  ASSERT_EQ(uphill.items.size(), 101u);  // AS1000 once, then the uphill item
+  EXPECT_EQ(uphill.items.back().reason, Reason::kSpecUphill);
+  const CheckResult v6 = compiled.check_import(2, 4, route("2001:db8::/32", {2, 4}), {});
+  EXPECT_EQ(v6.status, Status::kUnverified);
+  ASSERT_EQ(v6.items.size(), 1u);  // only the mp-import covers IPv6
+  EXPECT_EQ(v6.items[0], (ReportItem{Reason::kMatchRemoteAsNum, 1100, {}}));
 }
 
 }  // namespace

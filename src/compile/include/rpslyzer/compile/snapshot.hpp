@@ -308,7 +308,9 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
     RejectAllBuilder(std::vector<ir::Asn>& pool, std::size_t aut_nums);
     /// Derive `can`'s entries from its CompiledRules.
     void derive(CompiledAutNum& can);
-    /// Copy the entries of `previous`, the same aut-num with the same rules.
+    /// Copy the entries of `previous`, compiled last generation from an
+    /// equal aut-num object. Copying skips re-reading every rule, which is
+    /// most of what derive() costs.
     void carry(CompiledAutNum& can, const CompiledAutNum& previous);
     void finish();
 
@@ -317,7 +319,6 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
       RejectAll* entry;
       std::size_t peers, asns, size;  // offsets into the pool; both lists have `size` ASNs
     };
-    std::size_t append(std::span<const ir::Asn> asns);
     void derive(const std::vector<CompiledRule>& rules, RejectAll& v4, RejectAll& v6);
 
     std::vector<ir::Asn>& pool_;

@@ -534,7 +534,9 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   // regexes_.contains() check then skips recompilation. Pairing is
   // positional over the deterministic filter walk, guarded by a merged-
   // object equality re-check so a missed dirty entry degrades to a
-  // recompile, never to a stale automaton.
+  // recompile, never to a stale automaton. The same check picks the
+  // aut-nums whose RejectAll entries are copied rather than re-derived.
+  std::vector<const CompiledAutNum*> unchanged(index_->ir().aut_nums.size(), nullptr);
   if (previous != nullptr && dirty != nullptr) {
     auto seed_pairs = [&](const std::vector<const ir::FilterAsPath*>& olds,
                           const std::vector<const ir::FilterAsPath*>& news) {
@@ -549,10 +551,13 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
         if (stats != nullptr) ++stats->regexes_reused;
       }
     };
+    std::size_t at = 0;
     for (const auto& [asn, an] : index_->ir().aut_nums) {
+      const std::size_t i = at++;
       if (dirty->aut_nums.contains(asn)) continue;
       const ir::AutNum* prev_an = previous->index_->aut_num(asn);
       if (prev_an == nullptr || !(*prev_an == an)) continue;
+      unchanged[i] = previous->compiled_aut_num(asn);
       seed_pairs(collect_as_paths(*prev_an), collect_as_paths(an));
     }
     for (const auto& [name, set] : index_->ir().filter_sets) {
@@ -599,24 +604,18 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
       compiled.exports.push_back(compile_rule(rule));
       for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
     }
-    const std::vector<ir::Asn>& cone = cones[i++];
+    const std::vector<ir::Asn>& cone = cones[i];
     const std::size_t offset = cone_pool_.size();
     cone_pool_.insert(cone_pool_.end(), cone.begin(), cone.end());
     compiled.customer_cone = std::span<const ir::Asn>(cone_pool_).subspan(offset, cone.size());
     compiled.only_provider = only_provider_policies(*index_, *relations_, asn);
     CompiledAutNum& can = aut_nums_.emplace(asn, std::move(compiled)).first->second;
-    // A clean aut-num compiled the same rules last generation (the rule
-    // counts only guard against a stale pairing).
-    const CompiledAutNum* prev = previous != nullptr && dirty != nullptr &&
-                                         !dirty->aut_nums.contains(asn)
-                                     ? previous->compiled_aut_num(asn)
-                                     : nullptr;
-    if (prev != nullptr && prev->imports.size() == can.imports.size() &&
-        prev->exports.size() == can.exports.size()) {
-      reject_all.carry(can, *prev);
+    if (unchanged[i] != nullptr) {
+      reject_all.carry(can, *unchanged[i]);
     } else {
       reject_all.derive(can);
     }
+    ++i;
   }
   reject_all.finish();
   // Filter-set bodies are reached by name at evaluation time; precompile
@@ -638,19 +637,15 @@ CompiledPolicySnapshot::RejectAllBuilder::RejectAllBuilder(std::vector<ir::Asn>&
   placed_.reserve(4 * aut_nums);
 }
 
-std::size_t CompiledPolicySnapshot::RejectAllBuilder::append(std::span<const ir::Asn> asns) {
-  const std::size_t offset = pool_.size();
-  pool_.insert(pool_.end(), asns.begin(), asns.end());
-  return offset;
-}
-
 void CompiledPolicySnapshot::RejectAllBuilder::carry(CompiledAutNum& can,
                                                      const CompiledAutNum& previous) {
   for (std::size_t i = 0; i < can.reject_all.size(); ++i) {
     const RejectAll& from = previous.reject_all[i];
     can.reject_all[i] = {from.simple, from.no_match, {}, {}};
-    const std::size_t peers = append(from.peers);
-    placed_.push_back({&can.reject_all[i], peers, append(from.no_match_asns), from.peers.size()});
+    const std::size_t start = pool_.size();
+    pool_.insert(pool_.end(), from.peers.begin(), from.peers.end());
+    pool_.insert(pool_.end(), from.no_match_asns.begin(), from.no_match_asns.end());
+    placed_.push_back({&can.reject_all[i], start, start + from.peers.size(), from.peers.size()});
   }
 }
 
@@ -665,11 +660,9 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<Compiled
   // before deduplication.
   std::array<bool, 2> simple{true, true};
   std::array<bool, 2> no_match{false, false};
-  bool same_cover = true;
   staged_[0].clear();
   staged_[1].clear();
   for (const CompiledRule& rule : rules) {
-    same_cover = same_cover && rule.covers_v4 == rule.covers_v6;
     const std::array<bool, 2> covers{rule.covers_v4, rule.covers_v6};
     for (std::size_t f = 0; f < 2; ++f) {
       if (!covers[f] || !simple[f]) continue;
@@ -684,40 +677,29 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<Compiled
   const std::array<RejectAll*, 2> out{&v4, &v6};
   for (std::size_t f = 0; f < 2; ++f) {
     *out[f] = {simple[f], simple[f] && no_match[f], {}, {}};
-    if (f == 1 && same_cover) {
-      if (simple[0]) {
-        Placed shared = placed_.back();
-        shared.entry = &v6;
-        placed_.push_back(shared);
-      }
-      break;
-    }
     if (!simple[f]) continue;
     // A simple rule's peers are its no_match_asns sorted, so the union of
     // peers is the staged list sorted and deduplicated.
     const std::vector<ir::Asn>& list = staged_[f];
-    const std::size_t start = append(list);
+    const std::size_t start = pool_.size();
+    pool_.insert(pool_.end(), list.begin(), list.end());
     const auto first = pool_.begin() + static_cast<std::ptrdiff_t>(start);
     std::sort(first, pool_.end());
     pool_.erase(std::unique(first, pool_.end()), pool_.end());
     const std::size_t count = pool_.size() - start;
-    if (count == list.size()) {
-      append(list);
-    } else {
-      // Keep each ASN's first occurrence. The marks are all zero between
-      // entries; push_back may move the pool, so the union is re-found.
-      if (seen_.size() < count) seen_.resize(count);
-      for (ir::Asn asn : list) {
-        const auto union_begin = pool_.begin() + static_cast<std::ptrdiff_t>(start);
-        const auto union_end = union_begin + static_cast<std::ptrdiff_t>(count);
-        const auto at = static_cast<std::size_t>(
-            std::lower_bound(union_begin, union_end, asn) - union_begin);
-        if (seen_[at] != 0) continue;
-        seen_[at] = 1;
-        pool_.push_back(asn);
-      }
-      std::fill_n(seen_.begin(), count, std::uint8_t{0});
+    // Keep each ASN's first occurrence. The marks are all zero between
+    // entries; push_back may move the pool, so the union is re-found.
+    if (seen_.size() < count) seen_.resize(count);
+    for (ir::Asn asn : list) {
+      const auto union_begin = pool_.begin() + static_cast<std::ptrdiff_t>(start);
+      const auto union_end = union_begin + static_cast<std::ptrdiff_t>(count);
+      const auto at = static_cast<std::size_t>(
+          std::lower_bound(union_begin, union_end, asn) - union_begin);
+      if (seen_[at] != 0) continue;
+      seen_[at] = 1;
+      pool_.push_back(asn);
     }
+    std::fill_n(seen_.begin(), count, std::uint8_t{0});
     placed_.push_back({out[f], start, start + count, count});
   }
 }

@@ -128,15 +128,6 @@ bool is_filter_reason(verify::Reason reason) {
 
 }  // namespace
 
-// Sized for the scale-4 synthetic corpus (about 1.1k ASes, 25k pairs) so a
-// full batch rehashes at most a few times.
-Aggregator::Aggregator() {
-  as_imports_.reserve(1024);
-  as_exports_.reserve(1024);
-  pair_imports_.reserve(16384);
-  pair_exports_.reserve(16384);
-}
-
 void Aggregator::add_check(Asn self, Asn from, Asn to, bool is_import,
                            const verify::CheckResult& check) {
   ++total_checks_;

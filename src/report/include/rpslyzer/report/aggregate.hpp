@@ -87,8 +87,6 @@ std::vector<const typename Table::value_type*> sorted_entries(const Table& table
 /// Streaming aggregator: feed each route's hop checks once.
 class Aggregator {
  public:
-  Aggregator();
-
   void add(const bgp::Route& route, const std::vector<verify::HopCheck>& hops);
 
   // --- Figure 2: per AS ---

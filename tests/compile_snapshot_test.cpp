@@ -367,6 +367,9 @@ TEST(RejectAll, IncrementalBuildCarriesCleanAndRederivesDirty) {
   auto clean = rebuild(text, {400});
   EXPECT_TRUE(reject_entry(*clean, 100, true, true) == reject_entry(*previous, 100, true, true));
   EXPECT_EQ(asns(reject_entry(*clean, 400, true, true).peers), (std::vector<ir::Asn>{100}));
+  // A changed aut-num missing from the dirty set is re-derived, not carried.
+  auto missed = rebuild(text, {});
+  EXPECT_EQ(asns(reject_entry(*missed, 400, true, true).peers), (std::vector<ir::Asn>{100}));
 
   // AS100 gains a both-families rule naming AS12: its entries are re-derived.
   text = kRejectCorpus;

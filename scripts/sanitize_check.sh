@@ -46,9 +46,14 @@ run_labeled() {
 # blast radius.
 run_labeled "" "" "fault|persist|repl|delta|parallel"
 # Unlabeled suites: the verifier's reject-all fast path (its item vectors
-# are sized exactly) and the hashed report aggregation.
+# are sized exactly), the rule merge and its per-thread dedup index, and
+# the hashed report aggregation.
 "$BUILD/tests/verifier_test"
 "$BUILD/tests/report_test"
+# UBSan only reports by default; the snapshot writer's zero-length copies
+# (an empty section table or payload) once reached memcpy with a null
+# pointer, so the persist suite runs with UBSan errors fatal.
+UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/persist_test"
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
 run_labeled "cache.get=error;cache.put=error" 'Server\.|ResponseCache'
 run_labeled "irr.parse=truncate(65536)"

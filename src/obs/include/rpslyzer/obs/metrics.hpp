@@ -98,11 +98,12 @@ class Gauge {
 /// tail. Observation is two relaxed RMWs plus a CAS-add on the sum.
 class Histogram {
  public:
-  /// A coherent read of every bucket plus count and sum: the reader retries
-  /// (bounded) until the count is stable across the pass and accounts for
-  /// every bucket increment it saw, so derived values (percentiles, means,
-  /// ratios) can never contradict each other the way two independent loads
-  /// at different times can.
+  /// A coherent read of every bucket plus count and sum: `count` is always
+  /// the sum of `buckets`, and the reader retries (bounded) until the
+  /// histogram's count is stable across the pass and matches them, so the
+  /// sum belongs to the same samples. Derived values (percentiles, means,
+  /// ratios) can then never contradict each other the way two independent
+  /// loads at different times can.
   struct Snapshot {
     std::vector<std::uint64_t> buckets;  // bounds.size() + 1 (last = overflow)
     std::uint64_t count = 0;

@@ -55,7 +55,10 @@ inline bool tracing_on() noexcept {
 // query becomes greppable end to end. 0 means "no trace context".
 
 namespace detail {
-extern thread_local std::uint64_t current_trace;
+// constinit: with no dynamic initializer to run, other translation units
+// access the variable directly instead of through a TLS wrapper call,
+// which UBSan's null check misreported as a null pointer at -O0.
+extern thread_local constinit std::uint64_t current_trace;
 }  // namespace detail
 
 /// The trace id installed on this thread (0 = none). One thread-local read.

@@ -34,9 +34,11 @@ Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot snap;
   snap.buckets.resize(bounds_.size() + 1);
   // Retry until the count is stable across the pass and accounts for every
-  // bucket increment the pass saw; a handful of attempts suffices unless the
-  // histogram is under sustained fire, in which case the final pass is still
-  // a near-coherent view (off by at most the writers in flight).
+  // bucket increment the pass saw, so the sum belongs to the same samples; a
+  // handful of attempts suffices unless the histogram is under sustained
+  // fire. Either way the count reported is the one the buckets read add up
+  // to, so count and buckets never disagree; only the sum may be off by the
+  // writers in flight.
   for (int attempt = 0; attempt < 8; ++attempt) {
     const std::uint64_t before = count_.load(std::memory_order_acquire);
     std::uint64_t bucket_total = 0;
@@ -46,7 +48,7 @@ Histogram::Snapshot Histogram::snapshot() const noexcept {
     }
     snap.sum = sum_.load(std::memory_order_relaxed);
     const std::uint64_t after = count_.load(std::memory_order_acquire);
-    snap.count = after;
+    snap.count = bucket_total;
     if (before == after && bucket_total == after) break;
   }
   return snap;

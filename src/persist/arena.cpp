@@ -101,8 +101,12 @@ std::vector<std::byte> ArenaWriter::build_image(std::uint64_t build_id) const {
   header.flags = 0;
   header.build_id = build_id;
   header.file_size = file_size;
-  std::memcpy(image.data() + kFixedHeaderSize, table.data(), table_bytes);
+  // An empty table or payload has a null data(), which memcpy must not see.
+  if (table_bytes != 0) {
+    std::memcpy(image.data() + kFixedHeaderSize, table.data(), table_bytes);
+  }
   for (std::size_t i = 0; i < sections_.size(); ++i) {
+    if (sections_[i].payload.empty()) continue;
     std::memcpy(image.data() + table[i].offset, sections_[i].payload.data(),
                 sections_[i].payload.size());
   }

@@ -1,8 +1,14 @@
 #include "evaluate.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <memory>
+#include <ranges>
+
 #include "rpslyzer/aspath/engine.hpp"
 #include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/net/martians.hpp"
+#include "rpslyzer/util/rand.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::verify::internal {
@@ -22,21 +28,145 @@ bool InterpretedCorpus::as_path_skipped(const ir::FilterAsPath& filter) const {
   return ir::uses_skipped_constructs(filter.regex);
 }
 
+// ---------------------------------------------------------------------------
+// Item lists and the rule merge
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Up to this many items a membership test scans the list; past it the list
+// is indexed. Most lists never get there.
+constexpr std::size_t kScanMax = 16;
+
+std::uint64_t item_hash(const ReportItem& item) noexcept {
+  return util::mix64((std::uint64_t{item.name.id()} << 32 | item.asn) +
+                     static_cast<std::uint64_t>(item.reason) * util::kSplitMix64Gamma);
+}
+
+}  // namespace
+
+struct ItemList::Buffers {
+  std::vector<ReportItem> items;
+  std::vector<ReportItem> displaced;  // RuleMerge: the list being overtaken
+  std::vector<std::uint32_t> slots;   // item position + 1 per cell, 0 = empty
+  bool indexed = false;               // slots cover every item
+
+  // This thread's buffers; frames[0, depth) are leased, innermost last.
+  struct Stack {
+    std::vector<std::unique_ptr<Buffers>> frames;
+    std::size_t depth = 0;
+  };
+  static Stack& stack() {
+    thread_local Stack stack;
+    return stack;
+  }
+
+  void reindex() {
+    std::size_t capacity = 64;
+    while (capacity < 4 * items.size()) capacity *= 2;
+    slots.assign(capacity, 0);
+    const std::size_t mask = capacity - 1;
+    for (std::size_t pos = 0; pos < items.size(); ++pos) {
+      std::size_t i = item_hash(items[pos]) & mask;
+      while (slots[i] != 0 && !(items[slots[i] - 1] == items[pos])) i = (i + 1) & mask;
+      if (slots[i] == 0) slots[i] = static_cast<std::uint32_t>(pos + 1);
+    }
+    indexed = true;
+  }
+
+  void push_unique(const ReportItem& item) {
+    if (!indexed) {
+      if (items.size() < kScanMax) {
+        if (std::find(items.begin(), items.end(), item) == items.end()) items.push_back(item);
+        return;
+      }
+      reindex();
+    }
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = item_hash(item) & mask;
+    while (slots[i] != 0) {
+      if (items[slots[i] - 1] == item) return;
+      i = (i + 1) & mask;
+    }
+    items.push_back(item);
+    slots[i] = static_cast<std::uint32_t>(items.size());
+    if (2 * items.size() > slots.size()) reindex();
+  }
+};
+
+ItemList::ItemList() {
+  auto& stack = Buffers::stack();
+  if (stack.depth == stack.frames.size()) stack.frames.push_back(std::make_unique<Buffers>());
+  buf_ = stack.frames[stack.depth++].get();
+  buf_->items.clear();
+  buf_->indexed = false;
+}
+
+ItemList::~ItemList() {
+  auto& stack = Buffers::stack();
+  assert(stack.depth > 0 && stack.frames[stack.depth - 1].get() == buf_);
+  --stack.depth;
+}
+
+void ItemList::assign(std::span<const ReportItem> items) {
+  buf_->items.assign(items.begin(), items.end());
+  buf_->indexed = false;
+}
+
+void ItemList::append(std::span<const ReportItem> items) {
+  for (const ReportItem& item : items) buf_->push_unique(item);
+}
+
+std::span<const ReportItem> ItemList::items() const noexcept { return buf_->items; }
+
+std::vector<ReportItem> ItemList::to_vector() const {
+  return {buf_->items.begin(), buf_->items.end()};
+}
+
+template <typename Items>
+void RuleMerge::fold(EvalClass cls, const Items& items) {
+  auto mismatch = [](EvalClass c) {
+    return c == EvalClass::kNoMatchFilter || c == EvalClass::kNoMatchPeering;
+  };
+  ItemList::Buffers& buf = *list_.buf_;
+  // EvalClass enumerators are in §5 priority order: lower is better.
+  if (cls_ <= cls) {
+    if (mismatch(cls_) && mismatch(cls)) {
+      for (const ReportItem& item : items) buf.push_unique(item);
+    }
+    return;
+  }
+  const bool keep_old = cls == EvalClass::kNoMatchFilter && cls_ == EvalClass::kNoMatchPeering;
+  if (keep_old) buf.displaced.swap(buf.items);
+  buf.items.clear();
+  buf.indexed = false;
+  for (const ReportItem& item : items) buf.items.push_back(item);
+  if (keep_old) {
+    for (const ReportItem& item : buf.displaced) buf.push_unique(item);
+    buf.displaced.clear();
+  }
+  cls_ = cls;
+}
+
+void RuleMerge::add(EvalClass cls, std::span<const ReportItem> items) { fold(cls, items); }
+
+void RuleMerge::add_peer_misses(std::span<const Asn> asns) {
+  fold(EvalClass::kNoMatchPeering, asns | std::views::transform([](Asn a) {
+                                     return ReportItem{Reason::kMatchRemoteAsNum, a, {}};
+                                   }));
+}
+
 namespace {
 
 using util::overloaded;
 
-void append(std::vector<ReportItem>& dst, const std::vector<ReportItem>& src) {
-  for (const auto& item : src) {
-    bool dup = false;
-    for (const auto& existing : dst) {
-      if (existing == item) {
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) dst.push_back(item);
-  }
+/// The items of `a` then of `b`, each once, in first-seen order.
+std::vector<ReportItem> unique_concat(std::span<const ReportItem> a,
+                                      std::span<const ReportItem> b = {}) {
+  ItemList list;
+  list.append(a);
+  list.append(b);
+  return list.to_vector();
 }
 
 // ---------------------------------------------------------------------------
@@ -81,8 +211,7 @@ PeeringEval eval_as_expr(const ir::AsExpr& expr, const EvalContextT<Corpus>& ctx
             } else {
               out.cls = PeeringEvalClass::kMatch;
             }
-            append(out.items, l.items);
-            append(out.items, r.items);
+            out.items = unique_concat(l.items, r.items);
             return out;
           },
           [&](const ir::AsExprOr& n) -> PeeringEval {
@@ -95,8 +224,7 @@ PeeringEval eval_as_expr(const ir::AsExpr& expr, const EvalContextT<Corpus>& ctx
                        r.cls == PeeringEvalClass::kUnrecorded)
                           ? PeeringEvalClass::kUnrecorded
                           : PeeringEvalClass::kNoMatch;
-            append(out.items, l.items);
-            append(out.items, r.items);
+            out.items = unique_concat(l.items, r.items);
             return out;
           },
           [&](const ir::AsExprExcept& n) -> PeeringEval {
@@ -105,16 +233,11 @@ PeeringEval eval_as_expr(const ir::AsExpr& expr, const EvalContextT<Corpus>& ctx
             // left AND NOT right.
             if (l.cls == PeeringEvalClass::kNoMatch) return l;
             if (r.cls == PeeringEvalClass::kMatch) {
-              PeeringEval out{PeeringEvalClass::kNoMatch, {}};
-              append(out.items, l.items);
-              return out;
+              return {PeeringEvalClass::kNoMatch, unique_concat(l.items)};
             }
             if (l.cls == PeeringEvalClass::kUnrecorded ||
                 r.cls == PeeringEvalClass::kUnrecorded) {
-              PeeringEval out{PeeringEvalClass::kUnrecorded, {}};
-              append(out.items, l.items);
-              append(out.items, r.items);
-              return out;
+              return {PeeringEvalClass::kUnrecorded, unique_concat(l.items, r.items)};
             }
             return {PeeringEvalClass::kMatch, {}};
           },
@@ -132,29 +255,27 @@ PeeringEval eval_peering_set(std::string_view name, const EvalContextT<Corpus>& 
   // Peering-sets may (pathologically) reference peering-sets; bound the
   // recursion like the set-flattening cycle guards elsewhere.
   if (depth > 8) {
-    return {PeeringEvalClass::kNoMatch, {{Reason::kMatchRemotePeeringSet, 0, std::string(name)}}};
+    return {PeeringEvalClass::kNoMatch, {{Reason::kMatchRemotePeeringSet, 0, name}}};
   }
   const ir::PeeringSet* set = ctx.corpus.peering_set(name);
   if (set == nullptr) {
-    return {PeeringEvalClass::kUnrecorded,
-            {{Reason::kUnrecordedPeeringSet, 0, std::string(name)}}};
+    return {PeeringEvalClass::kUnrecorded, {{Reason::kUnrecordedPeeringSet, 0, name}}};
   }
-  PeeringEval out{PeeringEvalClass::kNoMatch, {}};
+  ItemList items;
   bool unrecorded = false;
   for (const auto* list : {&set->peerings, &set->mp_peerings}) {
     for (const auto& p : *list) {
       PeeringEval sub = eval_peering(p, ctx, depth + 1);
       if (sub.cls == PeeringEvalClass::kMatch) return sub;
       if (sub.cls == PeeringEvalClass::kUnrecorded) unrecorded = true;
-      append(out.items, sub.items);
+      items.append(sub.items);
     }
   }
-  if (unrecorded) {
-    out.cls = PeeringEvalClass::kUnrecorded;
-  } else if (out.items.empty()) {
-    out.items.push_back({Reason::kMatchRemotePeeringSet, 0, std::string(name)});
+  if (unrecorded) return {PeeringEvalClass::kUnrecorded, items.to_vector()};
+  if (items.items().empty()) {
+    return {PeeringEvalClass::kNoMatch, {{Reason::kMatchRemotePeeringSet, 0, name}}};
   }
-  return out;
+  return {PeeringEvalClass::kNoMatch, items.to_vector()};
 }
 
 template <typename Corpus>
@@ -312,10 +433,7 @@ FilterEval eval_filter(const ir::Filter& filter, const EvalContextT<Corpus>& ctx
             } else {
               out.cls = FilterEvalClass::kMatch;
             }
-            if (out.cls != FilterEvalClass::kMatch) {
-              append(out.items, l.items);
-              append(out.items, r.items);
-            }
+            if (out.cls != FilterEvalClass::kMatch) out.items = unique_concat(l.items, r.items);
             return out;
           },
           [&](const ir::FilterOr& f) -> FilterEval {
@@ -332,8 +450,7 @@ FilterEval eval_filter(const ir::Filter& filter, const EvalContextT<Corpus>& ctx
             } else {
               out.cls = FilterEvalClass::kNoMatch;
             }
-            append(out.items, l.items);
-            append(out.items, r.items);
+            out.items = unique_concat(l.items, r.items);
             return out;
           },
           [&](const ir::FilterNot& f) -> FilterEval {
@@ -348,7 +465,7 @@ FilterEval eval_filter(const ir::Filter& filter, const EvalContextT<Corpus>& ctx
                 break;
               default:
                 out.cls = inner.cls;
-                append(out.items, inner.items);
+                out.items = unique_concat(inner.items);
             }
             return out;
           },
@@ -366,24 +483,22 @@ FilterEval eval_filter(const ir::Filter& filter, const EvalContextT<Corpus>& ctx
 template <typename Corpus>
 RuleOutcome eval_factor(const ir::PolicyFactor& factor, const EvalContextT<Corpus>& ctx) {
   // (1) Any of the factor's peerings must cover the remote AS.
-  PeeringEval best_peering{PeeringEvalClass::kNoMatch, {}};
+  PeeringEvalClass peering = PeeringEvalClass::kNoMatch;
+  ItemList peering_items;
   for (const auto& pa : factor.peerings) {
     PeeringEval p = eval_peering(pa.peering, ctx);
     if (p.cls == PeeringEvalClass::kMatch) {
-      best_peering = std::move(p);
+      peering = PeeringEvalClass::kMatch;
       break;
     }
-    if (p.cls == PeeringEvalClass::kUnrecorded &&
-        best_peering.cls != PeeringEvalClass::kUnrecorded) {
-      best_peering.cls = PeeringEvalClass::kUnrecorded;
-    }
-    append(best_peering.items, p.items);
+    if (p.cls == PeeringEvalClass::kUnrecorded) peering = PeeringEvalClass::kUnrecorded;
+    peering_items.append(p.items);
   }
-  if (best_peering.cls == PeeringEvalClass::kUnrecorded) {
-    return {EvalClass::kUnrecorded, std::move(best_peering.items)};
+  if (peering == PeeringEvalClass::kUnrecorded) {
+    return {EvalClass::kUnrecorded, peering_items.to_vector()};
   }
-  if (best_peering.cls == PeeringEvalClass::kNoMatch) {
-    return {EvalClass::kNoMatchPeering, std::move(best_peering.items)};
+  if (peering == PeeringEvalClass::kNoMatch) {
+    return {EvalClass::kNoMatchPeering, peering_items.to_vector()};
   }
 
   // (2) The filter must cover <P, A>.
@@ -412,12 +527,12 @@ RuleOutcome eval_entry(const ir::Entry& entry, bool mp, const EvalContextT<Corpu
   return std::visit(
       overloaded{
           [&](const ir::EntryTerm& term) -> RuleOutcome {
-            RuleOutcome best{EvalClass::kNotApplicable, {}};
+            RuleMerge merge;
             for (const auto& factor : term.factors) {
-              best = combine_best(std::move(best), eval_factor(factor, ctx));
-              if (best.cls == EvalClass::kMatch) break;
+              merge.add(eval_factor(factor, ctx));
+              if (merge.cls() == EvalClass::kMatch) break;
             }
-            return best;
+            return merge.take();
           },
           [&](const ir::EntryExcept& e) -> RuleOutcome {
             // Exceptions take precedence: a route matching the RHS uses the
@@ -455,44 +570,16 @@ RuleOutcome eval_entry(const ir::Entry& entry, bool mp, const EvalContextT<Corpu
             RuleOutcome& weaker = rank(l.cls) <= rank(r.cls) ? l : r;
             RuleOutcome& stronger = rank(l.cls) <= rank(r.cls) ? r : l;
             if (weaker.cls == EvalClass::kMatch) return weaker;  // both match
-            append(weaker.items, stronger.items);
-            return weaker;
+            ItemList items;
+            items.assign(weaker.items);
+            items.append(stronger.items);
+            return {weaker.cls, items.to_vector()};
           },
       },
       entry.node);
 }
 
 }  // namespace
-
-RuleOutcome combine_best(RuleOutcome a, RuleOutcome b) {
-  auto rank = [](EvalClass c) {
-    switch (c) {
-      case EvalClass::kMatch:
-        return 0;
-      case EvalClass::kSkip:
-        return 1;
-      case EvalClass::kUnrecorded:
-        return 2;
-      case EvalClass::kNoMatchFilter:
-        return 3;
-      case EvalClass::kNoMatchPeering:
-        return 4;
-      case EvalClass::kNotApplicable:
-        return 5;
-    }
-    return 5;
-  };
-  RuleOutcome& best = rank(a.cls) <= rank(b.cls) ? a : b;
-  RuleOutcome& rest = rank(a.cls) <= rank(b.cls) ? b : a;
-  // Mismatch explanations accumulate across rules (Appendix C shows every
-  // rule's MatchRemoteAsNum); determined statuses keep their own items.
-  if (best.cls == EvalClass::kNoMatchFilter || best.cls == EvalClass::kNoMatchPeering) {
-    if (rest.cls == EvalClass::kNoMatchFilter || rest.cls == EvalClass::kNoMatchPeering) {
-      append(best.items, rest.items);
-    }
-  }
-  return std::move(best);
-}
 
 template <typename Corpus>
 RuleOutcome evaluate_rule(const ir::Rule& rule, const EvalContextT<Corpus>& ctx) {

@@ -93,8 +93,60 @@ extern template RuleOutcome evaluate_rule<InterpretedCorpus>(
 extern template RuleOutcome evaluate_rule<compile::CompiledPolicySnapshot>(
     const ir::Rule&, const EvalContextT<compile::CompiledPolicySnapshot>&);
 
-/// Pick the better of two outcomes under §5 ordering, merging items when
-/// both are mismatches (all rules' mismatch explanations are reported).
-RuleOutcome combine_best(RuleOutcome a, RuleOutcome b);
+/// An order-preserving, duplicate-free item list. Membership is a linear
+/// scan while the list is short and a probe into an open-addressing index
+/// over the 12-byte items once it grows, so appending k items to n costs
+/// O(n + k), not O(n·k). Storage is leased from a per-thread stack of
+/// reused buffers, so a list allocates nothing once its thread is warm;
+/// lists are scoped locals (the leases nest) and never move.
+class ItemList {
+ public:
+  ItemList();
+  ~ItemList();
+  ItemList(const ItemList&) = delete;
+  ItemList& operator=(const ItemList&) = delete;
+
+  /// Replace the contents with `items` verbatim (duplicates kept).
+  void assign(std::span<const ReportItem> items);
+  /// Append each item not already present, in order.
+  void append(std::span<const ReportItem> items);
+
+  std::span<const ReportItem> items() const noexcept;
+  /// An exactly sized copy.
+  std::vector<ReportItem> to_vector() const;
+
+ private:
+  friend class RuleMerge;
+  struct Buffers;
+  Buffers* buf_;
+};
+
+/// Folds rule outcomes, in rule order, into the best one under §5
+/// ordering. Mismatch explanations accumulate across rules (Appendix C
+/// shows every rule's MatchRemoteAsNum):
+///  * a tie, or a worse newcomer: when both are mismatches, the newcomer's
+///    items are appended without duplicates; otherwise they are dropped;
+///  * NoMatchFilter overtaking NoMatchPeering: the newcomer's items
+///    verbatim, then the old items without duplicates;
+///  * any other overtaking: the newcomer's items verbatim.
+class RuleMerge {
+ public:
+  void add(EvalClass cls, std::span<const ReportItem> items);
+  void add(const RuleOutcome& outcome) { add(outcome.cls, outcome.items); }
+  /// A fast-rejected rule: NoMatchPeering with MatchRemoteAsNum(a) for
+  /// each ASN, without building the items first.
+  void add_peer_misses(std::span<const Asn> asns);
+
+  EvalClass cls() const noexcept { return cls_; }
+  std::span<const ReportItem> items() const noexcept { return list_.items(); }
+  RuleOutcome take() const { return {cls_, list_.to_vector()}; }
+
+ private:
+  template <typename Items>
+  void fold(EvalClass cls, const Items& items);
+
+  EvalClass cls_ = EvalClass::kNotApplicable;
+  ItemList list_;
+};
 
 }  // namespace rpslyzer::verify::internal

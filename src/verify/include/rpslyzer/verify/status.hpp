@@ -8,7 +8,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "rpslyzer/util/interner.hpp"
 
 namespace rpslyzer::verify {
 
@@ -67,13 +71,43 @@ enum class Reason : std::uint8_t {
 
 const char* to_string(Reason r) noexcept;
 
+/// A report item's set name: a 4-byte handle onto the process-wide exact
+/// table util::global_symbols(). Spellings are interned on construction
+/// and the table never frees, so a name outlives every index, snapshot and
+/// verifier it came from. The empty name is id 0 and never touches the
+/// table. Equality compares ids, which in the exact table is byte equality.
+class ItemName {
+ public:
+  constexpr ItemName() noexcept = default;
+  ItemName(std::string_view spelling)
+      : id_(spelling.empty() ? 0 : util::global_symbols().intern(spelling).id) {}
+  ItemName(const std::string& spelling) : ItemName(std::string_view(spelling)) {}
+  ItemName(const char* spelling) : ItemName(std::string_view(spelling)) {}
+
+  operator std::string_view() const noexcept {
+    return id_ == 0 ? std::string_view() : util::global_symbols().view(util::Symbol{id_});
+  }
+  std::size_t size() const noexcept { return std::string_view(*this).size(); }
+  bool empty() const noexcept { return id_ == 0; }
+  std::uint32_t id() const noexcept { return id_; }
+
+  friend bool operator==(const ItemName&, const ItemName&) noexcept = default;
+
+ private:
+  std::uint32_t id_ = 0;
+};
+
 struct ReportItem {
   Reason reason;
-  Asn asn = 0;       // remote/filter ASN when applicable
-  std::string name;  // set name when applicable
+  Asn asn = 0;    // remote/filter ASN when applicable
+  ItemName name;  // set name when applicable
 
   friend bool operator==(const ReportItem&, const ReportItem&) = default;
 };
+
+// A check keeps tens of items and a batch keeps tens of millions: the item
+// stays a flat, trivially copyable 12 bytes.
+static_assert(sizeof(ReportItem) == 12 && std::is_trivially_copyable_v<ReportItem>);
 
 /// Render "MatchRemoteAsNum(58552)" / "UnrecordedAsSet(\"AS1299:...\")".
 std::string to_string(const ReportItem& item);

@@ -35,7 +35,7 @@ class CompiledPolicySnapshot;
 namespace rpslyzer::verify {
 
 namespace internal {
-struct RuleOutcome;
+class RuleMerge;
 }  // namespace internal
 
 struct VerifyOptions {
@@ -100,14 +100,14 @@ class Verifier {
   CheckResult check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
                     std::span<const Asn> announced_path) const;
 
-  /// Shared tail of check(): §5 status from the best rule outcome, then the
-  /// §5.1.1 relaxations and §5.1.2 safelists in paper order. Backend
+  /// Shared tail of check(): §5 status from the merged rule outcomes, then
+  /// the §5.1.1 relaxations and §5.1.2 safelists in paper order. Backend
   /// differences are confined to the small dispatch helpers below.
-  CheckResult classify(internal::RuleOutcome best, Asn self, Asn peer, bool is_import,
+  CheckResult classify(const internal::RuleMerge& best, Asn self, Asn peer, bool is_import,
                        const bgp::Route& route) const;
 
   bool relax_export_self(Asn self, const net::Prefix& prefix) const;
-  bool contains_origin(const std::string& as_set, Asn origin) const;
+  bool contains_origin(std::string_view as_set, Asn origin) const;
   const relations::AsRelations& rels() const;
 
   // Interpreted backend (null in snapshot mode):

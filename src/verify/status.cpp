@@ -82,12 +82,17 @@ const char* to_string(Reason r) noexcept {
 
 std::string to_string(const ReportItem& item) {
   std::string out = to_string(item.reason);
-  if (item.asn != 0 && !item.name.empty()) {
-    out += "(" + std::to_string(item.asn) + ", \"" + item.name + "\")";
+  const std::string_view name = item.name;
+  if (item.asn != 0 && !name.empty()) {
+    out += "(" + std::to_string(item.asn) + ", \"";
+    out += name;
+    out += "\")";
   } else if (item.asn != 0) {
     out += "(" + std::to_string(item.asn) + ")";
-  } else if (!item.name.empty()) {
-    out += "(\"" + item.name + "\")";
+  } else if (!name.empty()) {
+    out += "(\"";
+    out += name;
+    out += "\")";
   }
   return out;
 }

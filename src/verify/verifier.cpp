@@ -1,6 +1,7 @@
 #include "rpslyzer/verify/verifier.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "evaluate.hpp"
 #include "rpslyzer/compile/snapshot.hpp"
@@ -10,7 +11,7 @@ namespace rpslyzer::verify {
 namespace {
 
 using internal::EvalClass;
-using internal::RuleOutcome;
+using internal::RuleMerge;
 
 }  // namespace
 
@@ -26,7 +27,7 @@ const relations::AsRelations& Verifier::rels() const {
   return snapshot_ != nullptr ? snapshot_->relations() : *relations_;
 }
 
-bool Verifier::contains_origin(const std::string& as_set, Asn origin) const {
+bool Verifier::contains_origin(std::string_view as_set, Asn origin) const {
   return snapshot_ != nullptr ? snapshot_->contains(as_set, origin)
                               : index_->contains(as_set, origin);
 }
@@ -77,27 +78,37 @@ bool Verifier::relax_export_self(Asn self, const net::Prefix& prefix) const {
   return false;
 }
 
-CheckResult Verifier::classify(RuleOutcome best, Asn self, Asn peer, bool is_import,
+CheckResult Verifier::classify(const RuleMerge& best, Asn self, Asn peer, bool is_import,
                                const bgp::Route& route) const {
-  switch (best.cls) {
+  const std::span<const ReportItem> items = best.items();
+  // The one allocation a check makes: its items, plus the reason a
+  // relaxation or safelist may add.
+  auto result = [&](Status status, std::optional<Reason> extra = std::nullopt) {
+    CheckResult out{status, {}};
+    out.items.reserve(items.size() + (extra ? 1 : 0));
+    out.items.assign(items.begin(), items.end());
+    if (extra) out.items.push_back({*extra, 0, {}});
+    return out;
+  };
+  switch (best.cls()) {
     case EvalClass::kMatch:
       return {Status::kVerified, {}};
     case EvalClass::kSkip:
-      return {Status::kSkip, std::move(best.items)};
+      return result(Status::kSkip);
     case EvalClass::kUnrecorded:
-      return {Status::kUnrecorded, std::move(best.items)};
+      return result(Status::kUnrecorded);
     default:
       break;
   }
 
   // §5.1.1 relaxed filters, in paper order, applicable when some rule's
   // peering matched but its filter did not.
-  if (options_.relaxations && best.cls == EvalClass::kNoMatchFilter) {
+  if (options_.relaxations && best.cls() == EvalClass::kNoMatchFilter) {
     const Asn origin = route.origin();
     bool has_self_filter = false;
     bool has_peer_filter = false;
     bool has_origin_filter = false;
-    for (const auto& item : best.items) {
+    for (const auto& item : items) {
       if (item.reason == Reason::kMatchFilterAsNum) {
         has_self_filter = has_self_filter || item.asn == self;
         has_peer_filter = has_peer_filter || item.asn == peer;
@@ -109,20 +120,17 @@ CheckResult Verifier::classify(RuleOutcome best, Asn self, Asn peer, bool is_imp
     // Export Self: a transit AS announcing "its own" routes almost always
     // means its routes and its customers' (validated by operators, App. E).
     if (!is_import && has_self_filter && relax_export_self(self, route.prefix)) {
-      best.items.push_back({Reason::kRelaxedExportSelf, 0, {}});
-      return {Status::kRelaxed, std::move(best.items)};
+      return result(Status::kRelaxed, Reason::kRelaxedExportSelf);
     }
     // Import Customer: "from C accept C" (or accept PeerAS) by C's provider
     // means "accept anything C sends".
     if (is_import && has_peer_filter && rels().is_provider_of(self, peer)) {
-      best.items.push_back({Reason::kRelaxedImportCustomer, 0, {}});
-      return {Status::kRelaxed, std::move(best.items)};
+      return result(Status::kRelaxed, Reason::kRelaxedImportCustomer);
     }
     // Missing routes: the filter names the AS-path's origin (or a set
     // containing it) — the route object is simply not maintained.
     if (has_origin_filter) {
-      best.items.push_back({Reason::kRelaxedMissingRoutes, 0, {}});
-      return {Status::kRelaxed, std::move(best.items)};
+      return result(Status::kRelaxed, Reason::kRelaxedMissingRoutes);
     }
   }
 
@@ -135,29 +143,24 @@ CheckResult Verifier::classify(RuleOutcome best, Asn self, Asn peer, bool is_imp
     // non-provider remotes in the report items.
     if (is_import && to_peer != relations::Relationship::kCustomer &&
         only_provider_policies(self)) {
-      best.items.push_back({to_peer == relations::Relationship::kProvider
-                                ? Reason::kSpecCustomerOnlyProviderPolicies
-                                : Reason::kSpecOtherOnlyProviderPolicies,
-                            0,
-                            {}});
-      return {Status::kSafelisted, std::move(best.items)};
+      return result(Status::kSafelisted, to_peer == relations::Relationship::kProvider
+                                             ? Reason::kSpecCustomerOnlyProviderPolicies
+                                             : Reason::kSpecOtherOnlyProviderPolicies);
     }
     // Tier-1 Peering: Tier-1s exchange routes by definition.
     if (rels().is_tier1(self) && rels().is_tier1(peer)) {
-      best.items.push_back({Reason::kSpecTier1Pair, 0, {}});
-      return {Status::kSafelisted, std::move(best.items)};
+      return result(Status::kSafelisted, Reason::kSpecTier1Pair);
     }
     // Uphill: customers rely on providers to reach the Internet; providers
     // import customer routes.
     const bool uphill = is_import ? to_peer == relations::Relationship::kProvider
                                   : to_peer == relations::Relationship::kCustomer;
     if (uphill) {
-      best.items.push_back({Reason::kSpecUphill, 0, {}});
-      return {Status::kSafelisted, std::move(best.items)};
+      return result(Status::kSafelisted, Reason::kSpecUphill);
     }
   }
 
-  return {Status::kUnverified, std::move(best.items)};
+  return result(Status::kUnverified);
 }
 
 CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
@@ -179,45 +182,32 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
     const compile::RejectAll& reject = can->reject_all_for(is_import, route.prefix.is_v4());
     if (reject.simple &&
         !std::binary_search(reject.peers.begin(), reject.peers.end(), peer)) {
-      RuleOutcome best{
-          reject.no_match ? EvalClass::kNoMatchPeering : EvalClass::kNotApplicable, {}};
-      best.items.reserve(reject.no_match_asns.size() + 1);  // + a safelist item
-      for (Asn a : reject.no_match_asns) {
-        best.items.push_back({Reason::kMatchRemoteAsNum, a, {}});
-      }
-      return classify(std::move(best), self, peer, is_import, route);
+      RuleMerge best;
+      if (reject.no_match) best.add_peer_misses(reject.no_match_asns);
+      return classify(best, self, peer, is_import, route);
     }
 
     internal::EvalContextT<compile::CompiledPolicySnapshot> ctx{
         *snapshot_, options_, self, peer, route.prefix, announced_path, route.origin()};
 
-    RuleOutcome best{EvalClass::kNotApplicable, {}};
+    // A rule that does not cover the family, or has no factors, is
+    // NotApplicable, which never changes the merge.
+    RuleMerge best;
     for (const auto& crule : crules) {
-      RuleOutcome out;
       const bool covers = route.prefix.is_v4() ? crule.covers_v4 : crule.covers_v6;
-      if (!covers) {
-        out.cls = EvalClass::kNotApplicable;
-      } else if (crule.simple &&
-                 !std::binary_search(crule.peers.begin(), crule.peers.end(), peer)) {
+      if (!covers) continue;
+      if (crule.simple &&
+          !std::binary_search(crule.peers.begin(), crule.peers.end(), peer)) {
         // Fast reject: every peering is a plain ASN and none names the
         // peer, so no factor's filter is ever evaluated. Reproduces the
         // interpreted per-factor NoMatchPeering merge exactly.
-        if (crule.no_factors) {
-          out.cls = EvalClass::kNotApplicable;
-        } else {
-          out.cls = EvalClass::kNoMatchPeering;
-          out.items.reserve(crule.no_match_asns.size());
-          for (Asn a : crule.no_match_asns) {
-            out.items.push_back({Reason::kMatchRemoteAsNum, a, {}});
-          }
-        }
-      } else {
-        out = internal::evaluate_rule(*crule.rule, ctx);
+        if (!crule.no_factors) best.add_peer_misses(crule.no_match_asns);
+        continue;
       }
-      best = internal::combine_best(std::move(best), std::move(out));
-      if (best.cls == EvalClass::kMatch) break;
+      best.add(internal::evaluate_rule(*crule.rule, ctx));
+      if (best.cls() == EvalClass::kMatch) break;
     }
-    return classify(std::move(best), self, peer, is_import, route);
+    return classify(best, self, peer, is_import, route);
   }
 
   // Unrecorded (1): no aut-num object for the AS under check.
@@ -235,12 +225,12 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
   internal::EvalContext ctx{corpus,         options_,       self, peer,
                             route.prefix,   announced_path, route.origin()};
 
-  RuleOutcome best{EvalClass::kNotApplicable, {}};
+  RuleMerge best;
   for (const auto& rule : rules) {
-    best = internal::combine_best(std::move(best), internal::evaluate_rule(rule, ctx));
-    if (best.cls == EvalClass::kMatch) break;
+    best.add(internal::evaluate_rule(rule, ctx));
+    if (best.cls() == EvalClass::kMatch) break;
   }
-  return classify(std::move(best), self, peer, is_import, route);
+  return classify(best, self, peer, is_import, route);
 }
 
 CheckResult Verifier::check_export(Asn from, Asn to, const bgp::Route& route,

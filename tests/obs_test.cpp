@@ -77,14 +77,23 @@ TEST(MetricsRegistry, HistogramConcurrentObservationsStayCoherent) {
   }
   go.store(true, std::memory_order_release);
   // Concurrent snapshots must always account for every bucket increment
-  // belonging to the count they report.
+  // belonging to the count they report. Failures are recorded, not
+  // asserted, so the writers are joined before the test can return.
+  int incoherent = 0;
+  std::uint64_t first_bucket_total = 0;
+  std::uint64_t first_count = 0;
   for (int i = 0; i < 200; ++i) {
     const Histogram::Snapshot snap = histogram.snapshot();
     std::uint64_t bucket_total = 0;
     for (std::uint64_t bucket : snap.buckets) bucket_total += bucket;
-    ASSERT_EQ(bucket_total, snap.count);
+    if (bucket_total != snap.count && incoherent++ == 0) {
+      first_bucket_total = bucket_total;
+      first_count = snap.count;
+    }
   }
   for (auto& writer : writers) writer.join();
+  EXPECT_EQ(incoherent, 0) << "first incoherent snapshot: buckets sum to "
+                           << first_bucket_total << ", count " << first_count;
   const Histogram::Snapshot final_snap = histogram.snapshot();
   EXPECT_EQ(final_snap.count, static_cast<std::uint64_t>(kThreads) * kObservations);
   std::uint64_t bucket_total = 0;

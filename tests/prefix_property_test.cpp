@@ -28,10 +28,16 @@ bool selects(const RangeOp& op, std::uint8_t len, std::uint8_t cl, std::uint8_t 
   return false;
 }
 
+// gtest names each case after a hex dump of its parameter, padding included.
+// The padding is spelled out and zeroed so those names are the same on every
+// run; left implicit, it held whatever the allocator last put there.
 struct OpCase {
+  OpCase(RangeOp o, const char* n) : op(o), name(n) {}
   RangeOp op;
+  std::uint8_t pad[5] = {};
   const char* name;
 };
+static_assert(sizeof(OpCase) == 16);
 
 class RangeOpSweep : public ::testing::TestWithParam<OpCase> {};
 
@@ -101,16 +107,21 @@ bool composed_selects(const RangeOp& inner, const RangeOp& outer, std::uint8_t b
   return false;
 }
 
-struct ComposeCase {
+struct ComposeCase {  // padding zeroed for the same reason as OpCase
+  ComposeCase(RangeOp i, RangeOp o, const char* n) : inner(i), outer(o), name(n) {}
   RangeOp inner;
   RangeOp outer;
+  std::uint8_t pad[2] = {};
   const char* name;
 };
+static_assert(sizeof(ComposeCase) == 16);
 
 class ComposeSweep : public ::testing::TestWithParam<ComposeCase> {};
 
 TEST_P(ComposeSweep, MatchesEnumeration) {
-  const auto [inner, outer, name] = GetParam();
+  const RangeOp inner = GetParam().inner;
+  const RangeOp outer = GetParam().outer;
+  const char* name = GetParam().name;
   const IpAddress base_addr = *IpAddress::parse("10.0.0.0");
   for (std::uint8_t len = 0; len <= 32; len += 4) {
     const Prefix base(base_addr, len);

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+
+#include "evaluate.hpp"
 #include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/irr/loader.hpp"
 
 namespace rpslyzer::verify {
+
+// gtest prints a mismatching item as its Appendix C text, not raw bytes.
+void PrintTo(const ReportItem& item, std::ostream* os) { *os << to_string(item); }
+
 namespace {
 
 using bgp::Route;
@@ -586,6 +594,214 @@ TEST(Verifier, UndeclaredPeerOfLargeAsMatchesOnBothBackends) {
   EXPECT_EQ(v6.status, Status::kUnverified);
   ASSERT_EQ(v6.items.size(), 1u);  // only the mp-import covers IPv6
   EXPECT_EQ(v6.items[0], (ReportItem{Reason::kMatchRemoteAsNum, 1100, {}}));
+}
+
+// The rule fold as it was before RuleMerge, kept as the reference: the
+// better outcome wins, and when both are mismatches the loser's items are
+// appended to the winner's, each compared with every item kept so far.
+namespace reference {
+
+void append(std::vector<ReportItem>& dst, const std::vector<ReportItem>& src) {
+  for (const auto& item : src) {
+    bool dup = false;
+    for (const auto& existing : dst) {
+      if (existing == item) {
+        dup = true;
+        break;
+      }
+    }
+    if (!dup) dst.push_back(item);
+  }
+}
+
+internal::RuleOutcome combine_best(internal::RuleOutcome a, internal::RuleOutcome b) {
+  using internal::EvalClass;
+  auto rank = [](EvalClass c) {
+    switch (c) {
+      case EvalClass::kMatch:
+        return 0;
+      case EvalClass::kSkip:
+        return 1;
+      case EvalClass::kUnrecorded:
+        return 2;
+      case EvalClass::kNoMatchFilter:
+        return 3;
+      case EvalClass::kNoMatchPeering:
+        return 4;
+      case EvalClass::kNotApplicable:
+        return 5;
+    }
+    return 5;
+  };
+  internal::RuleOutcome& best = rank(a.cls) <= rank(b.cls) ? a : b;
+  internal::RuleOutcome& rest = rank(a.cls) <= rank(b.cls) ? b : a;
+  if (best.cls == EvalClass::kNoMatchFilter || best.cls == EvalClass::kNoMatchPeering) {
+    if (rest.cls == EvalClass::kNoMatchFilter || rest.cls == EvalClass::kNoMatchPeering) {
+      append(best.items, rest.items);
+    }
+  }
+  return std::move(best);
+}
+
+}  // namespace reference
+
+// One rule's outcome, fed to both folds: a fast-rejected rule carries only
+// its ASN list, which RuleMerge takes without building items.
+struct RuleStep {
+  internal::RuleOutcome outcome;
+  std::vector<Asn> peer_misses;
+  bool fast_reject = false;
+};
+
+void expect_same_fold(const std::vector<RuleStep>& steps, const std::string& what) {
+  internal::RuleOutcome want{internal::EvalClass::kNotApplicable, {}};
+  internal::RuleMerge got;
+  for (const RuleStep& step : steps) {
+    if (step.fast_reject) {
+      internal::RuleOutcome misses{internal::EvalClass::kNoMatchPeering, {}};
+      for (Asn a : step.peer_misses) misses.items.push_back({Reason::kMatchRemoteAsNum, a, {}});
+      want = reference::combine_best(std::move(want), std::move(misses));
+      got.add_peer_misses(step.peer_misses);
+    } else {
+      want = reference::combine_best(std::move(want), step.outcome);
+      got.add(step.outcome);
+    }
+  }
+  EXPECT_EQ(got.cls(), want.cls) << what;
+  const internal::RuleOutcome taken = got.take();
+  EXPECT_EQ(taken.items, want.items) << what;
+}
+
+TEST(RuleMerge, MatchesTheQuadraticFoldOnRandomRuleSequences) {
+  using internal::EvalClass;
+  // Small pools so items repeat within and across rules; "as-a" and "AS-A"
+  // are distinct spellings, so distinct items.
+  const std::vector<ItemName> names = {{}, "AS-A", "as-a", "AS-B", "AS-C:AS-D"};
+  const std::vector<Reason> reasons = {Reason::kMatchRemoteAsNum, Reason::kMatchRemoteAsSet,
+                                       Reason::kMatchFilterAsNum, Reason::kMatchFilter,
+                                       Reason::kUnrecordedAsSet, Reason::kSkipCommunityFilter};
+  std::mt19937 rng(20240917);
+  auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<RuleStep> steps(1 + pick(30));
+    for (RuleStep& step : steps) {
+      // Long lists now and then, so both the scan and the index run.
+      const std::size_t length = pick(4) == 0 ? pick(60) : pick(5);
+      const Asn asn_pool = pick(2) == 0 ? 8 : 200;
+      if (pick(3) == 0) {
+        step.fast_reject = true;
+        for (std::size_t i = 0; i < length; ++i) step.peer_misses.push_back(1 + pick(asn_pool));
+        continue;
+      }
+      step.outcome.cls = static_cast<EvalClass>(pick(6));
+      for (std::size_t i = 0; i < length; ++i) {
+        step.outcome.items.push_back({reasons[pick(reasons.size())],
+                                      static_cast<Asn>(pick(asn_pool)),
+                                      names[pick(names.size())]});
+      }
+    }
+    expect_same_fold(steps, "trial " + std::to_string(trial));
+    if (HasFailure()) break;
+  }
+}
+
+TEST(RuleMerge, FilterMismatchOvertakesALongPeeringMismatchList) {
+  using internal::EvalClass;
+  // Hundreds of undeclared-peer items, then a rule whose peering matched
+  // but whose filter did not: its items lead, the old ones follow once.
+  std::vector<RuleStep> steps(3);
+  for (Asn a = 1; a <= 300; ++a) steps[0].peer_misses.push_back(a);
+  steps[0].peer_misses.push_back(7);  // a duplicate inside one list
+  steps[0].fast_reject = true;
+  steps[1].outcome = {EvalClass::kNoMatchPeering,
+                      {{Reason::kMatchRemoteAsSet, 0, "AS-X"},
+                       {Reason::kMatchRemoteAsNum, 150, {}}}};
+  steps[2].outcome = {EvalClass::kNoMatchFilter,
+                      {{Reason::kMatchFilterAsSet, 0, "AS-X"},
+                       {Reason::kMatchRemoteAsNum, 42, {}},
+                       {Reason::kMatchFilterAsSet, 0, "AS-X"},
+                       {Reason::kMatchFilter, 0, {}}}};
+  expect_same_fold(steps, "overtake");
+
+  internal::RuleMerge merge;
+  for (const RuleStep& step : steps) {
+    if (step.fast_reject) {
+      merge.add_peer_misses(step.peer_misses);
+    } else {
+      merge.add(step.outcome);
+    }
+  }
+  ASSERT_EQ(merge.cls(), EvalClass::kNoMatchFilter);
+  const auto items = merge.items();
+  // The newcomer verbatim, then 1..300 without its 42, then AS-X once.
+  ASSERT_EQ(items.size(), 4u + 299u + 1u);
+  EXPECT_EQ(items[0], (ReportItem{Reason::kMatchFilterAsSet, 0, "AS-X"}));
+  EXPECT_EQ(items[2], items[0]);  // kept verbatim, duplicate included
+  EXPECT_EQ(items[4], (ReportItem{Reason::kMatchRemoteAsNum, 1, {}}));
+  EXPECT_EQ(items.back(), (ReportItem{Reason::kMatchRemoteAsSet, 0, "AS-X"}));
+}
+
+TEST(RuleMerge, NestedMergesKeepTheirOwnItems) {
+  using internal::EvalClass;
+  internal::RuleMerge outer;
+  outer.add_peer_misses(std::vector<Asn>{1, 2, 3});
+  {
+    internal::RuleMerge inner;
+    inner.add(EvalClass::kNoMatchFilter,
+              std::vector<ReportItem>{{Reason::kMatchFilter, 0, {}}});
+    outer.add(inner.take());
+  }
+  outer.add_peer_misses(std::vector<Asn>{3, 4});
+  const std::vector<ReportItem> want = {{Reason::kMatchFilter, 0, {}},
+                                        {Reason::kMatchRemoteAsNum, 1, {}},
+                                        {Reason::kMatchRemoteAsNum, 2, {}},
+                                        {Reason::kMatchRemoteAsNum, 3, {}},
+                                        {Reason::kMatchRemoteAsNum, 4, {}}};
+  EXPECT_EQ(outer.cls(), EvalClass::kNoMatchFilter);
+  EXPECT_EQ(outer.take().items, want);
+}
+
+TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
+  const Route r = route("8.8.8.0/24", {2, 1});
+  auto render = [](const std::vector<HopCheck>& hops) {
+    std::string out;
+    for (const HopCheck& hop : hops) out += to_report_lines(hop);
+    return out;
+  };
+  for (bool use_snapshot : {true, false}) {
+    std::vector<HopCheck> hops;
+    std::string before;
+    {
+      util::Diagnostics diag;
+      auto w = std::make_unique<World>(
+          "aut-num: AS1\nexport: to AS2 announce AS-GONE\n\n"
+          "aut-num: AS2\nimport: from AS1 accept ANY\n",
+          "", diag);
+      std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot;
+      std::unique_ptr<Verifier> v;
+      if (use_snapshot) {
+        snapshot = compile::CompiledPolicySnapshot::build(
+            std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &w->index),
+            std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(),
+                                                          &w->relations));
+        v = std::make_unique<Verifier>(snapshot);
+      } else {
+        v = std::make_unique<Verifier>(w->index, w->relations);
+      }
+      hops = v->verify_route(r);
+      before = render(hops);
+      const std::uint32_t symbols = util::global_symbols().size();
+      EXPECT_EQ(render(v->verify_route(r)), before);
+      EXPECT_EQ(util::global_symbols().size(), symbols) << "a re-check interned a name";
+      v.reset();
+      snapshot.reset();
+      w.reset();  // the Index and the IR
+    }
+    EXPECT_NE(before.find("UnrecordedAsSet(\"AS-GONE\")"), std::string::npos) << before;
+    EXPECT_EQ(render(hops), before) << (use_snapshot ? "snapshot" : "interpreted");
+  }
 }
 
 }  // namespace

@@ -45,15 +45,17 @@ run_labeled() {
 # programmatically by fault_injection_test, where the test controls the
 # blast radius.
 run_labeled "" "" "fault|persist|repl|delta|parallel"
-# Unlabeled suites: the verifier's reject-all fast path (its item vectors
-# are sized exactly), the rule merge and its per-thread dedup index, and
-# the hashed report aggregation.
-"$BUILD/tests/verifier_test"
-"$BUILD/tests/report_test"
-# UBSan only reports by default; the snapshot writer's zero-length copies
-# (an empty section table or payload) once reached memcpy with a null
-# pointer, so the persist suite runs with UBSan errors fatal.
-UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/persist_test"
+# UBSan only reports by default, so these suites run again with UBSan
+# errors fatal. Unlabeled: the verifier's reject-all fast path, the rule
+# merge and its per-thread dedup index, the compact item encoding (inline
+# and heap words, run headers), and the hashed report aggregation.
+# Labeled, run above non-fatally: the compiled snapshot suite and the
+# telemetry suite. The snapshot writer's zero-length copies (an empty
+# section table or payload) once reached memcpy with a null pointer, which
+# is why the persist suite joined this list first.
+for suite in verifier_test report_test compile_snapshot_test obs_test persist_test; do
+  UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
+done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
 run_labeled "cache.get=error;cache.put=error" 'Server\.|ResponseCache'
 run_labeled "irr.parse=truncate(65536)"

@@ -10,15 +10,19 @@ namespace rpslyzer::net {
 namespace {
 
 std::optional<std::uint32_t> parse_v4_value(std::string_view text) noexcept {
-  auto parts = util::split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
   std::uint32_t value = 0;
-  for (auto part : parts) {
-    if (part.empty() || part.size() > 3) return std::nullopt;
+  std::size_t dots = 0;
+  for (std::size_t start = 0;; ++dots) {
+    const std::size_t dot = text.find('.', start);
+    const std::string_view part = text.substr(start, dot - start);
+    if (dots > 3 || part.empty() || part.size() > 3) return std::nullopt;
     auto octet = util::parse_u32(part);
     if (!octet || *octet > 255) return std::nullopt;
     value = (value << 8) | *octet;
+    if (dot == std::string_view::npos) break;
+    start = dot + 1;
   }
+  if (dots != 3) return std::nullopt;
   return value;
 }
 
@@ -42,45 +46,53 @@ std::optional<std::uint16_t> parse_hex_group(std::string_view text) noexcept {
 
 std::optional<IpAddress> parse_v6(std::string_view text) noexcept {
   // Split at "::" if present; each side is a colon-separated group list.
+  struct Groups {
+    std::array<std::uint16_t, 8> values{};
+    std::size_t size = 0;
+
+    bool push(std::uint16_t value) noexcept {
+      if (size == values.size()) return false;  // too many groups for any address
+      values[size++] = value;
+      return true;
+    }
+  };
   std::array<std::uint16_t, 8> groups{};
   std::size_t double_colon = text.find("::");
-  std::vector<std::uint16_t> head;
-  std::vector<std::uint16_t> tail;
+  Groups head;
+  Groups tail;
 
-  auto parse_groups = [](std::string_view part,
-                         std::vector<std::uint16_t>& out) noexcept -> bool {
+  auto parse_groups = [](std::string_view part, Groups& out) noexcept -> bool {
     if (part.empty()) return true;
-    auto fields = util::split(part, ':');
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      std::string_view field = fields[i];
+    for (std::size_t start = 0;;) {
+      const std::size_t colon = part.find(':', start);
+      const std::string_view field = part.substr(start, colon - start);
+      const bool last = colon == std::string_view::npos;
       if (field.find('.') != std::string_view::npos) {
         // Embedded IPv4 tail, must be the last field.
-        if (i + 1 != fields.size()) return false;
+        if (!last) return false;
         auto v4 = parse_v4_value(field);
-        if (!v4) return false;
-        out.push_back(static_cast<std::uint16_t>(*v4 >> 16));
-        out.push_back(static_cast<std::uint16_t>(*v4 & 0xFFFF));
-        return true;
+        return v4 && out.push(static_cast<std::uint16_t>(*v4 >> 16)) &&
+               out.push(static_cast<std::uint16_t>(*v4 & 0xFFFF));
       }
       auto group = parse_hex_group(field);
-      if (!group) return false;
-      out.push_back(*group);
+      if (!group || !out.push(*group)) return false;
+      if (last) return true;
+      start = colon + 1;
     }
-    return true;
   };
 
   if (double_colon == std::string_view::npos) {
-    if (!parse_groups(text, head) || head.size() != 8) return std::nullopt;
-    for (std::size_t i = 0; i < 8; ++i) groups[i] = head[i];
+    if (!parse_groups(text, head) || head.size != 8) return std::nullopt;
+    groups = head.values;
   } else {
     std::string_view left = text.substr(0, double_colon);
     std::string_view right = text.substr(double_colon + 2);
     // Reject a second "::".
     if (right.find("::") != std::string_view::npos) return std::nullopt;
     if (!parse_groups(left, head) || !parse_groups(right, tail)) return std::nullopt;
-    if (head.size() + tail.size() > 7) return std::nullopt;  // "::" covers >= 1 group
-    for (std::size_t i = 0; i < head.size(); ++i) groups[i] = head[i];
-    for (std::size_t i = 0; i < tail.size(); ++i) groups[8 - tail.size() + i] = tail[i];
+    if (head.size + tail.size > 7) return std::nullopt;  // "::" covers >= 1 group
+    for (std::size_t i = 0; i < head.size; ++i) groups[i] = head.values[i];
+    for (std::size_t i = 0; i < tail.size; ++i) groups[8 - tail.size + i] = tail.values[i];
   }
 
   std::uint64_t hi = 0;

@@ -9,6 +9,7 @@
 // clique:`) comment, when present, names the Tier-1 clique. Without it, a
 // greedy clique over provider-free ASes is computed.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -46,15 +47,13 @@ class AsRelations {
   /// Pre-size the adjacency tables for about `ases` networks — bulk loaders
   /// (the snapshot restore path) know the AS count up front and skip the
   /// incremental rehashing this avoids.
-  void reserve(std::size_t ases) {
-    providers_.reserve(ases);
-    customers_.reserve(ases);
-    peers_.reserve(ases);
-  }
+  void reserve(std::size_t ases) { ases_.reserve(ases); }
   /// Declare the Tier-1 clique explicitly (overrides inference).
   void set_clique(std::vector<Asn> clique);
 
-  /// Relationship of `a` toward `b`.
+  /// Relationship of `a` toward `b`: a hash lookup and binary searches.
+  /// When links of several kinds join the pair, provider wins over
+  /// customer, and customer over peer.
   Relationship between(Asn a, Asn b) const;
 
   bool is_provider_of(Asn provider, Asn customer) const {
@@ -92,9 +91,28 @@ class AsRelations {
     tier1_cached_ = false;
   }
 
-  std::unordered_map<Asn, std::vector<Asn>> providers_;  // asn -> its providers
-  std::unordered_map<Asn, std::vector<Asn>> customers_;  // asn -> its customers
-  std::unordered_map<Asn, std::vector<Asn>> peers_;
+  /// One kind of neighbor of one AS, kept twice: in insertion order, as
+  /// providers_of() & co. return them, and sorted, for between().
+  struct Neighbors {
+    std::vector<Asn> in_order;
+    std::vector<Asn> sorted;
+
+    bool contains(Asn asn) const {
+      return std::binary_search(sorted.begin(), sorted.end(), asn);
+    }
+    void insert(Asn asn) {
+      in_order.push_back(asn);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), asn), asn);
+    }
+  };
+  /// Every link of one AS.
+  struct Adjacency {
+    Neighbors providers;
+    Neighbors customers;
+    Neighbors peers;
+  };
+
+  std::unordered_map<Asn, Adjacency> ases_;  // every AS in some link
   std::vector<Asn> declared_clique_;
   std::size_t link_count_ = 0;
 

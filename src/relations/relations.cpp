@@ -7,14 +7,6 @@
 
 namespace rpslyzer::relations {
 
-namespace {
-
-bool vec_contains(const std::vector<Asn>& v, Asn x) {
-  return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-}  // namespace
-
 const char* to_string(Relationship r) noexcept {
   switch (r) {
     case Relationship::kProvider:
@@ -79,17 +71,19 @@ AsRelations AsRelations::parse(std::string_view text, util::Diagnostics& diagnos
 }
 
 void AsRelations::add_provider_customer(Asn provider, Asn customer) {
-  if (vec_contains(customers_[provider], customer)) return;
-  customers_[provider].push_back(customer);
-  providers_[customer].push_back(provider);
+  Adjacency& p = ases_[provider];
+  if (p.customers.contains(customer)) return;
+  p.customers.insert(customer);
+  ases_[customer].providers.insert(provider);  // `p` survives a rehash
   ++link_count_;
   invalidate_cache();
 }
 
 void AsRelations::add_peer_peer(Asn a, Asn b) {
-  if (vec_contains(peers_[a], b)) return;
-  peers_[a].push_back(b);
-  peers_[b].push_back(a);
+  Adjacency& x = ases_[a];
+  if (x.peers.contains(b)) return;
+  x.peers.insert(b);
+  ases_[b].peers.insert(a);
   ++link_count_;
   invalidate_cache();
 }
@@ -102,31 +96,27 @@ void AsRelations::set_clique(std::vector<Asn> clique) {
 }
 
 Relationship AsRelations::between(Asn a, Asn b) const {
-  if (auto it = customers_.find(a); it != customers_.end() && vec_contains(it->second, b)) {
-    return Relationship::kProvider;
-  }
-  if (auto it = providers_.find(a); it != providers_.end() && vec_contains(it->second, b)) {
-    return Relationship::kCustomer;
-  }
-  if (auto it = peers_.find(a); it != peers_.end() && vec_contains(it->second, b)) {
-    return Relationship::kPeer;
-  }
+  const auto it = ases_.find(a);
+  if (it == ases_.end()) return Relationship::kNone;
+  const Adjacency& adjacency = it->second;
+  if (adjacency.customers.contains(b)) return Relationship::kProvider;
+  if (adjacency.providers.contains(b)) return Relationship::kCustomer;
+  if (adjacency.peers.contains(b)) return Relationship::kPeer;
   return Relationship::kNone;
 }
 
-namespace {
-
-std::span<const Asn> lookup(const std::unordered_map<Asn, std::vector<Asn>>& map, Asn asn) {
-  auto it = map.find(asn);
-  if (it == map.end()) return {};
-  return it->second;
+std::span<const Asn> AsRelations::providers_of(Asn asn) const {
+  const auto it = ases_.find(asn);
+  return it == ases_.end() ? std::span<const Asn>() : it->second.providers.in_order;
 }
-
-}  // namespace
-
-std::span<const Asn> AsRelations::providers_of(Asn asn) const { return lookup(providers_, asn); }
-std::span<const Asn> AsRelations::customers_of(Asn asn) const { return lookup(customers_, asn); }
-std::span<const Asn> AsRelations::peers_of(Asn asn) const { return lookup(peers_, asn); }
+std::span<const Asn> AsRelations::customers_of(Asn asn) const {
+  const auto it = ases_.find(asn);
+  return it == ases_.end() ? std::span<const Asn>() : it->second.customers.in_order;
+}
+std::span<const Asn> AsRelations::peers_of(Asn asn) const {
+  const auto it = ases_.find(asn);
+  return it == ases_.end() ? std::span<const Asn>() : it->second.peers.in_order;
+}
 
 std::vector<Asn> AsRelations::customer_cone(Asn asn) const {
   std::vector<Asn> cone;
@@ -157,8 +147,10 @@ const std::vector<Asn>& AsRelations::tier1() const {
   // Greedy clique over provider-free ASes: candidates sorted by peer degree
   // (descending); each is added if it peers with every member so far.
   std::vector<Asn> candidates;
-  for (const auto& [asn, peer_list] : peers_) {
-    if (providers_of(asn).empty() && !peer_list.empty()) candidates.push_back(asn);
+  for (const auto& [asn, adjacency] : ases_) {
+    if (adjacency.providers.in_order.empty() && !adjacency.peers.in_order.empty()) {
+      candidates.push_back(asn);
+    }
   }
   std::sort(candidates.begin(), candidates.end(), [&](Asn a, Asn b) {
     const std::size_t da = peers_of(a).size();
@@ -187,16 +179,9 @@ bool AsRelations::is_tier1(Asn asn) const {
 }
 
 std::vector<Asn> AsRelations::all_ases() const {
-  std::unordered_set<Asn> set;
-  for (const auto& [asn, list] : providers_) {
-    set.insert(asn);
-    set.insert(list.begin(), list.end());
-  }
-  for (const auto& [asn, list] : peers_) {
-    set.insert(asn);
-    set.insert(list.begin(), list.end());
-  }
-  std::vector<Asn> out(set.begin(), set.end());
+  std::vector<Asn> out;
+  out.reserve(ases_.size());
+  for (const auto& [asn, adjacency] : ases_) out.push_back(asn);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -211,16 +196,16 @@ std::string AsRelations::to_serial1() const {
   }
   // Deterministic order: sorted (a, b) pairs, p2c before p2p.
   std::vector<std::pair<Asn, Asn>> p2c;
-  for (const auto& [provider, customer_list] : customers_) {
-    for (Asn customer : customer_list) p2c.emplace_back(provider, customer);
+  for (const auto& [provider, adjacency] : ases_) {
+    for (Asn customer : adjacency.customers.in_order) p2c.emplace_back(provider, customer);
   }
   std::sort(p2c.begin(), p2c.end());
   for (const auto& [provider, customer] : p2c) {
     out += std::to_string(provider) + "|" + std::to_string(customer) + "|-1\n";
   }
   std::vector<std::pair<Asn, Asn>> p2p;
-  for (const auto& [a, peer_list] : peers_) {
-    for (Asn b : peer_list) {
+  for (const auto& [a, adjacency] : ases_) {
+    for (Asn b : adjacency.peers.in_order) {
       if (a < b) p2p.emplace_back(a, b);
     }
   }

@@ -6,7 +6,11 @@
 // — "if there are multiple matches, the best rule with the earliest
 // matching check is considered".
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -94,6 +98,7 @@ class ItemName {
   friend bool operator==(const ItemName&, const ItemName&) noexcept = default;
 
  private:
+  friend class ReportItems;
   std::uint32_t id_ = 0;
 };
 
@@ -112,11 +117,136 @@ static_assert(sizeof(ReportItem) == 12 && std::is_trivially_copyable_v<ReportIte
 /// Render "MatchRemoteAsNum(58552)" / "UnrecordedAsSet(\"AS1299:...\")".
 std::string to_string(const ReportItem& item);
 
+/// The items of one check, stored compactly by value. A batch keeps
+/// millions of checks, and most of their items are unnamed
+/// MatchRemoteAsNum(asn): each maximal run of those is one header word plus
+/// one word per ASN; any other item is three words (reason, ASN, name id).
+/// An encoding of at most four words (any single item, or a run of up to
+/// three ASNs) sits inline; a longer one takes one exactly sized heap block.
+/// Runs are always maximal and the placement depends only on the length, so
+/// the encoding is canonical and == compares words.
+class ReportItems {
+ public:
+  class iterator;
+  using const_iterator = iterator;
+  using value_type = ReportItem;
+  using size_type = std::size_t;
+
+  ReportItems() noexcept = default;
+  ReportItems(std::initializer_list<ReportItem> items)
+      : ReportItems(std::span<const ReportItem>(items.begin(), items.size())) {}
+  ReportItems(const std::vector<ReportItem>& items)
+      : ReportItems(std::span<const ReportItem>(items)) {}
+  /// The items of `head` then of `tail`, encoded in one exactly sized pass.
+  explicit ReportItems(std::span<const ReportItem> head,
+                       std::span<const ReportItem> tail = {});
+  ReportItems(const ReportItems& other);
+  ReportItems(ReportItems&& other) noexcept;
+  ReportItems& operator=(ReportItems other) noexcept;
+  ~ReportItems() {
+    if (on_heap()) delete[] heap_;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  iterator begin() const noexcept;
+  iterator end() const noexcept;
+  /// Linear in `i`: the runs are walked from the front.
+  ReportItem operator[](std::size_t i) const;
+  ReportItem back() const { return (*this)[size_ - 1]; }
+  /// Re-encodes the whole sequence, so it is linear; the verifier builds
+  /// each sequence in one pass instead.
+  void push_back(const ReportItem& item);
+
+  friend bool operator==(const ReportItems& a, const ReportItems& b) noexcept;
+
+ private:
+  static constexpr std::uint32_t kInlineWords = 4;
+  static constexpr std::uint32_t kRunTag = 0x80000000u;  // header: tag | count
+
+  bool on_heap() const noexcept { return words_ > kInlineWords; }
+  // Adopt `other`'s encoding and leave it empty; the caller has released ours.
+  void take(ReportItems& other) noexcept;
+  const std::uint32_t* data() const noexcept { return on_heap() ? heap_ : inline_; }
+  static ItemName name_of(std::uint32_t id) noexcept {
+    ItemName name;
+    name.id_ = id;
+    return name;
+  }
+
+  std::uint32_t size_ = 0;   // items
+  std::uint32_t words_ = 0;  // encoded length
+  union {
+    std::uint32_t inline_[kInlineWords] = {};
+    std::uint32_t* heap_;
+  };
+};
+
+/// Walks the encoding; dereferencing decodes one item by value.
+class ReportItems::iterator {
+ public:
+  using iterator_concept = std::forward_iterator_tag;
+  using iterator_category = std::input_iterator_tag;
+  using value_type = ReportItem;
+  using difference_type = std::ptrdiff_t;
+  using reference = ReportItem;
+  using pointer = void;
+
+  iterator() noexcept = default;
+
+  ReportItem operator*() const noexcept {
+    if (run_left_ > 0) return {Reason::kMatchRemoteAsNum, *at_, {}};
+    return {static_cast<Reason>(at_[0]), at_[1], name_of(at_[2])};
+  }
+  iterator& operator++() noexcept {
+    if (run_left_ > 0) {
+      ++at_;
+      --run_left_;
+    } else {
+      at_ += 3;
+    }
+    if (run_left_ == 0) enter();
+    return *this;
+  }
+  iterator operator++(int) noexcept {
+    iterator old = *this;
+    ++*this;
+    return old;
+  }
+  friend bool operator==(const iterator& a, const iterator& b) noexcept {
+    return a.at_ == b.at_ && a.run_left_ == b.run_left_;
+  }
+
+ private:
+  friend class ReportItems;
+  iterator(const std::uint32_t* at, const std::uint32_t* end) noexcept : at_(at), end_(end) {
+    enter();
+  }
+  // Step into the record at `at_`: a run header moves on to its first ASN.
+  void enter() noexcept {
+    if (at_ != end_ && (*at_ & kRunTag) != 0) run_left_ = *at_++ & ~kRunTag;
+  }
+
+  const std::uint32_t* at_ = nullptr;
+  const std::uint32_t* end_ = nullptr;
+  std::uint32_t run_left_ = 0;  // ASNs left in the current run, this one included
+};
+
+inline ReportItems::iterator ReportItems::begin() const noexcept {
+  return {data(), data() + words_};
+}
+inline ReportItems::iterator ReportItems::end() const noexcept {
+  return {data() + words_, data() + words_};
+}
+
 /// The outcome of checking one import or export at one AS for one route.
 struct CheckResult {
   Status status = Status::kUnverified;
-  std::vector<ReportItem> items;
+  ReportItems items;
 };
+
+// A batch keeps one CheckResult per check, two per hop.
+static_assert(sizeof(CheckResult) <= 32);
 
 /// One AS-pair hop of a route: `from` exported, `to` imported.
 struct HopCheck {

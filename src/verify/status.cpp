@@ -1,5 +1,9 @@
 #include "rpslyzer/verify/status.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+
 namespace rpslyzer::verify {
 
 const char* to_string(Status s) noexcept {
@@ -95,6 +99,95 @@ std::string to_string(const ReportItem& item) {
     out += "\")";
   }
   return out;
+}
+
+namespace {
+
+// Items that join a MatchRemoteAsNum run: everything but the ASN is implied.
+bool in_run(const ReportItem& item) noexcept {
+  return item.reason == Reason::kMatchRemoteAsNum && item.name.empty();
+}
+
+}  // namespace
+
+ReportItems::ReportItems(std::span<const ReportItem> head, std::span<const ReportItem> tail) {
+  const std::span<const ReportItem> parts[] = {head, tail};
+  std::size_t words = 0;
+  bool run = false;
+  for (const auto part : parts) {
+    for (const ReportItem& item : part) {
+      const bool joins = in_run(item);
+      words += joins ? (run ? 1 : 2) : 3;
+      run = joins;
+    }
+  }
+  if (words > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("ReportItems: too many items");
+  }
+  size_ = static_cast<std::uint32_t>(head.size() + tail.size());
+  words_ = static_cast<std::uint32_t>(words);
+  std::uint32_t* out = inline_;
+  if (on_heap()) out = heap_ = new std::uint32_t[words];
+  std::uint32_t* header = nullptr;  // the open run's header, if any
+  for (const auto part : parts) {
+    for (const ReportItem& item : part) {
+      if (in_run(item)) {
+        if (header == nullptr) {
+          header = out++;
+          *header = kRunTag;
+        }
+        ++*header;
+        *out++ = item.asn;
+      } else {
+        header = nullptr;
+        *out++ = static_cast<std::uint32_t>(item.reason);
+        *out++ = item.asn;
+        *out++ = item.name.id();
+      }
+    }
+  }
+}
+
+ReportItems::ReportItems(const ReportItems& other) : size_(other.size_), words_(other.words_) {
+  std::uint32_t* out = inline_;
+  if (on_heap()) out = heap_ = new std::uint32_t[words_];
+  std::copy_n(other.data(), words_, out);
+}
+
+ReportItems::ReportItems(ReportItems&& other) noexcept { take(other); }
+
+ReportItems& ReportItems::operator=(ReportItems other) noexcept {
+  if (on_heap()) delete[] heap_;
+  take(other);
+  return *this;
+}
+
+void ReportItems::take(ReportItems& other) noexcept {
+  size_ = other.size_;
+  words_ = other.words_;
+  if (on_heap()) {
+    heap_ = other.heap_;
+  } else {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+  }
+  other.size_ = 0;
+  other.words_ = 0;
+}
+
+ReportItem ReportItems::operator[](std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("ReportItems: index out of range");
+  return *std::next(begin(), static_cast<std::ptrdiff_t>(i));
+}
+
+void ReportItems::push_back(const ReportItem& item) {
+  std::vector<ReportItem> all(begin(), end());
+  all.push_back(item);
+  *this = ReportItems(all);
+}
+
+bool operator==(const ReportItems& a, const ReportItems& b) noexcept {
+  return a.size_ == b.size_ && a.words_ == b.words_ &&
+         std::equal(a.data(), a.data() + a.words_, b.data());
 }
 
 namespace {

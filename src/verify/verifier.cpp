@@ -81,14 +81,12 @@ bool Verifier::relax_export_self(Asn self, const net::Prefix& prefix) const {
 CheckResult Verifier::classify(const RuleMerge& best, Asn self, Asn peer, bool is_import,
                                const bgp::Route& route) const {
   const std::span<const ReportItem> items = best.items();
-  // The one allocation a check makes: its items, plus the reason a
-  // relaxation or safelist may add.
+  // A check's items, plus the reason a relaxation or safelist may add,
+  // encoded in one pass (and without an allocation when they fit inline).
   auto result = [&](Status status, std::optional<Reason> extra = std::nullopt) {
-    CheckResult out{status, {}};
-    out.items.reserve(items.size() + (extra ? 1 : 0));
-    out.items.assign(items.begin(), items.end());
-    if (extra) out.items.push_back({*extra, 0, {}});
-    return out;
+    if (!extra) return CheckResult{status, ReportItems(items)};
+    const ReportItem tail{*extra, 0, {}};
+    return CheckResult{status, ReportItems(items, {&tail, 1})};
   };
   switch (best.cls()) {
     case EvalClass::kMatch:

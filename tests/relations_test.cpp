@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+
 namespace rpslyzer::relations {
 namespace {
 
@@ -114,6 +118,80 @@ TEST(Relations, AllAses) {
   rel.add_provider_customer(5, 3);
   rel.add_peer_peer(7, 5);
   EXPECT_EQ(rel.all_ases(), (std::vector<Asn>{3, 5, 7}));
+}
+
+// The linear model `between` replaced: neighbor lists in insertion order,
+// searched one after the other.
+struct LinearRelations {
+  std::map<Asn, std::vector<Asn>> providers;
+  std::map<Asn, std::vector<Asn>> customers;
+  std::map<Asn, std::vector<Asn>> peers;
+  std::size_t links = 0;
+
+  static bool has(const std::map<Asn, std::vector<Asn>>& map, Asn a, Asn b) {
+    auto it = map.find(a);
+    return it != map.end() &&
+           std::find(it->second.begin(), it->second.end(), b) != it->second.end();
+  }
+  void add_provider_customer(Asn p, Asn c) {
+    if (has(customers, p, c)) return;
+    customers[p].push_back(c);
+    providers[c].push_back(p);
+    ++links;
+  }
+  void add_peer_peer(Asn a, Asn b) {
+    if (has(peers, a, b)) return;
+    peers[a].push_back(b);
+    peers[b].push_back(a);
+    ++links;
+  }
+  Relationship between(Asn a, Asn b) const {
+    if (has(customers, a, b)) return Relationship::kProvider;
+    if (has(providers, a, b)) return Relationship::kCustomer;
+    if (has(peers, a, b)) return Relationship::kPeer;
+    return Relationship::kNone;
+  }
+  static std::vector<Asn> list(const std::map<Asn, std::vector<Asn>>& map, Asn a) {
+    auto it = map.find(a);
+    return it == map.end() ? std::vector<Asn>{} : it->second;
+  }
+};
+
+TEST(Relations, BetweenMatchesLinearSearchOnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    const Asn ases = 5 + static_cast<Asn>(rng() % 60);
+    auto pick = [&] { return static_cast<Asn>(1 + rng() % ases); };
+    AsRelations rel;
+    LinearRelations want;
+    // Dense enough that pairs repeat: duplicates, reversed duplicates, a
+    // pair linked both ways, provider and peer at once, and self-links.
+    for (std::size_t n = 4 * ases; n > 0; --n) {
+      const Asn a = pick();
+      const Asn b = rng() % 40 == 0 ? a : pick();
+      if (rng() % 3 == 0) {
+        rel.add_peer_peer(a, b);
+        want.add_peer_peer(a, b);
+      } else {
+        rel.add_provider_customer(a, b);
+        want.add_provider_customer(a, b);
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(rel.link_count(), want.links);
+    for (Asn a = 0; a <= ases + 1; ++a) {
+      for (Asn b = 0; b <= ases + 1; ++b) {
+        ASSERT_EQ(rel.between(a, b), want.between(a, b)) << a << " -> " << b;
+      }
+      // Insertion order is kept.
+      auto as_vector = [](std::span<const Asn> s) {
+        return std::vector<Asn>(s.begin(), s.end());
+      };
+      EXPECT_EQ(as_vector(rel.customers_of(a)), LinearRelations::list(want.customers, a));
+      EXPECT_EQ(as_vector(rel.providers_of(a)), LinearRelations::list(want.providers, a));
+      EXPECT_EQ(as_vector(rel.peers_of(a)), LinearRelations::list(want.peers, a));
+    }
+  }
 }
 
 }  // namespace

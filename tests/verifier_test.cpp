@@ -804,5 +804,158 @@ TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
   }
 }
 
+TEST(Verifier, RejectAllItemsOutliveTheirSources) {
+  // AS2 names ten peers, none of them AS3, so the import from AS3 is
+  // answered from AS2's precomputed reject-all entry; AS2 provides transit
+  // to AS3, so the check is safelisted as uphill. The result owns its
+  // items: it renders the same once the verifier, the snapshot and the
+  // index are gone.
+  std::string rpsl = "aut-num: AS2\n";
+  for (int peer = 1000; peer < 1010; ++peer) {
+    rpsl += "import: from AS" + std::to_string(peer) + " accept ANY\n";
+  }
+  const Route r = route("8.8.8.0/24", {2, 3});
+  std::vector<HopCheck> hops;
+  std::string before;
+  {
+    util::Diagnostics diag;
+    auto w = std::make_unique<World>(rpsl, "2|3|-1\n", diag);
+    auto snapshot = compile::CompiledPolicySnapshot::build(
+        std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &w->index),
+        std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(), &w->relations));
+    auto v = std::make_unique<Verifier>(snapshot);
+    hops = v->verify_route(r);
+    ASSERT_EQ(hops.size(), 1u);
+    before = to_report_lines(hops[0]);
+    v.reset();
+    snapshot.reset();
+    w.reset();
+  }
+  const CheckResult& imp = hops[0].import_result;
+  EXPECT_EQ(imp.status, Status::kSafelisted);
+  ASSERT_EQ(imp.items.size(), 11u);
+  EXPECT_EQ(imp.items[0], (ReportItem{Reason::kMatchRemoteAsNum, 1000, {}}));
+  EXPECT_EQ(imp.items[9], (ReportItem{Reason::kMatchRemoteAsNum, 1009, {}}));
+  EXPECT_EQ(imp.items.back(), (ReportItem{Reason::kSpecUphill, 0, {}}));
+  EXPECT_EQ(to_report_lines(hops[0]), before);
+  EXPECT_NE(before.find("MehImport { from: 3, to: 2, items: [MatchRemoteAsNum(1000), "),
+            std::string::npos)
+      << before;
+  EXPECT_NE(before.find("MatchRemoteAsNum(1009), SpecUphill] }"), std::string::npos) << before;
+}
+
+// Random item lists that stress the encoding: runs of unnamed
+// MatchRemoteAsNum of every length, named MatchRemoteAsNum items (which
+// must not join a run), and other reasons with and without ASN and name.
+std::vector<ReportItem> random_items(std::mt19937_64& rng) {
+  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  std::vector<ReportItem> items;
+  const std::size_t length = pick(4) == 0 ? pick(3) : pick(5) == 0 ? 40 + pick(120) : pick(12);
+  static const char* const kNames[] = {"AS-X", "AS1299:AS-TRANSIT", "RS-ONE"};
+  while (items.size() < length) {
+    switch (pick(6)) {
+      case 0:
+      case 1:
+      case 2:
+        for (std::size_t run = 1 + pick(6); run > 0 && items.size() < length; --run) {
+          items.push_back({Reason::kMatchRemoteAsNum, static_cast<Asn>(pick(5000)), {}});
+        }
+        break;
+      case 3:
+        items.push_back({Reason::kMatchRemoteAsNum, static_cast<Asn>(pick(5000)),
+                         kNames[pick(3)]});
+        break;
+      default: {
+        const auto reason = static_cast<Reason>(pick(static_cast<std::size_t>(
+            Reason::kSkipUnparsedFilter) + 1));
+        const Asn asn = pick(2) == 0 ? 0 : static_cast<Asn>(pick(5000));
+        items.push_back({reason, asn, pick(2) == 0 ? ItemName() : ItemName(kNames[pick(3)])});
+        break;
+      }
+    }
+  }
+  return items;
+}
+
+void expect_same_items(const ReportItems& got, const std::vector<ReportItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.empty(), want.empty());
+  std::vector<ReportItem> walked;
+  for (const ReportItem& item : got) walked.push_back(item);
+  EXPECT_EQ(walked, want);
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << "at " << i;
+  if (!want.empty()) {
+    EXPECT_EQ(got.back(), want.back());
+  }
+}
+
+TEST(ReportItems, RoundTripsAgainstAVector) {
+  std::mt19937_64 rng(19);
+  expect_same_items(ReportItems(), {});
+  expect_same_items(ReportItems{{Reason::kUnrecordedAutNum, 7, {}}},
+                    {{Reason::kUnrecordedAutNum, 7, {}}});
+  for (int n = 0; n < 2000; ++n) {
+    const std::vector<ReportItem> want = random_items(rng);
+    const ReportItems seq(want);
+    expect_same_items(seq, want);
+
+    // Split anywhere into head and tail: the same encoding as in bulk.
+    const std::size_t cut = want.empty() ? 0 : rng() % (want.size() + 1);
+    const ReportItems split(std::span<const ReportItem>(want).first(cut),
+                            std::span<const ReportItem>(want).subspan(cut));
+    EXPECT_EQ(split, seq);
+    expect_same_items(split, want);
+
+    // Copies and moves keep the items; a moved-from sequence is empty.
+    ReportItems copy = seq;
+    EXPECT_EQ(copy, seq);
+    ReportItems moved = std::move(copy);
+    EXPECT_EQ(moved, seq);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    copy = moved;
+    expect_same_items(copy, want);
+    moved = ReportItems();
+    EXPECT_TRUE(moved.empty());
+    EXPECT_EQ(moved.begin(), moved.end());
+  }
+}
+
+TEST(ReportItems, PushBackMatchesBulkAndEqualityIsElementwise) {
+  std::mt19937_64 rng(23);
+  for (int n = 0; n < 1000; ++n) {
+    const std::vector<ReportItem> a = random_items(rng);
+    ReportItems built;
+    for (const ReportItem& item : a) built.push_back(item);
+    EXPECT_EQ(built, ReportItems(a));
+    expect_same_items(built, a);
+
+    // Against an unrelated list, a list one item longer, and a list with
+    // one item changed (a run member named, an ASN moved, a reason swapped).
+    std::vector<ReportItem> b = random_items(rng);
+    EXPECT_EQ(ReportItems(a) == ReportItems(b), a == b);
+    b = a;
+    b.push_back({Reason::kMatchRemoteAsNum, 1, {}});
+    EXPECT_FALSE(ReportItems(a) == ReportItems(b));
+    if (a.empty()) continue;
+    b = a;
+    ReportItem& changed = b[rng() % b.size()];
+    switch (rng() % 3) {
+      case 0:
+        changed.name = changed.name.empty() ? ItemName("AS-X") : ItemName();
+        break;
+      case 1:
+        changed.asn += 1;
+        break;
+      default:
+        changed.reason = changed.reason == Reason::kMatchRemoteAsNum
+                             ? Reason::kMatchRemoteAsSet
+                             : Reason::kMatchRemoteAsNum;
+        break;
+    }
+    EXPECT_FALSE(ReportItems(a) == ReportItems(b));
+    EXPECT_EQ(ReportItems(b), ReportItems(b));
+  }
+}
+
 }  // namespace
 }  // namespace rpslyzer::verify

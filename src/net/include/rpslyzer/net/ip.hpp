@@ -64,9 +64,10 @@ class IpAddress {
     std::uint64_t lo = lo_;
     if (len >= 128) {
       // keep everything
-    } else if (len >= 64) {
+    } else if (len == 64) {
+      lo = 0;  // a 64-bit shift of the mask below would be undefined
+    } else if (len > 64) {
       lo &= ~std::uint64_t{0} << (128 - len);
-      if (len == 64) lo = 0;
     } else {
       lo = 0;
       hi = (len == 0) ? 0 : hi & (~std::uint64_t{0} << (64 - len));

@@ -45,7 +45,9 @@ int main() {
   // even split."
   std::size_t pairs = 0;
   std::size_t single_or_two = 0;
-  for (const auto* direction : {&agg.pair_imports(), &agg.pair_exports()}) {
+  const report::PerPair imports = agg.pair_imports();
+  const report::PerPair exports = agg.pair_exports();
+  for (const auto* direction : {&imports, &exports}) {
     for (const auto& [pair, counts] : *direction) {
       ++pairs;
       int statuses = 0;
@@ -59,18 +61,14 @@ int main() {
                    bench::pct(single_or_two, pairs));
 
   std::printf("\nstacked per-pair composition, imports (x: pairs by correctness):\n");
-  // Pair order feeds the tie order of the correctness sort; fix it.
+  // Pair order feeds the tie order of the correctness sort: key order.
   std::vector<report::StatusCounts> import_pairs;
-  for (const auto* entry : report::sorted_entries(agg.pair_imports())) {
-    import_pairs.push_back(entry->second);
-  }
+  for (const auto& [pair, counts] : imports) import_pairs.push_back(counts);
   std::printf("%s", report::render_stacked(import_pairs, 72, 12).c_str());
 
   std::printf("\nstacked per-pair composition, exports:\n");
   std::vector<report::StatusCounts> export_pairs;
-  for (const auto* entry : report::sorted_entries(agg.pair_exports())) {
-    export_pairs.push_back(entry->second);
-  }
+  for (const auto& [pair, counts] : exports) export_pairs.push_back(counts);
   std::printf("%s", report::render_stacked(export_pairs, 72, 12).c_str());
   maybe_write_csv("fig3_pairs_import.csv", import_pairs);
   maybe_write_csv("fig3_pairs_export.csv", export_pairs);

@@ -25,7 +25,8 @@ cmake --build "$BUILD" -j --target \
   server_test query_test irr_index_test fault_injection_test loader_files_test obs_test \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
   persist_test repl_test delta_test delta_fuzz_test arena_interner_test rand_test \
-  verifier_test report_test bgp_parse_reference_test rpslyzer_cli
+  verifier_test report_test bgp_parse_reference_test relations_parse_reference_test \
+  aggregate_golden_test rpslyzer_cli
 
 run_labeled() {
   local spec="$1" exclude="${2:-}" labels="${3:-fault}"
@@ -52,11 +53,14 @@ run_labeled "" "" "fault|persist|repl|delta|parallel"
 # Labeled, run above non-fatally: the compiled snapshot suite and the
 # telemetry suite. The table-dump and address parsers over seeded random
 # lines (this run caught a 64-bit shift in IpAddress::masked for /64
-# prefixes). The snapshot writer's zero-length copies (an empty section
-# table or payload) once reached memcpy with a null pointer, which is why
-# the persist suite joined this list first.
+# prefixes), and the relationship parser likewise. The plan fold's prev
+# chains and the run constructor's word copy (verifier_test's property
+# tests), and the flat aggregation tables over a whole small corpus
+# (aggregate_golden_test). The snapshot writer's zero-length copies (an
+# empty section table or payload) once reached memcpy with a null pointer,
+# which is why the persist suite joined this list first.
 for suite in verifier_test report_test compile_snapshot_test obs_test bgp_parse_reference_test \
-             persist_test; do
+             relations_parse_reference_test aggregate_golden_test persist_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
 done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
@@ -91,13 +95,16 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   echo "== ThreadSanitizer pass =="
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
   cmake --build "$TSAN_BUILD" -j --target obs_test server_test parallel_loader_test \
-    compile_snapshot_test parallel_verify_test persist_test repl_test \
+    compile_snapshot_test parallel_verify_test verifier_test persist_test repl_test \
     delta_test delta_fuzz_test arena_interner_test
   "$TSAN_BUILD/tests/obs_test"
   "$TSAN_BUILD/tests/server_test"
   "$TSAN_BUILD/tests/parallel_loader_test"
   "$TSAN_BUILD/tests/compile_snapshot_test"
   "$TSAN_BUILD/tests/parallel_verify_test"
+  # Every worker reads the snapshot's fold plans and keeps its own leased
+  # rule-merge buffers; the plans must stay read-only after build.
+  "$TSAN_BUILD/tests/verifier_test"
   # The server-reload persist tests share one mmap'd snapshot across the
   # accept loop and worker threads — the aliasing shared_ptr ownership is
   # the racy-by-construction surface TSan should sign off on.

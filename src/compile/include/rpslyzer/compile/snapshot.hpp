@@ -108,6 +108,17 @@ struct CompiledRule {
   std::vector<ir::Asn> no_match_asns;  // report order (factor order, deduped)
 };
 
+/// One entry of a fold plan: an ASN of a covering simple rule's
+/// no_match_asns, with the position in the same plan of the previous entry
+/// that carries this ASN.
+struct PlanEntry {
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  ir::Asn asn = 0;
+  std::uint32_t prev = kNone;  // kNone: the ASN's first entry
+
+  friend bool operator==(const PlanEntry&, const PlanEntry&) = default;
+};
+
 /// The merged outcome of one direction's rules for one address family when
 /// no rule names the peer: every covering rule then fast-rejects, so the
 /// result of the per-rule loop is known at build time. Only sound when every
@@ -117,13 +128,21 @@ struct RejectAll {
   bool no_match = false;  // some such rule has factors: NoMatchPeering, else NotApplicable
   std::span<const ir::Asn> peers;  // sorted union of the covering rules' peers
   /// MatchRemoteAsNum order: rules in order, each rule's report order, first
-  /// occurrence of an ASN kept (what combine_best's merge yields).
+  /// occurrence of an ASN kept (what the rule merge yields).
   std::span<const ir::Asn> no_match_asns;
+  /// For the loop that runs when some rule names the peer, set whether or
+  /// not `simple` holds: the no_match_asns of every covering simple rule, in
+  /// rule order, so a rule's entries start where the previous covering
+  /// simple rule's end. A fast-rejected rule's entry is already in the
+  /// merged list iff its prev chain reaches an entry of an earlier
+  /// fast-rejected rule (verify::internal::RuleMerge).
+  std::span<const PlanEntry> plan;
 
   friend bool operator==(const RejectAll& a, const RejectAll& b) {
     return a.simple == b.simple && a.no_match == b.no_match &&
            std::ranges::equal(a.peers, b.peers) &&
-           std::ranges::equal(a.no_match_asns, b.no_match_asns);
+           std::ranges::equal(a.no_match_asns, b.no_match_asns) &&
+           std::ranges::equal(a.plan, b.plan);
   }
 };
 
@@ -298,14 +317,15 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
                         const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
   void build_aut_nums(const CompiledPolicySnapshot* previous = nullptr,
                       const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
-  /// Fills every aut-num's RejectAll entries into a snapshot's reject_pool_,
-  /// one aut-num at a time right after its rules are compiled or restored
-  /// (while they are still in cache). The pool grows meanwhile, so entries
-  /// record offsets and finish() takes the spans. build_aut_nums and the
-  /// persistence codec's restore are the two users.
+  /// Fills every aut-num's RejectAll entries into a snapshot's reject_pool_
+  /// and plan_pool_, one aut-num at a time right after its rules are
+  /// compiled or restored (while they are still in cache). The pools grow
+  /// meanwhile, so entries record offsets and finish() takes the spans.
+  /// build_aut_nums and the persistence codec's restore are the two users.
   class RejectAllBuilder {
    public:
-    RejectAllBuilder(std::vector<ir::Asn>& pool, std::size_t aut_nums);
+    RejectAllBuilder(std::vector<ir::Asn>& pool, std::vector<PlanEntry>& plans,
+                     std::size_t aut_nums);
     /// Derive `can`'s entries from its CompiledRules.
     void derive(CompiledAutNum& can);
     /// Copy the entries of `previous`, compiled last generation from an
@@ -318,13 +338,16 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
     struct Placed {
       RejectAll* entry;
       std::size_t peers, asns, size;  // offsets into the pool; both lists have `size` ASNs
+      std::size_t plan, plan_size;    // offset into the plan pool
     };
     void derive(const std::vector<CompiledRule>& rules, RejectAll& v4, RejectAll& v6);
 
     std::vector<ir::Asn>& pool_;
+    std::vector<PlanEntry>& plans_;
     std::vector<Placed> placed_;
     std::array<std::vector<ir::Asn>, 2> staged_;  // per family, rule order
-    std::vector<std::uint8_t> seen_;  // by position in the sorted union
+    std::vector<ir::Asn> union_;                  // the staged ASNs, sorted unique
+    std::vector<std::uint32_t> last_;  // by position in union_: latest plan entry
   };
   void compile_filter(const ir::Filter& filter);
   CompiledRule compile_rule(const ir::Rule& rule) const;
@@ -364,6 +387,7 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::vector<ir::Asn> cone_pool_;
   // RejectAll spans; unlike the pools above, filled on restore too.
   std::vector<ir::Asn> reject_pool_;
+  std::vector<PlanEntry> plan_pool_;
   std::vector<LengthInterval> interval_pool_;
 };
 

@@ -589,7 +589,7 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
     total += cones.back().size();
   }
   cone_pool_.reserve(total);
-  RejectAllBuilder reject_all(reject_pool_, index_->ir().aut_nums.size());
+  RejectAllBuilder reject_all(reject_pool_, plan_pool_, index_->ir().aut_nums.size());
   std::size_t i = 0;
   for (const auto& [asn, an] : index_->ir().aut_nums) {
     CompiledAutNum compiled;
@@ -631,9 +631,11 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
 }
 
 CompiledPolicySnapshot::RejectAllBuilder::RejectAllBuilder(std::vector<ir::Asn>& pool,
+                                                           std::vector<PlanEntry>& plans,
                                                            std::size_t aut_nums)
-    : pool_(pool) {
+    : pool_(pool), plans_(plans) {
   pool_.clear();
+  plans_.clear();
   placed_.reserve(4 * aut_nums);
 }
 
@@ -641,11 +643,14 @@ void CompiledPolicySnapshot::RejectAllBuilder::carry(CompiledAutNum& can,
                                                      const CompiledAutNum& previous) {
   for (std::size_t i = 0; i < can.reject_all.size(); ++i) {
     const RejectAll& from = previous.reject_all[i];
-    can.reject_all[i] = {from.simple, from.no_match, {}, {}};
+    can.reject_all[i] = {from.simple, from.no_match, {}, {}, {}};
     const std::size_t start = pool_.size();
     pool_.insert(pool_.end(), from.peers.begin(), from.peers.end());
     pool_.insert(pool_.end(), from.no_match_asns.begin(), from.no_match_asns.end());
-    placed_.push_back({&can.reject_all[i], start, start + from.peers.size(), from.peers.size()});
+    const std::size_t plan = plans_.size();
+    plans_.insert(plans_.end(), from.plan.begin(), from.plan.end());
+    placed_.push_back({&can.reject_all[i], start, start + from.peers.size(), from.peers.size(),
+                       plan, from.plan.size()});
   }
 }
 
@@ -656,8 +661,8 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(CompiledAutNum& can) {
 
 void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<CompiledRule>& rules,
                                                       RejectAll& v4, RejectAll& v6) {
-  // One pass stages each family's ASNs in rule order: the merged list
-  // before deduplication.
+  // One pass stages each family's covering simple rules' ASNs in rule order:
+  // the fold plan, and the merged list before deduplication.
   std::array<bool, 2> simple{true, true};
   std::array<bool, 2> no_match{false, false};
   staged_[0].clear();
@@ -665,7 +670,7 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<Compiled
   for (const CompiledRule& rule : rules) {
     const std::array<bool, 2> covers{rule.covers_v4, rule.covers_v6};
     for (std::size_t f = 0; f < 2; ++f) {
-      if (!covers[f] || !simple[f]) continue;
+      if (!covers[f]) continue;
       if (!rule.simple) {
         simple[f] = false;
         continue;
@@ -676,39 +681,41 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<Compiled
   }
   const std::array<RejectAll*, 2> out{&v4, &v6};
   for (std::size_t f = 0; f < 2; ++f) {
-    *out[f] = {simple[f], simple[f] && no_match[f], {}, {}};
-    if (!simple[f]) continue;
+    *out[f] = {simple[f], simple[f] && no_match[f], {}, {}, {}};
     // A simple rule's peers are its no_match_asns sorted, so the union of
     // peers is the staged list sorted and deduplicated.
     const std::vector<ir::Asn>& list = staged_[f];
+    union_.assign(list.begin(), list.end());
+    std::sort(union_.begin(), union_.end());
+    union_.erase(std::unique(union_.begin(), union_.end()), union_.end());
+    const std::size_t count = simple[f] ? union_.size() : 0;
     const std::size_t start = pool_.size();
-    pool_.insert(pool_.end(), list.begin(), list.end());
-    const auto first = pool_.begin() + static_cast<std::ptrdiff_t>(start);
-    std::sort(first, pool_.end());
-    pool_.erase(std::unique(first, pool_.end()), pool_.end());
-    const std::size_t count = pool_.size() - start;
-    // Keep each ASN's first occurrence. The marks are all zero between
-    // entries; push_back may move the pool, so the union is re-found.
-    if (seen_.size() < count) seen_.resize(count);
+    pool_.insert(pool_.end(), union_.begin(), union_.begin() + static_cast<std::ptrdiff_t>(count));
+    // Link each entry to the ASN's previous one. An ASN's first entry is
+    // its place in the merged list, so the list is the unlinked entries.
+    // The links are all kNone between families.
+    if (last_.size() < union_.size()) last_.resize(union_.size(), PlanEntry::kNone);
+    const std::size_t plan = plans_.size();
     for (ir::Asn asn : list) {
-      const auto union_begin = pool_.begin() + static_cast<std::ptrdiff_t>(start);
-      const auto union_end = union_begin + static_cast<std::ptrdiff_t>(count);
       const auto at = static_cast<std::size_t>(
-          std::lower_bound(union_begin, union_end, asn) - union_begin);
-      if (seen_[at] != 0) continue;
-      seen_[at] = 1;
-      pool_.push_back(asn);
+          std::lower_bound(union_.begin(), union_.end(), asn) - union_.begin());
+      const std::uint32_t prev = last_[at];
+      last_[at] = static_cast<std::uint32_t>(plans_.size() - plan);
+      plans_.push_back({asn, prev});
+      if (simple[f] && prev == PlanEntry::kNone) pool_.push_back(asn);
     }
-    std::fill_n(seen_.begin(), count, std::uint8_t{0});
-    placed_.push_back({out[f], start, start + count, count});
+    std::fill_n(last_.begin(), union_.size(), PlanEntry::kNone);
+    placed_.push_back({out[f], start, start + count, count, plan, list.size()});
   }
 }
 
 void CompiledPolicySnapshot::RejectAllBuilder::finish() {
   const std::span<const ir::Asn> pool(pool_);
+  const std::span<const PlanEntry> plans(plans_);
   for (const Placed& p : placed_) {
     p.entry->peers = pool.subspan(p.peers, p.size);
     p.entry->no_match_asns = pool.subspan(p.asns, p.size);
+    p.entry->plan = plans.subspan(p.plan, p.plan_size);
   }
 }
 

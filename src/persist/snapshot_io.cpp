@@ -442,7 +442,8 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
     }
     snap->aut_nums_.reserve(count);
     // Not persisted: derived from the restored rules, no format change.
-    CompiledPolicySnapshot::RejectAllBuilder reject_all(snap->reject_pool_, count);
+    CompiledPolicySnapshot::RejectAllBuilder reject_all(snap->reject_pool_, snap->plan_pool_,
+                                                        count);
     for (std::uint32_t i = 0; i < count; ++i) {
       const ir::Asn asn = r.u32();
       auto an_it = ir.aut_nums.find(asn);

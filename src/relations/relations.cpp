@@ -24,9 +24,14 @@ const char* to_string(Relationship r) noexcept {
 AsRelations AsRelations::parse(std::string_view text, util::Diagnostics& diagnostics) {
   AsRelations rel;
   std::size_t line_no = 0;
-  for (auto line : util::split(text, '\n')) {
+  // Lines and the three `|` fields are walked in place; only a comment
+  // line's clique is split.
+  for (std::size_t start = 0; start <= text.size();) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = util::trim(text.substr(start, end - start));
+    start = end + 1;
     ++line_no;
-    line = util::trim(line);
     if (line.empty()) continue;
     if (line.front() == '#') {
       // "# inferred clique: 174 209 ..." / "# input clique: ...".
@@ -41,20 +46,25 @@ AsRelations AsRelations::parse(std::string_view text, util::Diagnostics& diagnos
       }
       continue;
     }
-    auto fields = util::split(line, '|');
-    if (fields.size() < 3) {
+    auto malformed = [&] {
       diagnostics.error(util::DiagnosticKind::kSyntaxError,
                         "malformed relationship line: '" + std::string(line) + "'", {},
                         {"relationships", line_no});
+    };
+    const std::size_t first = line.find('|');
+    const std::size_t second =
+        first == std::string_view::npos ? first : line.find('|', first + 1);
+    if (second == std::string_view::npos) {
+      malformed();
       continue;
     }
-    auto a = util::parse_u32(util::trim(fields[0]));
-    auto b = util::parse_u32(util::trim(fields[1]));
-    std::string_view rel_field = util::trim(fields[2]);
+    const std::size_t third = line.find('|', second + 1);  // npos: the field ends the line
+    auto a = util::parse_u32(util::trim(line.substr(0, first)));
+    auto b = util::parse_u32(util::trim(line.substr(first + 1, second - first - 1)));
+    std::string_view rel_field = util::trim(
+        line.substr(second + 1, third == std::string_view::npos ? third : third - second - 1));
     if (!a || !b || rel_field.empty()) {
-      diagnostics.error(util::DiagnosticKind::kSyntaxError,
-                        "malformed relationship line: '" + std::string(line) + "'", {},
-                        {"relationships", line_no});
+      malformed();
       continue;
     }
     if (rel_field == "-1") {

@@ -128,42 +128,103 @@ bool is_filter_reason(verify::Reason reason) {
 
 }  // namespace
 
-void Aggregator::add_check(Asn self, Asn from, Asn to, bool is_import,
+template <typename Key, typename Hash>
+std::uint32_t Aggregator::FlatIndex<Key, Hash>::find_or_insert(const Key& key,
+                                                              std::uint32_t fresh,
+                                                              bool& inserted) {
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = Hash{}(key) & mask;
+  while (slots_[i].row != kEmpty) {
+    if (slots_[i].key == key) {
+      inserted = false;
+      return slots_[i].row;
+    }
+    i = (i + 1) & mask;
+  }
+  slots_[i] = {key, fresh};
+  ++used_;
+  inserted = true;
+  return fresh;
+}
+
+template <typename Key, typename Hash>
+void Aggregator::FlatIndex<Key, Hash>::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.row == kEmpty) continue;
+    std::size_t i = Hash{}(slot.key) & mask;
+    while (slots_[i].row != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+std::uint32_t Aggregator::as_row(Asn asn) {
+  bool inserted = false;
+  const auto row =
+      as_index_.find_or_insert(asn, static_cast<std::uint32_t>(as_rows_.size()), inserted);
+  if (inserted) as_rows_.emplace_back().asn = asn;
+  return row;
+}
+
+Aggregator::PairRow& Aggregator::pair_row(Asn from, Asn to) {
+  bool inserted = false;
+  const auto row = pair_index_.find_or_insert(
+      {from, to}, static_cast<std::uint32_t>(pair_rows_.size()), inserted);
+  if (inserted) {
+    PairRow& fresh = pair_rows_.emplace_back();
+    fresh.pair = {from, to};
+    fresh.from_row = as_row(from);
+    fresh.to_row = as_row(to);
+  }
+  return pair_rows_[row];
+}
+
+void Aggregator::add_check(AsRow& as, StatusCounts& pair, StatusCounts& route, bool is_import,
                            const verify::CheckResult& check) {
   ++total_checks_;
-  (is_import ? as_imports_[self] : as_exports_[self]).add(check.status);
-  (is_import ? pair_imports_[{from, to}] : pair_exports_[{from, to}]).add(check.status);
-  routes_.back().add(check.status);
+  (is_import ? as.imports : as.exports).add(check.status);
+  pair.add(check.status);
+  route.add(check.status);
 
+  // Runs of unnamed MatchRemoteAsNum belong to no category and are skipped
+  // whole.
+  auto skip_run = [](std::span<const Asn>) {};
   if (check.status == Status::kUnrecorded) {
-    auto& categories = unrecorded_[self];
-    for (const auto& item : check.items) {
+    as.unrecorded_seen = true;
+    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
       if (auto category = unrecorded_category(item.reason)) {
-        ++categories[static_cast<std::size_t>(*category)];
+        ++as.unrecorded[static_cast<std::size_t>(*category)];
       }
-    }
+    });
   } else if (check.status == Status::kRelaxed || check.status == Status::kSafelisted) {
-    auto& categories = special_[self];
-    for (const auto& item : check.items) {
+    as.special_seen = true;
+    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
       if (auto category = special_category(item.reason)) {
-        ++categories[static_cast<std::size_t>(*category)];
+        ++as.special[static_cast<std::size_t>(*category)];
       }
-    }
+    });
   } else if (check.status == Status::kUnverified) {
     ++unverified_checks_;
-    const bool filter_involved =
-        std::any_of(check.items.begin(), check.items.end(),
-                    [](const verify::ReportItem& item) { return is_filter_reason(item.reason); });
+    bool filter_involved = false;
+    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
+      filter_involved = filter_involved || is_filter_reason(item.reason);
+    });
     if (!filter_involved) ++unverified_peering_undeclared_;
   }
 }
 
 void Aggregator::add(const bgp::Route& route, const std::vector<verify::HopCheck>& hops) {
   (void)route;
-  routes_.emplace_back();
+  StatusCounts& counts = routes_.emplace_back();
   for (const auto& hop : hops) {
-    add_check(hop.from, hop.from, hop.to, /*is_import=*/false, hop.export_result);
-    add_check(hop.to, hop.from, hop.to, /*is_import=*/true, hop.import_result);
+    PairRow& pair = pair_row(hop.from, hop.to);
+    add_check(as_rows_[pair.from_row], pair.exports, counts, /*is_import=*/false,
+              hop.export_result);
+    add_check(as_rows_[pair.to_row], pair.imports, counts, /*is_import=*/true,
+              hop.import_result);
   }
   // First hop = the origin-side pair, which is hops.front() (verify_route
   // emits origin side first).
@@ -173,9 +234,57 @@ void Aggregator::add(const bgp::Route& route, const std::vector<verify::HopCheck
   }
 }
 
-std::map<Asn, StatusCounts> Aggregator::as_combined() const {
-  std::map<Asn, StatusCounts> out(as_imports_.begin(), as_imports_.end());
-  for (const auto& [asn, counts] : as_exports_) out[asn].merge(counts);
+PerAs Aggregator::as_imports() const {
+  PerAs out;
+  for (const AsRow& row : as_rows_) {
+    if (row.imports.total() > 0) out.emplace(row.asn, row.imports);
+  }
+  return out;
+}
+
+PerAs Aggregator::as_exports() const {
+  PerAs out;
+  for (const AsRow& row : as_rows_) {
+    if (row.exports.total() > 0) out.emplace(row.asn, row.exports);
+  }
+  return out;
+}
+
+PerAs Aggregator::as_combined() const {
+  PerAs out;
+  for (const AsRow& row : as_rows_) {
+    StatusCounts combined = row.imports;
+    combined.merge(row.exports);
+    out.emplace(row.asn, combined);
+  }
+  return out;
+}
+
+PerPair Aggregator::pair_imports() const {
+  PerPair out;
+  for (const PairRow& row : pair_rows_) out.emplace(row.pair, row.imports);
+  return out;
+}
+
+PerPair Aggregator::pair_exports() const {
+  PerPair out;
+  for (const PairRow& row : pair_rows_) out.emplace(row.pair, row.exports);
+  return out;
+}
+
+UnrecordedPerAs Aggregator::unrecorded() const {
+  UnrecordedPerAs out;
+  for (const AsRow& row : as_rows_) {
+    if (row.unrecorded_seen) out.emplace(row.asn, row.unrecorded);
+  }
+  return out;
+}
+
+SpecialPerAs Aggregator::special_cases() const {
+  SpecialPerAs out;
+  for (const AsRow& row : as_rows_) {
+    if (row.special_seen) out.emplace(row.asn, row.special);
+  }
   return out;
 }
 
@@ -215,16 +324,16 @@ Fig3Summary Fig3Summary::compute(const Aggregator& agg) {
   // find 91.7% of AS pairs have a single consistent status; this number is
   // 92% for exports"), while "pairs with unverified routes" looks at both
   // the export and the import side of the pair.
-  for (const auto& [pair, counts] : agg.pair_imports()) {
+  const PerPair imports = agg.pair_imports();
+  const PerPair exports = agg.pair_exports();
+  for (const auto& [pair, counts] : imports) {
     ++out.pairs_import;
     if (counts.single_status()) ++out.pairs_import_single_status;
     StatusCounts combined = counts;
-    if (auto it = agg.pair_exports().find(pair); it != agg.pair_exports().end()) {
-      combined.merge(it->second);
-    }
+    if (auto it = exports.find(pair); it != exports.end()) combined.merge(it->second);
     if (combined.of(Status::kUnverified) > 0) ++out.pairs_with_unverified;
   }
-  for (const auto& [pair, counts] : agg.pair_exports()) {
+  for (const auto& [pair, counts] : exports) {
     ++out.pairs_export;
     if (counts.single_status()) ++out.pairs_export_single_status;
   }

@@ -7,12 +7,13 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "rpslyzer/bgp/route.hpp"
+#include "rpslyzer/util/rand.hpp"
 #include "rpslyzer/verify/status.hpp"
 
 namespace rpslyzer::report {
@@ -60,55 +61,52 @@ const char* to_string(SpecialCategory c) noexcept;
 
 using AsnPair = std::pair<Asn, Asn>;
 
+/// Hash of a directed AS pair for a power-of-two table, which keeps only
+/// the low bits: every bit mixes both ASNs.
 struct AsnPairHash {
   std::size_t operator()(const AsnPair& pair) const noexcept {
-    const std::uint64_t key = (std::uint64_t{pair.first} << 32) | pair.second;
-    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 16);
+    return static_cast<std::size_t>(
+        util::mix64((std::uint64_t{pair.first} << 32) | pair.second));
   }
 };
 
-// The aggregation tables are hashed: iteration order is unspecified, so a
-// consumer whose output depends on it sorts first (sorted_entries).
-using PerAs = std::unordered_map<Asn, StatusCounts>;
-using PerPair = std::unordered_map<AsnPair, StatusCounts, AsnPairHash>;
-using UnrecordedPerAs = std::unordered_map<Asn, std::array<std::size_t, kUnrecordedCategoryCount>>;
-using SpecialPerAs = std::unordered_map<Asn, std::array<std::size_t, kSpecialCategoryCount>>;
-
-/// A hashed table's entries in key order.
-template <typename Table>
-std::vector<const typename Table::value_type*> sorted_entries(const Table& table) {
-  std::vector<const typename Table::value_type*> out;
-  out.reserve(table.size());
-  for (const auto& entry : table) out.push_back(&entry);
-  std::sort(out.begin(), out.end(), [](const auto* a, const auto* b) { return a->first < b->first; });
-  return out;
-}
+// The tables in key order. Each accessor builds its table from the flat
+// rows on every call.
+using PerAs = std::map<Asn, StatusCounts>;
+using PerPair = std::map<AsnPair, StatusCounts>;
+using UnrecordedPerAs = std::map<Asn, std::array<std::size_t, kUnrecordedCategoryCount>>;
+using SpecialPerAs = std::map<Asn, std::array<std::size_t, kSpecialCategoryCount>>;
 
 /// Streaming aggregator: feed each route's hop checks once.
+///
+/// One row per AS and one per directed AS pair behind open-addressing
+/// indexes. A pair's row also holds the row numbers of its two ASes, so a
+/// hop costs one probe; a hop's importer is the next hop's exporter, and
+/// both hops reach that AS's row without a probe.
 class Aggregator {
  public:
   void add(const bgp::Route& route, const std::vector<verify::HopCheck>& hops);
 
-  // --- Figure 2: per AS ---
-  const PerAs& as_imports() const noexcept { return as_imports_; }
-  const PerAs& as_exports() const noexcept { return as_exports_; }
-  /// Combined (imports + exports) per AS, in ASN order.
-  std::map<Asn, StatusCounts> as_combined() const;
+  // --- Figure 2: per AS, for the ASes with such checks ---
+  PerAs as_imports() const;
+  PerAs as_exports() const;
+  /// Combined (imports + exports) per AS.
+  PerAs as_combined() const;
 
   // --- Figure 3: per directed AS pair (from, to) ---
-  const PerPair& pair_imports() const noexcept { return pair_imports_; }
-  const PerPair& pair_exports() const noexcept { return pair_exports_; }
+  PerPair pair_imports() const;
+  PerPair pair_exports() const;
 
   // --- Figure 4: per route (all hops, both directions) ---
   const std::vector<StatusCounts>& routes() const noexcept { return routes_; }
   /// First-hop-only counts (the paper's route-leak discussion in §5.2).
   const StatusCounts& first_hops() const noexcept { return first_hops_; }
 
-  // --- Figure 5: per AS, which unrecorded categories appeared ---
-  const UnrecordedPerAs& unrecorded() const noexcept { return unrecorded_; }
+  // --- Figure 5: per AS with an Unrecorded check, its items per category ---
+  UnrecordedPerAs unrecorded() const;
 
-  // --- Figure 6: per AS, which special cases appeared ---
-  const SpecialPerAs& special_cases() const noexcept { return special_; }
+  // --- Figure 6: per AS with a Relaxed or Safelisted check, its items per category ---
+  SpecialPerAs special_cases() const;
 
   std::size_t total_checks() const noexcept { return total_checks_; }
   std::size_t total_routes() const noexcept { return routes_.size(); }
@@ -122,17 +120,59 @@ class Aggregator {
   }
 
  private:
-  void add_check(Asn self, Asn from, Asn to, bool is_import,
+  struct AsRow {
+    Asn asn = 0;
+    bool unrecorded_seen = false;  // had an Unrecorded check
+    bool special_seen = false;     // had a Relaxed or Safelisted check
+    StatusCounts imports;
+    StatusCounts exports;
+    std::array<std::size_t, kUnrecordedCategoryCount> unrecorded{};
+    std::array<std::size_t, kSpecialCategoryCount> special{};
+  };
+  struct PairRow {
+    AsnPair pair;
+    std::uint32_t from_row = 0;  // into as_rows_
+    std::uint32_t to_row = 0;
+    StatusCounts imports;
+    StatusCounts exports;
+  };
+
+  /// Key → position of its row: linear probing at load at most 1/2.
+  template <typename Key, typename Hash>
+  class FlatIndex {
+   public:
+    /// The row of `key`; when absent, records `fresh` as its row.
+    std::uint32_t find_or_insert(const Key& key, std::uint32_t fresh, bool& inserted);
+
+   private:
+    static constexpr std::uint32_t kEmpty = 0xffffffffu;
+    struct Slot {
+      Key key{};
+      std::uint32_t row = kEmpty;
+    };
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+  };
+  struct AsnHash {
+    std::size_t operator()(Asn asn) const noexcept {
+      return static_cast<std::size_t>(util::mix64(asn));
+    }
+  };
+
+  std::uint32_t as_row(Asn asn);
+  PairRow& pair_row(Asn from, Asn to);
+  void add_check(AsRow& as, StatusCounts& pair, StatusCounts& route, bool is_import,
                  const verify::CheckResult& check);
 
-  PerAs as_imports_;
-  PerAs as_exports_;
-  PerPair pair_imports_;
-  PerPair pair_exports_;
+  // Deques: growing never copies the rows or holds two copies at once.
+  FlatIndex<Asn, AsnHash> as_index_;
+  std::deque<AsRow> as_rows_;
+  FlatIndex<AsnPair, AsnPairHash> pair_index_;
+  std::deque<PairRow> pair_rows_;
   std::vector<StatusCounts> routes_;
   StatusCounts first_hops_;
-  UnrecordedPerAs unrecorded_;
-  SpecialPerAs special_;
   std::size_t total_checks_ = 0;
   std::size_t unverified_checks_ = 0;
   std::size_t unverified_peering_undeclared_ = 0;

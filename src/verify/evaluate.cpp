@@ -1,9 +1,9 @@
 #include "evaluate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
-#include <ranges>
 
 #include "rpslyzer/aspath/engine.hpp"
 #include "rpslyzer/compile/snapshot.hpp"
@@ -43,13 +43,27 @@ std::uint64_t item_hash(const ReportItem& item) noexcept {
                      static_cast<std::uint64_t>(item.reason) * util::kSplitMix64Gamma);
 }
 
+// An unnamed MatchRemoteAsNum, the only item a fast-rejected rule adds.
+bool is_peer_miss(const ReportItem& item) noexcept {
+  return item.reason == Reason::kMatchRemoteAsNum && item.name.empty();
+}
+
 }  // namespace
 
 struct ItemList::Buffers {
   std::vector<ReportItem> items;
   std::vector<ReportItem> displaced;  // RuleMerge: the list being overtaken
   std::vector<std::uint32_t> slots;   // item position + 1 per cell, 0 = empty
-  bool indexed = false;               // slots cover every item
+  bool indexed = false;               // slots cover items[0, hashed)
+  std::size_t hashed = 0;
+  // RuleMerge's plan fold: the plan ranges of evaluated rules, ascending,
+  // and whether an evaluated outcome put a peer miss into the list. A peer
+  // is named by few rules of one aut-num, so the ranges are kept inline;
+  // past kMaxRanges the fold looks every entry up in the list instead.
+  static constexpr std::size_t kMaxRanges = 8;
+  std::array<std::pair<std::uint32_t, std::uint32_t>, kMaxRanges> evaluated{};
+  std::size_t evaluated_count = 0;
+  bool evaluated_misses = false;
 
   // This thread's buffers; frames[0, depth) are leased, innermost last.
   struct Stack {
@@ -61,36 +75,77 @@ struct ItemList::Buffers {
     return stack;
   }
 
+  void clear() {
+    items.clear();
+    indexed = false;
+  }
+
+  // The cell holding `item`, or the empty cell where it would go.
+  std::size_t probe(const ReportItem& item) const {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = item_hash(item) & mask;
+    while (slots[i] != 0 && !(items[slots[i] - 1] == item)) i = (i + 1) & mask;
+    return i;
+  }
+
+  // Index items[pos] unless an equal item is indexed already.
+  void place(std::size_t pos) {
+    const std::size_t i = probe(items[pos]);
+    if (slots[i] == 0) slots[i] = static_cast<std::uint32_t>(pos + 1);
+  }
+
   void reindex() {
     std::size_t capacity = 64;
     while (capacity < 4 * items.size()) capacity *= 2;
     slots.assign(capacity, 0);
-    const std::size_t mask = capacity - 1;
-    for (std::size_t pos = 0; pos < items.size(); ++pos) {
-      std::size_t i = item_hash(items[pos]) & mask;
-      while (slots[i] != 0 && !(items[slots[i] - 1] == items[pos])) i = (i + 1) & mask;
-      if (slots[i] == 0) slots[i] = static_cast<std::uint32_t>(pos + 1);
-    }
+    for (std::size_t pos = 0; pos < items.size(); ++pos) place(pos);
+    hashed = items.size();
     indexed = true;
   }
 
-  void push_unique(const ReportItem& item) {
+  // Brings the index up to date with items appended unhashed; false while
+  // the list is short enough to scan instead.
+  bool sync() {
     if (!indexed) {
-      if (items.size() < kScanMax) {
-        if (std::find(items.begin(), items.end(), item) == items.end()) items.push_back(item);
-        return;
-      }
+      if (items.size() < kScanMax) return false;
       reindex();
+    } else if (2 * items.size() > slots.size()) {
+      reindex();
+    } else {
+      for (; hashed < items.size(); ++hashed) place(hashed);
     }
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = item_hash(item) & mask;
-    while (slots[i] != 0) {
-      if (items[slots[i] - 1] == item) return;
-      i = (i + 1) & mask;
+    return true;
+  }
+
+  bool contains(const ReportItem& item) {
+    if (!sync()) return std::find(items.begin(), items.end(), item) != items.end();
+    return slots[probe(item)] != 0;
+  }
+
+  void push_unique(const ReportItem& item) {
+    if (!sync()) {
+      if (std::find(items.begin(), items.end(), item) == items.end()) items.push_back(item);
+      return;
     }
+    const std::size_t i = probe(item);
+    if (slots[i] != 0) return;
     items.push_back(item);
     slots[i] = static_cast<std::uint32_t>(items.size());
-    if (2 * items.size() > slots.size()) reindex();
+    hashed = items.size();
+  }
+
+  // Whether an earlier fast-rejected rule pushed plan[at]'s ASN: the prev
+  // chain reaches an entry outside every evaluated range.
+  bool pushed_earlier(std::span<const compile::PlanEntry> plan, std::size_t at) const {
+    const auto ranges = std::span(evaluated).first(evaluated_count);
+    for (std::uint32_t p = plan[at].prev; p != compile::PlanEntry::kNone; p = plan[p].prev) {
+      const auto range = std::upper_bound(ranges.begin(), ranges.end(), p,
+                                          [](std::uint32_t pos, const auto& r) {
+                                            return pos < r.second;
+                                          });
+      if (range == ranges.end() || p < range->first) return true;
+    }
+    return false;
   }
 };
 
@@ -98,8 +153,9 @@ ItemList::ItemList() {
   auto& stack = Buffers::stack();
   if (stack.depth == stack.frames.size()) stack.frames.push_back(std::make_unique<Buffers>());
   buf_ = stack.frames[stack.depth++].get();
-  buf_->items.clear();
-  buf_->indexed = false;
+  buf_->clear();
+  buf_->evaluated_count = 0;
+  buf_->evaluated_misses = false;
 }
 
 ItemList::~ItemList() {
@@ -109,8 +165,8 @@ ItemList::~ItemList() {
 }
 
 void ItemList::assign(std::span<const ReportItem> items) {
+  buf_->clear();
   buf_->items.assign(items.begin(), items.end());
-  buf_->indexed = false;
 }
 
 void ItemList::append(std::span<const ReportItem> items) {
@@ -123,37 +179,60 @@ std::vector<ReportItem> ItemList::to_vector() const {
   return {buf_->items.begin(), buf_->items.end()};
 }
 
-template <typename Items>
-void RuleMerge::fold(EvalClass cls, const Items& items) {
+void RuleMerge::add(EvalClass cls, std::span<const ReportItem> items) {
   auto mismatch = [](EvalClass c) {
     return c == EvalClass::kNoMatchFilter || c == EvalClass::kNoMatchPeering;
   };
   ItemList::Buffers& buf = *list_.buf_;
   // EvalClass enumerators are in §5 priority order: lower is better.
   if (cls_ <= cls) {
-    if (mismatch(cls_) && mismatch(cls)) {
-      for (const ReportItem& item : items) buf.push_unique(item);
+    if (!mismatch(cls_) || !mismatch(cls)) return;
+    for (const ReportItem& item : items) buf.push_unique(item);
+  } else {
+    const bool keep_old =
+        cls == EvalClass::kNoMatchFilter && cls_ == EvalClass::kNoMatchPeering;
+    if (keep_old) buf.displaced.swap(buf.items);
+    buf.clear();
+    buf.items.assign(items.begin(), items.end());
+    if (keep_old) {
+      for (const ReportItem& item : buf.displaced) buf.push_unique(item);
+      buf.displaced.clear();
     }
-    return;
+    cls_ = cls;
   }
-  const bool keep_old = cls == EvalClass::kNoMatchFilter && cls_ == EvalClass::kNoMatchPeering;
-  if (keep_old) buf.displaced.swap(buf.items);
-  buf.items.clear();
-  buf.indexed = false;
-  for (const ReportItem& item : items) buf.items.push_back(item);
-  if (keep_old) {
-    for (const ReportItem& item : buf.displaced) buf.push_unique(item);
-    buf.displaced.clear();
-  }
-  cls_ = cls;
+  buf.evaluated_misses =
+      buf.evaluated_misses || std::any_of(items.begin(), items.end(), is_peer_miss);
 }
 
-void RuleMerge::add(EvalClass cls, std::span<const ReportItem> items) { fold(cls, items); }
+void RuleMerge::add_planned_misses(std::span<const compile::PlanEntry> plan, std::size_t begin,
+                                   std::size_t end) {
+  // Match, Skip and Unrecorded drop a NoMatchPeering newcomer's items, and
+  // no later rule can take their place.
+  if (cls_ < EvalClass::kNoMatchFilter) return;
+  ItemList::Buffers& buf = *list_.buf_;
+  if (cls_ == EvalClass::kNotApplicable) {
+    // Overtaken; nothing was merged before, so the list is empty.
+    cls_ = EvalClass::kNoMatchPeering;
+    buf.clear();
+  }
+  const bool tracked = buf.evaluated_count <= ItemList::Buffers::kMaxRanges;
+  for (std::size_t at = begin; at < end; ++at) {
+    const ReportItem item{Reason::kMatchRemoteAsNum, plan[at].asn, {}};
+    const bool present = tracked ? buf.pushed_earlier(plan, at) ||
+                                       (buf.evaluated_misses && buf.contains(item))
+                                 : buf.contains(item);
+    if (!present) buf.items.push_back(item);
+  }
+}
 
-void RuleMerge::add_peer_misses(std::span<const Asn> asns) {
-  fold(EvalClass::kNoMatchPeering, asns | std::views::transform([](Asn a) {
-                                     return ReportItem{Reason::kMatchRemoteAsNum, a, {}};
-                                   }));
+void RuleMerge::skip_planned(std::size_t begin, std::size_t end) {
+  ItemList::Buffers& buf = *list_.buf_;
+  if (begin == end) return;
+  if (buf.evaluated_count < ItemList::Buffers::kMaxRanges) {
+    buf.evaluated[buf.evaluated_count] = {static_cast<std::uint32_t>(begin),
+                                          static_cast<std::uint32_t>(end)};
+  }
+  ++buf.evaluated_count;
 }
 
 namespace {

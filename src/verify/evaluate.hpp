@@ -18,13 +18,10 @@
 
 #include <span>
 
+#include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/irr/index.hpp"
 #include "rpslyzer/verify/status.hpp"
 #include "rpslyzer/verify/verifier.hpp"
-
-namespace rpslyzer::compile {
-class CompiledPolicySnapshot;
-}  // namespace rpslyzer::compile
 
 namespace rpslyzer::verify::internal {
 
@@ -133,18 +130,26 @@ class RuleMerge {
  public:
   void add(EvalClass cls, std::span<const ReportItem> items);
   void add(const RuleOutcome& outcome) { add(outcome.cls, outcome.items); }
-  /// A fast-rejected rule: NoMatchPeering with MatchRemoteAsNum(a) for
-  /// each ASN, without building the items first.
-  void add_peer_misses(std::span<const Asn> asns);
+
+  /// A fast-rejected rule of the snapshot loop, whose distinct ASNs are
+  /// plan[begin, end) of its family's compile::RejectAll plan: the same
+  /// fold as add() of NoMatchPeering with MatchRemoteAsNum(a) for each. An
+  /// ASN an earlier fast-rejected rule pushed is found on the prev chain
+  /// without hashing; the list is searched only when an evaluated outcome
+  /// may have pushed it, or when too many evaluated ranges precede it to
+  /// track. Every covering simple rule's range goes, in rule order, either
+  /// here or to skip_planned().
+  void add_planned_misses(std::span<const compile::PlanEntry> plan, std::size_t begin,
+                          std::size_t end);
+  /// The range of a simple rule evaluated in full (its outcome goes to
+  /// add()): prev chains walk past its entries.
+  void skip_planned(std::size_t begin, std::size_t end);
 
   EvalClass cls() const noexcept { return cls_; }
   std::span<const ReportItem> items() const noexcept { return list_.items(); }
   RuleOutcome take() const { return {cls_, list_.to_vector()}; }
 
  private:
-  template <typename Items>
-  void fold(EvalClass cls, const Items& items);
-
   EvalClass cls_ = EvalClass::kNotApplicable;
   ItemList list_;
 };

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -140,6 +141,9 @@ class ReportItems {
   /// The items of `head` then of `tail`, encoded in one exactly sized pass.
   explicit ReportItems(std::span<const ReportItem> head,
                        std::span<const ReportItem> tail = {});
+  /// MatchRemoteAsNum(a) for each ASN of `run`, then `tail`: the run is
+  /// copied as one block of words.
+  ReportItems(std::span<const Asn> run, const std::optional<ReportItem>& tail);
   ReportItems(const ReportItems& other);
   ReportItems(ReportItems&& other) noexcept;
   ReportItems& operator=(ReportItems other) noexcept;
@@ -157,6 +161,25 @@ class ReportItems {
   /// Re-encodes the whole sequence, so it is linear; the verifier builds
   /// each sequence in one pass instead.
   void push_back(const ReportItem& item);
+
+  /// Walks the encoding record by record, in order: `on_run` gets each
+  /// maximal run of unnamed MatchRemoteAsNum as one span of ASNs, `on_item`
+  /// every other item. A run costs O(1) to skip.
+  template <typename OnRun, typename OnItem>
+  void visit(OnRun&& on_run, OnItem&& on_item) const {
+    const std::uint32_t* at = data();
+    const std::uint32_t* const end = at + words_;
+    while (at != end) {
+      if ((*at & kRunTag) != 0) {
+        const std::uint32_t count = *at & ~kRunTag;
+        on_run(std::span<const Asn>(at + 1, count));
+        at += 1 + count;
+      } else {
+        on_item(ReportItem{static_cast<Reason>(at[0]), at[1], name_of(at[2])});
+        at += 3;
+      }
+    }
+  }
 
   friend bool operator==(const ReportItems& a, const ReportItems& b) noexcept;
 

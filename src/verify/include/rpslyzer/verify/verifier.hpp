@@ -19,6 +19,7 @@
 //    VerifyOptions::use_snapshot=false for one release as the reference.
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -105,6 +106,10 @@ class Verifier {
   /// differences are confined to the small dispatch helpers below.
   CheckResult classify(const internal::RuleMerge& best, Asn self, Asn peer, bool is_import,
                        const bgp::Route& route) const;
+
+  /// The §5.1.2 safelists in paper order: the reason of the first that
+  /// explains the check, or nothing (also when safelists are off).
+  std::optional<Reason> safelist(Asn self, Asn peer, bool is_import) const;
 
   bool relax_export_self(Asn self, const net::Prefix& prefix) const;
   bool contains_origin(std::string_view as_set, Asn origin) const;

@@ -1,6 +1,7 @@
 #include "rpslyzer/verify/status.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -145,6 +146,30 @@ ReportItems::ReportItems(std::span<const ReportItem> head, std::span<const Repor
         *out++ = item.name.id();
       }
     }
+  }
+}
+
+ReportItems::ReportItems(std::span<const Asn> run, const std::optional<ReportItem>& tail) {
+  // The tail joins the run when it is a peer miss itself.
+  const bool joins = tail && in_run(*tail);
+  const std::size_t count = run.size() + (joins ? 1 : 0);
+  if (count > ~kRunTag) throw std::length_error("ReportItems: too many items");
+  const std::size_t words = (count > 0 ? 1 + count : 0) + (tail && !joins ? 3 : 0);
+  size_ = static_cast<std::uint32_t>(run.size() + (tail ? 1 : 0));
+  words_ = static_cast<std::uint32_t>(words);
+  std::uint32_t* out = inline_;
+  if (on_heap()) out = heap_ = new std::uint32_t[words];
+  if (count > 0) {
+    *out++ = kRunTag | static_cast<std::uint32_t>(count);
+    if (!run.empty()) std::memcpy(out, run.data(), run.size_bytes());
+    out += run.size();
+  }
+  if (joins) {
+    *out = tail->asn;
+  } else if (tail) {
+    out[0] = static_cast<std::uint32_t>(tail->reason);
+    out[1] = tail->asn;
+    out[2] = tail->name.id();
   }
 }
 

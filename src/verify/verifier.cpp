@@ -132,33 +132,33 @@ CheckResult Verifier::classify(const RuleMerge& best, Asn self, Asn peer, bool i
     }
   }
 
-  // §5.1.2 safelisted relationships, in paper order.
-  if (options_.safelists) {
-    const relations::Relationship to_peer = rels().between(self, peer);
-    // Only Provider Policies: ASes that maintain rules solely for their
-    // providers (who may require them); imports from anyone that is not a
-    // provider pass. Appendix C distinguishes known customers from other
-    // non-provider remotes in the report items.
-    if (is_import && to_peer != relations::Relationship::kCustomer &&
-        only_provider_policies(self)) {
-      return result(Status::kSafelisted, to_peer == relations::Relationship::kProvider
-                                             ? Reason::kSpecCustomerOnlyProviderPolicies
-                                             : Reason::kSpecOtherOnlyProviderPolicies);
-    }
-    // Tier-1 Peering: Tier-1s exchange routes by definition.
-    if (rels().is_tier1(self) && rels().is_tier1(peer)) {
-      return result(Status::kSafelisted, Reason::kSpecTier1Pair);
-    }
-    // Uphill: customers rely on providers to reach the Internet; providers
-    // import customer routes.
-    const bool uphill = is_import ? to_peer == relations::Relationship::kProvider
-                                  : to_peer == relations::Relationship::kCustomer;
-    if (uphill) {
-      return result(Status::kSafelisted, Reason::kSpecUphill);
-    }
+  if (const std::optional<Reason> reason = safelist(self, peer, is_import)) {
+    return result(Status::kSafelisted, *reason);
   }
-
   return result(Status::kUnverified);
+}
+
+std::optional<Reason> Verifier::safelist(Asn self, Asn peer, bool is_import) const {
+  if (!options_.safelists) return std::nullopt;
+  const relations::Relationship to_peer = rels().between(self, peer);
+  // Only Provider Policies: ASes that maintain rules solely for their
+  // providers (who may require them); imports from anyone that is not a
+  // provider pass. Appendix C distinguishes known customers from other
+  // non-provider remotes in the report items.
+  if (is_import && to_peer != relations::Relationship::kCustomer &&
+      only_provider_policies(self)) {
+    return to_peer == relations::Relationship::kProvider
+               ? Reason::kSpecCustomerOnlyProviderPolicies
+               : Reason::kSpecOtherOnlyProviderPolicies;
+  }
+  // Tier-1 Peering: Tier-1s exchange routes by definition.
+  if (rels().is_tier1(self) && rels().is_tier1(peer)) return Reason::kSpecTier1Pair;
+  // Uphill: customers rely on providers to reach the Internet; providers
+  // import customer routes.
+  const bool uphill = is_import ? to_peer == relations::Relationship::kProvider
+                                : to_peer == relations::Relationship::kCustomer;
+  if (uphill) return Reason::kSpecUphill;
+  return std::nullopt;
 }
 
 CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
@@ -176,13 +176,18 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
     }
 
     // No rule names the peer: every covering rule fast-rejects, and the
-    // merged outcome of the loop below was fixed at build time.
+    // merged outcome of the loop below was fixed at build time. It is
+    // NoMatchPeering (NotApplicable when no rule has factors, and then the
+    // list is empty), so no relaxation applies; only a safelist can.
     const compile::RejectAll& reject = can->reject_all_for(is_import, route.prefix.is_v4());
     if (reject.simple &&
         !std::binary_search(reject.peers.begin(), reject.peers.end(), peer)) {
-      RuleMerge best;
-      if (reject.no_match) best.add_peer_misses(reject.no_match_asns);
-      return classify(best, self, peer, is_import, route);
+      std::optional<ReportItem> tail;
+      if (const std::optional<Reason> reason = safelist(self, peer, is_import)) {
+        tail = ReportItem{*reason, 0, {}};
+      }
+      return {tail ? Status::kSafelisted : Status::kUnverified,
+              ReportItems(reject.no_match_asns, tail)};
     }
 
     internal::EvalContextT<compile::CompiledPolicySnapshot> ctx{
@@ -191,16 +196,21 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
     // A rule that does not cover the family, or has no factors, is
     // NotApplicable, which never changes the merge.
     RuleMerge best;
+    std::size_t planned = 0;  // where the next simple rule's plan entries start
     for (const auto& crule : crules) {
       const bool covers = route.prefix.is_v4() ? crule.covers_v4 : crule.covers_v6;
       if (!covers) continue;
-      if (crule.simple &&
-          !std::binary_search(crule.peers.begin(), crule.peers.end(), peer)) {
-        // Fast reject: every peering is a plain ASN and none names the
-        // peer, so no factor's filter is ever evaluated. Reproduces the
-        // interpreted per-factor NoMatchPeering merge exactly.
-        if (!crule.no_factors) best.add_peer_misses(crule.no_match_asns);
-        continue;
+      if (crule.simple) {
+        const std::size_t begin = planned;
+        planned += crule.no_match_asns.size();
+        if (!std::binary_search(crule.peers.begin(), crule.peers.end(), peer)) {
+          // Fast reject: every peering is a plain ASN and none names the
+          // peer, so no factor's filter is ever evaluated. Reproduces the
+          // interpreted per-factor NoMatchPeering merge exactly.
+          if (!crule.no_factors) best.add_planned_misses(reject.plan, begin, planned);
+          continue;
+        }
+        best.skip_planned(begin, planned);
       }
       best.add(internal::evaluate_rule(*crule.rule, ctx));
       if (best.cls() == EvalClass::kMatch) break;

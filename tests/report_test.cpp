@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -312,8 +313,8 @@ void expect_matches_reference(const Aggregator& agg, const Reference& ref) {
   EXPECT_EQ(ordered(agg.as_combined()), ref.as_combined);
   EXPECT_EQ(ordered(agg.pair_imports()), ref.pair_imports);
   EXPECT_EQ(ordered(agg.pair_exports()), ref.pair_exports);
-  EXPECT_EQ(std::map(agg.unrecorded().begin(), agg.unrecorded().end()), ref.unrecorded);
-  EXPECT_EQ(std::map(agg.special_cases().begin(), agg.special_cases().end()), ref.special);
+  EXPECT_EQ(agg.unrecorded(), ref.unrecorded);
+  EXPECT_EQ(agg.special_cases(), ref.special);
   EXPECT_EQ(agg.first_hops().counts, ref.first_hops);
   EXPECT_EQ(agg.total_routes(), ref.routes.size());
   EXPECT_EQ(agg.unverified_checks(), ref.unverified);
@@ -324,7 +325,7 @@ void expect_matches_reference(const Aggregator& agg, const Reference& ref) {
   for (const auto& [asn, counts] : agg.as_combined()) keys.push_back(asn);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
   std::vector<std::pair<Asn, Asn>> pair_keys;
-  for (const auto* entry : sorted_entries(agg.pair_imports())) pair_keys.push_back(entry->first);
+  for (const auto& [pair, counts] : agg.pair_imports()) pair_keys.push_back(pair);
   EXPECT_EQ(pair_keys.size(), ref.pair_imports.size());
   EXPECT_TRUE(std::is_sorted(pair_keys.begin(), pair_keys.end()));
 
@@ -433,6 +434,23 @@ TEST(Aggregator, HashedTablesMatchOrderedReference) {
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b);
     expect_matches_reference(shuffled, ref);
+  }
+}
+
+TEST(AsnPairHash, PairsSharingAnAsSpreadAcrossLowBits) {
+  // The aggregator's pair table keeps the low bits of the hash, so pairs
+  // that share one AS must still land in many cells.
+  const AsnPairHash hash;
+  for (const Asn fixed : {1u, 3356u, 4294967295u}) {
+    std::set<std::size_t> by_to;
+    std::set<std::size_t> by_from;
+    for (Asn other = 1; other <= 1024; ++other) {
+      by_to.insert(hash({other, fixed}) & 1023);
+      by_from.insert(hash({fixed, other}) & 1023);
+    }
+    // 1024 random keys into 1024 cells fill about 647.
+    EXPECT_GT(by_to.size(), 580u) << fixed;
+    EXPECT_GT(by_from.size(), 580u) << fixed;
   }
 }
 

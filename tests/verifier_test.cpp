@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <memory>
+#include <optional>
 #include <random>
 
 #include "evaluate.hpp"
@@ -645,8 +648,15 @@ internal::RuleOutcome combine_best(internal::RuleOutcome a, internal::RuleOutcom
 
 }  // namespace reference
 
+// MatchRemoteAsNum(a) for each ASN: a fast-rejected rule's items.
+std::vector<ReportItem> peer_miss_items(const std::vector<Asn>& asns) {
+  std::vector<ReportItem> items;
+  for (Asn a : asns) items.push_back({Reason::kMatchRemoteAsNum, a, {}});
+  return items;
+}
+
 // One rule's outcome, fed to both folds: a fast-rejected rule carries only
-// its ASN list, which RuleMerge takes without building items.
+// its ASN list.
 struct RuleStep {
   internal::RuleOutcome outcome;
   std::vector<Asn> peer_misses;
@@ -658,10 +668,10 @@ void expect_same_fold(const std::vector<RuleStep>& steps, const std::string& wha
   internal::RuleMerge got;
   for (const RuleStep& step : steps) {
     if (step.fast_reject) {
-      internal::RuleOutcome misses{internal::EvalClass::kNoMatchPeering, {}};
-      for (Asn a : step.peer_misses) misses.items.push_back({Reason::kMatchRemoteAsNum, a, {}});
-      want = reference::combine_best(std::move(want), std::move(misses));
-      got.add_peer_misses(step.peer_misses);
+      const std::vector<ReportItem> misses = peer_miss_items(step.peer_misses);
+      want = reference::combine_best(std::move(want),
+                                     {internal::EvalClass::kNoMatchPeering, misses});
+      got.add(internal::EvalClass::kNoMatchPeering, misses);
     } else {
       want = reference::combine_best(std::move(want), step.outcome);
       got.add(step.outcome);
@@ -728,7 +738,7 @@ TEST(RuleMerge, FilterMismatchOvertakesALongPeeringMismatchList) {
   internal::RuleMerge merge;
   for (const RuleStep& step : steps) {
     if (step.fast_reject) {
-      merge.add_peer_misses(step.peer_misses);
+      merge.add(EvalClass::kNoMatchPeering, peer_miss_items(step.peer_misses));
     } else {
       merge.add(step.outcome);
     }
@@ -746,14 +756,14 @@ TEST(RuleMerge, FilterMismatchOvertakesALongPeeringMismatchList) {
 TEST(RuleMerge, NestedMergesKeepTheirOwnItems) {
   using internal::EvalClass;
   internal::RuleMerge outer;
-  outer.add_peer_misses(std::vector<Asn>{1, 2, 3});
+  outer.add(EvalClass::kNoMatchPeering, peer_miss_items({1, 2, 3}));
   {
     internal::RuleMerge inner;
     inner.add(EvalClass::kNoMatchFilter,
               std::vector<ReportItem>{{Reason::kMatchFilter, 0, {}}});
     outer.add(inner.take());
   }
-  outer.add_peer_misses(std::vector<Asn>{3, 4});
+  outer.add(EvalClass::kNoMatchPeering, peer_miss_items({3, 4}));
   const std::vector<ReportItem> want = {{Reason::kMatchFilter, 0, {}},
                                         {Reason::kMatchRemoteAsNum, 1, {}},
                                         {Reason::kMatchRemoteAsNum, 2, {}},
@@ -761,6 +771,148 @@ TEST(RuleMerge, NestedMergesKeepTheirOwnItems) {
                                         {Reason::kMatchRemoteAsNum, 4, {}}};
   EXPECT_EQ(outer.cls(), EvalClass::kNoMatchFilter);
   EXPECT_EQ(outer.take().items, want);
+}
+
+// One covering rule of the snapshot loop for a random property test. A
+// simple rule has its plan entries (unique ASNs); when it names the peer,
+// or is not simple, its outcome is evaluated in full.
+struct PlannedRule {
+  enum class Kind { kFastReject, kEvaluated, kUnplanned };
+  Kind kind = Kind::kFastReject;
+  std::array<bool, 2> covers{true, true};  // v4, v6
+  bool no_factors = false;                 // a fast-rejected rule that adds nothing
+  std::vector<Asn> asns;                   // kFastReject, kEvaluated
+  internal::RuleOutcome outcome;           // kEvaluated, kUnplanned
+};
+
+// The plan of one family as RejectAllBuilder derives it: every covering
+// simple rule's ASNs in rule order, each linked to the ASN's previous entry.
+std::vector<compile::PlanEntry> plan_of(const std::vector<PlannedRule>& rules, std::size_t f) {
+  std::vector<compile::PlanEntry> plan;
+  std::map<Asn, std::uint32_t> last;
+  for (const PlannedRule& rule : rules) {
+    if (!rule.covers[f] || rule.kind == PlannedRule::Kind::kUnplanned) continue;
+    for (Asn asn : rule.asns) {
+      const auto it = last.find(asn);
+      plan.push_back({asn, it == last.end() ? compile::PlanEntry::kNone : it->second});
+      last[asn] = static_cast<std::uint32_t>(plan.size() - 1);
+    }
+  }
+  return plan;
+}
+
+// Folds one family both ways, as the snapshot loop does (stopping at a
+// match): through the plan, and rule by rule through add().
+void expect_planned_fold(const std::vector<PlannedRule>& rules, std::size_t f,
+                         const std::string& what) {
+  using Kind = PlannedRule::Kind;
+  const std::vector<compile::PlanEntry> plan = plan_of(rules, f);
+  internal::RuleMerge want;
+  for (const PlannedRule& rule : rules) {
+    if (!rule.covers[f]) continue;
+    if (rule.kind == Kind::kFastReject) {
+      if (!rule.no_factors) want.add(internal::EvalClass::kNoMatchPeering,
+                                     peer_miss_items(rule.asns));
+    } else {
+      want.add(rule.outcome);
+    }
+    if (want.cls() == internal::EvalClass::kMatch) break;
+  }
+  internal::RuleMerge got;
+  std::size_t planned = 0;
+  for (const PlannedRule& rule : rules) {
+    if (!rule.covers[f]) continue;
+    if (rule.kind != Kind::kUnplanned) {
+      const std::size_t begin = planned;
+      planned += rule.asns.size();
+      if (rule.kind == Kind::kFastReject) {
+        if (!rule.no_factors) got.add_planned_misses(plan, begin, planned);
+        continue;
+      }
+      got.skip_planned(begin, planned);
+    }
+    got.add(rule.outcome);
+    if (got.cls() == internal::EvalClass::kMatch) break;
+  }
+  ASSERT_EQ(got.cls(), want.cls()) << what;
+  const std::span<const ReportItem> g = got.items();
+  const std::span<const ReportItem> w = want.items();
+  EXPECT_EQ(std::vector<ReportItem>(g.begin(), g.end()),
+            std::vector<ReportItem>(w.begin(), w.end()))
+      << what;
+}
+
+TEST(RuleMerge, PlannedFoldMatchesThePerRuleFold) {
+  using internal::EvalClass;
+  using Kind = PlannedRule::Kind;
+  const std::vector<Reason> reasons = {Reason::kMatchRemoteAsNum, Reason::kMatchRemoteAsSet,
+                                       Reason::kMatchFilterAsNum, Reason::kMatchFilter,
+                                       Reason::kUnrecordedAsSet, Reason::kSkipCommunityFilter};
+  std::mt19937 rng(20261019);
+  auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  // A mismatch class most of the time, so the fold keeps accumulating;
+  // Skip, Unrecorded and NotApplicable now and then, and rarely a match,
+  // which ends the loop.
+  auto outcome_class = [&] {
+    const std::size_t r = pick(40);
+    if (r < 16) return EvalClass::kNoMatchFilter;
+    if (r < 30) return EvalClass::kNoMatchPeering;
+    if (r < 33) return EvalClass::kSkip;
+    if (r < 36) return EvalClass::kUnrecorded;
+    if (r < 39) return EvalClass::kNotApplicable;
+    return EvalClass::kMatch;
+  };
+  std::size_t evaluated_misses = 0;
+  std::size_t long_lists = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    // Small ASN pools, so an ASN recurs across fast-rejected and evaluated
+    // rules; sometimes many evaluated rules, sometimes long rules.
+    const Asn asn_pool = pick(2) == 0 ? 6 : 40;
+    const std::size_t evaluated_share = pick(3) == 0 ? 2 : 6;
+    std::vector<PlannedRule> rules(1 + pick(40));
+    for (PlannedRule& rule : rules) {
+      if (pick(8) == 0) rule.covers[pick(2)] = false;
+      const std::size_t k = pick(evaluated_share + 4);
+      rule.kind = k < 4 ? Kind::kFastReject : k < 4 + evaluated_share - 1 ? Kind::kEvaluated
+                                                                          : Kind::kUnplanned;
+      if (rule.kind == Kind::kFastReject && pick(10) == 0) {
+        rule.no_factors = true;
+        continue;
+      }
+      if (rule.kind != Kind::kUnplanned) {
+        const std::size_t length = pick(6) == 0 ? pick(30) : pick(4);
+        for (std::size_t i = 0; i < length; ++i) {
+          const Asn asn = 1 + static_cast<Asn>(pick(asn_pool));
+          if (std::find(rule.asns.begin(), rule.asns.end(), asn) == rule.asns.end()) {
+            rule.asns.push_back(asn);
+          }
+        }
+        long_lists += rule.asns.size() > 16;
+      }
+      if (rule.kind == Kind::kFastReject) continue;
+      rule.outcome.cls = outcome_class();
+      const std::size_t items = pick(5);
+      for (std::size_t i = 0; i < items; ++i) {
+        const Reason reason = reasons[pick(reasons.size())];
+        // An evaluated rule's peer misses: often its own entries, as an
+        // evaluated simple rule's peerings that miss yield.
+        Asn asn = 1 + static_cast<Asn>(pick(asn_pool));
+        if (!rule.asns.empty() && pick(2) == 0) asn = rule.asns[pick(rule.asns.size())];
+        const bool named = reason != Reason::kMatchRemoteAsNum || pick(4) == 0;
+        rule.outcome.items.push_back({reason, asn, named ? ItemName("AS-N") : ItemName()});
+        evaluated_misses += !named;
+      }
+    }
+    for (std::size_t f = 0; f < 2; ++f) {
+      expect_planned_fold(rules, f, "trial " + std::to_string(trial) + " family " +
+                                        std::to_string(f));
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(evaluated_misses, 1000u);
+  EXPECT_GT(long_lists, 100u);
 }
 
 TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
@@ -954,6 +1106,46 @@ TEST(ReportItems, PushBackMatchesBulkAndEqualityIsElementwise) {
     }
     EXPECT_FALSE(ReportItems(a) == ReportItems(b));
     EXPECT_EQ(ReportItems(b), ReportItems(b));
+  }
+}
+
+TEST(ReportItems, RunConstructorAndVisitorMatchTheVectorConstructor) {
+  std::mt19937_64 rng(29);
+  const std::vector<std::optional<ReportItem>> tails = {
+      std::nullopt,
+      ReportItem{Reason::kSpecUphill, 0, {}},
+      ReportItem{Reason::kMatchRemoteAsNum, 77, {}},      // joins the run
+      ReportItem{Reason::kMatchRemoteAsNum, 77, "AS-X"},  // named: its own record
+  };
+  for (int n = 0; n < 2000; ++n) {
+    const std::size_t length = rng() % 4 == 0 ? rng() % 200 : rng() % 6;
+    std::vector<Asn> run;
+    for (std::size_t i = 0; i < length; ++i) run.push_back(static_cast<Asn>(rng() % 100000));
+    const std::optional<ReportItem>& tail = tails[rng() % tails.size()];
+    std::vector<ReportItem> want = peer_miss_items(run);
+    if (tail) want.push_back(*tail);
+    const ReportItems got(run, tail);
+    EXPECT_EQ(got, ReportItems(want));
+    expect_same_items(got, want);
+  }
+  // The visitor rebuilds every item, and its runs are maximal and non-empty.
+  for (int n = 0; n < 2000; ++n) {
+    const std::vector<ReportItem> want = random_items(rng);
+    std::vector<ReportItem> visited;
+    bool last_was_run = false;
+    ReportItems(want).visit(
+        [&](std::span<const Asn> asns) {
+          EXPECT_FALSE(asns.empty());
+          EXPECT_FALSE(last_was_run);
+          last_was_run = true;
+          for (Asn asn : asns) visited.push_back({Reason::kMatchRemoteAsNum, asn, {}});
+        },
+        [&](const ReportItem& item) {
+          EXPECT_FALSE(item.reason == Reason::kMatchRemoteAsNum && item.name.empty());
+          last_was_run = false;
+          visited.push_back(item);
+        });
+    EXPECT_EQ(visited, want);
   }
 }
 

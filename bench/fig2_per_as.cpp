@@ -53,7 +53,8 @@ int main() {
   std::size_t with_verified = 0;
   std::size_t with_special = 0;
   std::size_t with_unverified = 0;
-  for (const auto& [asn, counts] : agg.as_combined()) {
+  const report::PerAs combined = agg.as_combined();
+  for (const auto& [asn, counts] : combined) {
     if (counts.of(verify::Status::kSkip) > 0 ||
         counts.of(verify::Status::kUnrecorded) > 0) {
       continue;
@@ -74,7 +75,7 @@ int main() {
 
   std::printf("\nstacked per-AS composition (x: ASes ordered by correctness):\n");
   std::vector<report::StatusCounts> per_as;
-  for (const auto& [asn, counts] : agg.as_combined()) per_as.push_back(counts);
+  for (const auto& [asn, counts] : combined) per_as.push_back(counts);
   std::printf("%s", report::render_stacked(per_as).c_str());
   maybe_write_csv("fig2_per_as.csv", per_as);
   return 0;

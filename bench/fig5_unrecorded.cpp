@@ -13,8 +13,9 @@ int main() {
   report::Aggregator agg = world.verify_all();
   report::Fig2Summary fig2 = report::Fig2Summary::compute(agg);
 
+  const report::UnrecordedPerAs unrecorded = agg.unrecorded();
   std::array<std::size_t, report::kUnrecordedCategoryCount> ases_per_category{};
-  for (const auto& [asn, categories] : agg.unrecorded()) {
+  for (const auto& [asn, categories] : unrecorded) {
     for (std::size_t i = 0; i < categories.size(); ++i) {
       if (categories[i] > 0) ++ases_per_category[i];
     }
@@ -51,8 +52,8 @@ int main() {
   // ("the same color across the y-axis").
   std::size_t missing_all_unrecorded = 0;
   std::size_t missing_total = 0;
-  auto combined = agg.as_combined();
-  for (const auto& [asn, categories] : agg.unrecorded()) {
+  const report::PerAs combined = agg.as_combined();
+  for (const auto& [asn, categories] : unrecorded) {
     if (categories[size_t(report::UnrecordedCategory::kMissingAutNum)] == 0) continue;
     ++missing_total;
     report::Status which;

@@ -14,8 +14,9 @@ int main() {
   report::Aggregator agg = world.verify_all();
   report::Fig2Summary fig2 = report::Fig2Summary::compute(agg);
 
+  const report::SpecialPerAs special = agg.special_cases();
   std::array<std::size_t, report::kSpecialCategoryCount> ases_per_category{};
-  for (const auto& [asn, categories] : agg.special_cases()) {
+  for (const auto& [asn, categories] : special) {
     for (std::size_t i = 0; i < categories.size(); ++i) {
       if (categories[i] > 0) ++ases_per_category[i];
     }
@@ -25,7 +26,7 @@ int main() {
   };
 
   bench::print_row("ASes with any special case", "30.9% (25596)",
-                   bench::pct(agg.special_cases().size(), fig2.ases));
+                   bench::pct(special.size(), fig2.ases));
   bench::print_row("... export self", "1.2% (994)",
                    bench::pct(category(report::SpecialCategory::kExportSelf), fig2.ases));
   bench::print_row("... import customer", "0.4% (325)",

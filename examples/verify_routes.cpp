@@ -119,8 +119,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\n=== Special-case breakdown (Figure 6) ===\n";
+  const report::SpecialPerAs special = agg.special_cases();
   std::array<std::size_t, report::kSpecialCategoryCount> special_ases{};
-  for (const auto& [asn, categories] : agg.special_cases()) {
+  for (const auto& [asn, categories] : special) {
     for (std::size_t i = 0; i < categories.size(); ++i) {
       if (categories[i] > 0) ++special_ases[i];
     }
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     print_percent(report::to_string(static_cast<report::SpecialCategory>(i)), special_ases[i],
                   fig2.ases);
   }
-  print_percent("ASes with at least one special case", agg.special_cases().size(),
+  print_percent("ASes with at least one special case", special.size(),
                 fig2.ases);
   return 0;
 }

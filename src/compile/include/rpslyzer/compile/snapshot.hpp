@@ -108,35 +108,28 @@ struct CompiledRule {
   std::vector<ir::Asn> no_match_asns;  // report order (factor order, deduped)
 };
 
-/// One entry of a fold plan: an ASN of a covering simple rule's
-/// no_match_asns, with the position in the same plan of the previous entry
-/// that carries this ASN.
-struct PlanEntry {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-  ir::Asn asn = 0;
-  std::uint32_t prev = kNone;  // kNone: the ASN's first entry
-
-  friend bool operator==(const PlanEntry&, const PlanEntry&) = default;
-};
-
 /// The merged outcome of one direction's rules for one address family when
 /// no rule names the peer: every covering rule then fast-rejects, so the
 /// result of the per-rule loop is known at build time. Only sound when every
 /// covering rule is `simple`; otherwise the verifier always runs the loop.
 struct RejectAll {
+  static constexpr std::uint32_t kNoPrev = 0xffffffffu;  // a plan link: first entry
+
   bool simple = false;    // every rule covering the family is simple
   bool no_match = false;  // some such rule has factors: NoMatchPeering, else NotApplicable
   std::span<const ir::Asn> peers;  // sorted union of the covering rules' peers
   /// MatchRemoteAsNum order: rules in order, each rule's report order, first
   /// occurrence of an ASN kept (what the rule merge yields).
   std::span<const ir::Asn> no_match_asns;
-  /// For the loop that runs when some rule names the peer, set whether or
-  /// not `simple` holds: the no_match_asns of every covering simple rule, in
-  /// rule order, so a rule's entries start where the previous covering
-  /// simple rule's end. A fast-rejected rule's entry is already in the
-  /// merged list iff its prev chain reaches an entry of an earlier
-  /// fast-rejected rule (verify::internal::RuleMerge).
-  std::span<const PlanEntry> plan;
+  /// The fold plan, for the loop that runs when some rule names the peer,
+  /// set whether or not `simple` holds. Its entries are the no_match_asns of
+  /// every covering simple rule, in rule order, so a rule's entries start
+  /// where the previous covering simple rule's end; only the links are
+  /// stored (the ASNs are the rules' own lists). Each link is the position
+  /// of the previous entry with the same ASN, or kNoPrev. A fast-rejected
+  /// rule's entry is already in the merged list iff its chain reaches an
+  /// entry of an earlier fast-rejected rule (verify::internal::RuleMerge).
+  std::span<const std::uint32_t> plan;
 
   friend bool operator==(const RejectAll& a, const RejectAll& b) {
     return a.simple == b.simple && a.no_match == b.no_match &&
@@ -324,7 +317,7 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   /// build_aut_nums and the persistence codec's restore are the two users.
   class RejectAllBuilder {
    public:
-    RejectAllBuilder(std::vector<ir::Asn>& pool, std::vector<PlanEntry>& plans,
+    RejectAllBuilder(std::vector<ir::Asn>& pool, std::vector<std::uint32_t>& plans,
                      std::size_t aut_nums);
     /// Derive `can`'s entries from its CompiledRules.
     void derive(CompiledAutNum& can);
@@ -343,7 +336,7 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
     void derive(const std::vector<CompiledRule>& rules, RejectAll& v4, RejectAll& v6);
 
     std::vector<ir::Asn>& pool_;
-    std::vector<PlanEntry>& plans_;
+    std::vector<std::uint32_t>& plans_;
     std::vector<Placed> placed_;
     std::array<std::vector<ir::Asn>, 2> staged_;  // per family, rule order
     std::vector<ir::Asn> union_;                  // the staged ASNs, sorted unique
@@ -387,7 +380,7 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::vector<ir::Asn> cone_pool_;
   // RejectAll spans; unlike the pools above, filled on restore too.
   std::vector<ir::Asn> reject_pool_;
-  std::vector<PlanEntry> plan_pool_;
+  std::vector<std::uint32_t> plan_pool_;
   std::vector<LengthInterval> interval_pool_;
 };
 

@@ -631,7 +631,7 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
 }
 
 CompiledPolicySnapshot::RejectAllBuilder::RejectAllBuilder(std::vector<ir::Asn>& pool,
-                                                           std::vector<PlanEntry>& plans,
+                                                           std::vector<std::uint32_t>& plans,
                                                            std::size_t aut_nums)
     : pool_(pool), plans_(plans) {
   pool_.clear();
@@ -693,25 +693,25 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<Compiled
     pool_.insert(pool_.end(), union_.begin(), union_.begin() + static_cast<std::ptrdiff_t>(count));
     // Link each entry to the ASN's previous one. An ASN's first entry is
     // its place in the merged list, so the list is the unlinked entries.
-    // The links are all kNone between families.
-    if (last_.size() < union_.size()) last_.resize(union_.size(), PlanEntry::kNone);
+    // The links are all kNoPrev between families.
+    if (last_.size() < union_.size()) last_.resize(union_.size(), RejectAll::kNoPrev);
     const std::size_t plan = plans_.size();
     for (ir::Asn asn : list) {
       const auto at = static_cast<std::size_t>(
           std::lower_bound(union_.begin(), union_.end(), asn) - union_.begin());
       const std::uint32_t prev = last_[at];
       last_[at] = static_cast<std::uint32_t>(plans_.size() - plan);
-      plans_.push_back({asn, prev});
-      if (simple[f] && prev == PlanEntry::kNone) pool_.push_back(asn);
+      plans_.push_back(prev);
+      if (simple[f] && prev == RejectAll::kNoPrev) pool_.push_back(asn);
     }
-    std::fill_n(last_.begin(), union_.size(), PlanEntry::kNone);
+    std::fill_n(last_.begin(), union_.size(), RejectAll::kNoPrev);
     placed_.push_back({out[f], start, start + count, count, plan, list.size()});
   }
 }
 
 void CompiledPolicySnapshot::RejectAllBuilder::finish() {
   const std::span<const ir::Asn> pool(pool_);
-  const std::span<const PlanEntry> plans(plans_);
+  const std::span<const std::uint32_t> plans(plans_);
   for (const Placed& p : placed_) {
     p.entry->peers = pool.subspan(p.peers, p.size);
     p.entry->no_match_asns = pool.subspan(p.asns, p.size);

@@ -1,7 +1,6 @@
 #include "evaluate.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <memory>
 
@@ -57,12 +56,8 @@ struct ItemList::Buffers {
   bool indexed = false;               // slots cover items[0, hashed)
   std::size_t hashed = 0;
   // RuleMerge's plan fold: the plan ranges of evaluated rules, ascending,
-  // and whether an evaluated outcome put a peer miss into the list. A peer
-  // is named by few rules of one aut-num, so the ranges are kept inline;
-  // past kMaxRanges the fold looks every entry up in the list instead.
-  static constexpr std::size_t kMaxRanges = 8;
-  std::array<std::pair<std::uint32_t, std::uint32_t>, kMaxRanges> evaluated{};
-  std::size_t evaluated_count = 0;
+  // and whether an evaluated outcome put a peer miss into the list.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> evaluated;
   bool evaluated_misses = false;
 
   // This thread's buffers; frames[0, depth) are leased, innermost last.
@@ -134,16 +129,16 @@ struct ItemList::Buffers {
     hashed = items.size();
   }
 
-  // Whether an earlier fast-rejected rule pushed plan[at]'s ASN: the prev
-  // chain reaches an entry outside every evaluated range.
-  bool pushed_earlier(std::span<const compile::PlanEntry> plan, std::size_t at) const {
-    const auto ranges = std::span(evaluated).first(evaluated_count);
-    for (std::uint32_t p = plan[at].prev; p != compile::PlanEntry::kNone; p = plan[p].prev) {
-      const auto range = std::upper_bound(ranges.begin(), ranges.end(), p,
+  // Whether an earlier fast-rejected rule pushed the ASN of plan entry
+  // `at`: its chain of links reaches an entry outside every evaluated range.
+  bool pushed_earlier(std::span<const std::uint32_t> plan, std::size_t at) const {
+    constexpr std::uint32_t kNoPrev = compile::RejectAll::kNoPrev;
+    for (std::uint32_t p = plan[at]; p != kNoPrev; p = plan[p]) {
+      const auto range = std::upper_bound(evaluated.begin(), evaluated.end(), p,
                                           [](std::uint32_t pos, const auto& r) {
                                             return pos < r.second;
                                           });
-      if (range == ranges.end() || p < range->first) return true;
+      if (range == evaluated.end() || p < range->first) return true;
     }
     return false;
   }
@@ -154,7 +149,7 @@ ItemList::ItemList() {
   if (stack.depth == stack.frames.size()) stack.frames.push_back(std::make_unique<Buffers>());
   buf_ = stack.frames[stack.depth++].get();
   buf_->clear();
-  buf_->evaluated_count = 0;
+  buf_->evaluated.clear();
   buf_->evaluated_misses = false;
 }
 
@@ -204,8 +199,8 @@ void RuleMerge::add(EvalClass cls, std::span<const ReportItem> items) {
       buf.evaluated_misses || std::any_of(items.begin(), items.end(), is_peer_miss);
 }
 
-void RuleMerge::add_planned_misses(std::span<const compile::PlanEntry> plan, std::size_t begin,
-                                   std::size_t end) {
+void RuleMerge::add_planned_misses(std::span<const Asn> asns,
+                                   std::span<const std::uint32_t> plan, std::size_t begin) {
   // Match, Skip and Unrecorded drop a NoMatchPeering newcomer's items, and
   // no later rule can take their place.
   if (cls_ < EvalClass::kNoMatchFilter) return;
@@ -215,24 +210,21 @@ void RuleMerge::add_planned_misses(std::span<const compile::PlanEntry> plan, std
     cls_ = EvalClass::kNoMatchPeering;
     buf.clear();
   }
-  const bool tracked = buf.evaluated_count <= ItemList::Buffers::kMaxRanges;
-  for (std::size_t at = begin; at < end; ++at) {
-    const ReportItem item{Reason::kMatchRemoteAsNum, plan[at].asn, {}};
-    const bool present = tracked ? buf.pushed_earlier(plan, at) ||
-                                       (buf.evaluated_misses && buf.contains(item))
-                                 : buf.contains(item);
+  for (std::size_t i = 0; i < asns.size(); ++i) {
+    const ReportItem item{Reason::kMatchRemoteAsNum, asns[i], {}};
+    const bool present = buf.pushed_earlier(plan, begin + i) ||
+                         (buf.evaluated_misses && buf.contains(item));
     if (!present) buf.items.push_back(item);
   }
 }
 
 void RuleMerge::skip_planned(std::size_t begin, std::size_t end) {
-  ItemList::Buffers& buf = *list_.buf_;
   if (begin == end) return;
-  if (buf.evaluated_count < ItemList::Buffers::kMaxRanges) {
-    buf.evaluated[buf.evaluated_count] = {static_cast<std::uint32_t>(begin),
-                                          static_cast<std::uint32_t>(end)};
-  }
-  ++buf.evaluated_count;
+  auto& evaluated = list_.buf_->evaluated;
+  // One allocation per thread instead of a doubling series: few checks
+  // evaluate more than 16 simple rules.
+  if (evaluated.capacity() == 0) evaluated.reserve(16);
+  evaluated.emplace_back(static_cast<std::uint32_t>(begin), static_cast<std::uint32_t>(end));
 }
 
 namespace {

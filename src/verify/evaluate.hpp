@@ -131,16 +131,16 @@ class RuleMerge {
   void add(EvalClass cls, std::span<const ReportItem> items);
   void add(const RuleOutcome& outcome) { add(outcome.cls, outcome.items); }
 
-  /// A fast-rejected rule of the snapshot loop, whose distinct ASNs are
-  /// plan[begin, end) of its family's compile::RejectAll plan: the same
-  /// fold as add() of NoMatchPeering with MatchRemoteAsNum(a) for each. An
-  /// ASN an earlier fast-rejected rule pushed is found on the prev chain
-  /// without hashing; the list is searched only when an evaluated outcome
-  /// may have pushed it, or when too many evaluated ranges precede it to
-  /// track. Every covering simple rule's range goes, in rule order, either
-  /// here or to skip_planned().
-  void add_planned_misses(std::span<const compile::PlanEntry> plan, std::size_t begin,
-                          std::size_t end);
+  /// A fast-rejected rule of the snapshot loop, whose distinct ASNs `asns`
+  /// are the entries from `begin` on of its family's compile::RejectAll
+  /// plan: the same fold as add() of NoMatchPeering with
+  /// MatchRemoteAsNum(a) for each. An ASN an earlier fast-rejected rule
+  /// pushed is found on the plan's chain of links without hashing; the list
+  /// is searched only when an evaluated outcome may have pushed it. Every
+  /// covering simple rule's range goes, in rule order, either here or to
+  /// skip_planned().
+  void add_planned_misses(std::span<const Asn> asns, std::span<const std::uint32_t> plan,
+                          std::size_t begin);
   /// The range of a simple rule evaluated in full (its outcome goes to
   /// add()): prev chains walk past its entries.
   void skip_planned(std::size_t begin, std::size_t end);

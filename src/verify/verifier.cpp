@@ -207,7 +207,9 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
           // Fast reject: every peering is a plain ASN and none names the
           // peer, so no factor's filter is ever evaluated. Reproduces the
           // interpreted per-factor NoMatchPeering merge exactly.
-          if (!crule.no_factors) best.add_planned_misses(reject.plan, begin, planned);
+          if (!crule.no_factors) {
+            best.add_planned_misses(crule.no_match_asns, reject.plan, begin);
+          }
           continue;
         }
         best.skip_planned(begin, planned);

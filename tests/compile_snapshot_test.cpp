@@ -218,8 +218,8 @@ constexpr const char* kRejectRelations = "50|100|-1\n100|3|-1\n100|9|-1\n2|100|0
 
 std::vector<ir::Asn> asns(std::span<const ir::Asn> span) { return {span.begin(), span.end()}; }
 
-using Plan = std::vector<compile::PlanEntry>;
-Plan plan_of(std::span<const compile::PlanEntry> span) { return {span.begin(), span.end()}; }
+using Plan = std::vector<std::uint32_t>;
+Plan plan_of(std::span<const std::uint32_t> span) { return {span.begin(), span.end()}; }
 
 const compile::RejectAll& reject_entry(const compile::CompiledPolicySnapshot& snap, ir::Asn asn,
                                        bool is_import, bool v4) {
@@ -297,14 +297,14 @@ TEST(RejectAll, MergesCoveringRulesPerDirectionAndFamily) {
   EXPECT_EQ(asns(reject_entry(*snap, 100, false, false).no_match_asns),
             (std::vector<ir::Asn>{8}));
 
-  // The fold plans: every covering simple rule's ASNs in rule order, each
-  // linked to the position of the ASN's previous entry.
-  constexpr std::uint32_t kNone = compile::PlanEntry::kNone;
-  EXPECT_EQ(plan_of(in4.plan),
-            (Plan{{2, kNone}, {2, 0}, {3, kNone}, {6, kNone}, {7, kNone}, {2, 1}}));
-  EXPECT_EQ(plan_of(in6.plan), (Plan{{4, kNone}, {2, kNone}, {7, kNone}, {2, 1}}));
-  // Without the fast path the plan still lists the simple rules.
-  EXPECT_EQ(plan_of(reject_entry(*snap, 200, true, true).plan), (Plan{{9, kNone}}));
+  // The fold plans: every covering simple rule's ASNs in rule order
+  // (v4: 2 | 2 3 | 6 7 2; v6: 4 | 2 7 2), each linked to the position of the
+  // ASN's previous entry.
+  constexpr std::uint32_t kNone = compile::RejectAll::kNoPrev;
+  EXPECT_EQ(plan_of(in4.plan), (Plan{kNone, 0, kNone, kNone, kNone, 1}));
+  EXPECT_EQ(plan_of(in6.plan), (Plan{kNone, kNone, kNone, 1}));
+  // Without the fast path the plan still lists the simple rules (9).
+  EXPECT_EQ(plan_of(reject_entry(*snap, 200, true, true).plan), (Plan{kNone}));
 
   // A set or peering-set peering turns the fast path off for its family.
   EXPECT_FALSE(reject_entry(*snap, 200, true, true).simple);

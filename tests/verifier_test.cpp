@@ -785,16 +785,16 @@ struct PlannedRule {
   internal::RuleOutcome outcome;           // kEvaluated, kUnplanned
 };
 
-// The plan of one family as RejectAllBuilder derives it: every covering
-// simple rule's ASNs in rule order, each linked to the ASN's previous entry.
-std::vector<compile::PlanEntry> plan_of(const std::vector<PlannedRule>& rules, std::size_t f) {
-  std::vector<compile::PlanEntry> plan;
+// The plan of one family as RejectAllBuilder derives it: one link per ASN
+// of every covering simple rule, in rule order, to the ASN's previous entry.
+std::vector<std::uint32_t> plan_of(const std::vector<PlannedRule>& rules, std::size_t f) {
+  std::vector<std::uint32_t> plan;
   std::map<Asn, std::uint32_t> last;
   for (const PlannedRule& rule : rules) {
     if (!rule.covers[f] || rule.kind == PlannedRule::Kind::kUnplanned) continue;
     for (Asn asn : rule.asns) {
       const auto it = last.find(asn);
-      plan.push_back({asn, it == last.end() ? compile::PlanEntry::kNone : it->second});
+      plan.push_back(it == last.end() ? compile::RejectAll::kNoPrev : it->second);
       last[asn] = static_cast<std::uint32_t>(plan.size() - 1);
     }
   }
@@ -806,7 +806,7 @@ std::vector<compile::PlanEntry> plan_of(const std::vector<PlannedRule>& rules, s
 void expect_planned_fold(const std::vector<PlannedRule>& rules, std::size_t f,
                          const std::string& what) {
   using Kind = PlannedRule::Kind;
-  const std::vector<compile::PlanEntry> plan = plan_of(rules, f);
+  const std::vector<std::uint32_t> plan = plan_of(rules, f);
   internal::RuleMerge want;
   for (const PlannedRule& rule : rules) {
     if (!rule.covers[f]) continue;
@@ -826,7 +826,7 @@ void expect_planned_fold(const std::vector<PlannedRule>& rules, std::size_t f,
       const std::size_t begin = planned;
       planned += rule.asns.size();
       if (rule.kind == Kind::kFastReject) {
-        if (!rule.no_factors) got.add_planned_misses(plan, begin, planned);
+        if (!rule.no_factors) got.add_planned_misses(rule.asns, plan, begin);
         continue;
       }
       got.skip_planned(begin, planned);
@@ -866,6 +866,7 @@ TEST(RuleMerge, PlannedFoldMatchesThePerRuleFold) {
   };
   std::size_t evaluated_misses = 0;
   std::size_t long_lists = 0;
+  std::size_t many_evaluated = 0;  // trials with over 8 evaluated simple rules
   for (int trial = 0; trial < 4000; ++trial) {
     // Small ASN pools, so an ASN recurs across fast-rejected and evaluated
     // rules; sometimes many evaluated rules, sometimes long rules.
@@ -905,6 +906,9 @@ TEST(RuleMerge, PlannedFoldMatchesThePerRuleFold) {
         evaluated_misses += !named;
       }
     }
+    many_evaluated += std::count_if(rules.begin(), rules.end(), [](const PlannedRule& rule) {
+                        return rule.kind == Kind::kEvaluated;
+                      }) > 8;
     for (std::size_t f = 0; f < 2; ++f) {
       expect_planned_fold(rules, f, "trial " + std::to_string(trial) + " family " +
                                         std::to_string(f));
@@ -913,6 +917,7 @@ TEST(RuleMerge, PlannedFoldMatchesThePerRuleFold) {
   }
   EXPECT_GT(evaluated_misses, 1000u);
   EXPECT_GT(long_lists, 100u);
+  EXPECT_GT(many_evaluated, 100u);
 }
 
 TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {

@@ -344,13 +344,14 @@ int cmd_verify(int argc, char** argv) {
   for (std::size_t i = 0; i < routes.size(); ++i) {
     agg.add(routes[i], checks[i]);
   }
+  const report::PerAs combined = agg.as_combined();
   report::StatusCounts totals;
-  for (const auto& [asn, counts] : agg.as_combined()) totals.merge(counts);
+  for (const auto& [asn, counts] : combined) totals.merge(counts);
   std::printf("%zu routes, %zu checks from %zu dumps\n", agg.total_routes(),
               agg.total_checks(), dumps);
   std::printf("%s\n", report::render_composition(totals).c_str());
   std::vector<report::StatusCounts> per_as;
-  for (const auto& [asn, counts] : agg.as_combined()) per_as.push_back(counts);
+  for (const auto& [asn, counts] : combined) per_as.push_back(counts);
   std::fputs(report::render_stacked(per_as).c_str(), stdout);
   return 0;
 }

@@ -21,7 +21,7 @@ BUILD="${1:-$ROOT/build-sanitize}"
 "$ROOT/scripts/check_metrics_docs.sh"
 
 cmake -B "$BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE=ON >/dev/null
-cmake --build "$BUILD" -j --target \
+cmake --build "$BUILD" -j "$(nproc)" --target \
   server_test query_test irr_index_test fault_injection_test loader_files_test obs_test \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
   persist_test repl_test delta_test delta_fuzz_test arena_interner_test rand_test \
@@ -94,7 +94,7 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
    && "$tsan_probe/probe" 2>/dev/null; then
   echo "== ThreadSanitizer pass =="
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
-  cmake --build "$TSAN_BUILD" -j --target obs_test server_test parallel_loader_test \
+  cmake --build "$TSAN_BUILD" -j "$(nproc)" --target obs_test server_test parallel_loader_test \
     compile_snapshot_test parallel_verify_test verifier_test persist_test repl_test \
     delta_test delta_fuzz_test arena_interner_test
   "$TSAN_BUILD/tests/obs_test"

@@ -25,11 +25,12 @@ namespace rpslyzer {
 
 class Rpslyzer {
  public:
-  /// Parse in-memory dumps (IRR name -> text, merged in the given map's
-  /// iteration order, which must be priority order — or use the overload
-  /// with an explicit order) plus CAIDA serial-1 relationship text.
-  /// `options.threads` controls the sharded parallel parse (0 = hardware
-  /// concurrency, 1 = serial); the result is identical either way.
+  /// Parse in-memory dumps (IRR name -> text, merged in the given order,
+  /// which must be priority order) plus CAIDA serial-1 relationship text.
+  /// The dumps go through irr::load_irrs like files do, minus the file
+  /// read: an over-limit object or a parser exception quarantines that
+  /// source and the others still load. `options.threads` sizes the worker
+  /// pool (0 = hardware concurrency); the result is the same at any count.
   static Rpslyzer from_texts(const std::vector<std::pair<std::string, std::string>>& dumps,
                              const std::string& caida_serial1,
                              const irr::LoadOptions& options = {});
@@ -69,7 +70,7 @@ class Rpslyzer {
   json::Value export_ir() const { return ir::to_json(*ir_); }
 
  private:
-  Rpslyzer() = default;
+  explicit Rpslyzer(irr::LoadResult&& loaded);
 
   // Pointer members keep Index's reference into Ir stable across moves.
   std::unique_ptr<ir::Ir> ir_;

@@ -1,29 +1,23 @@
 #include "rpslyzer/rpslyzer.hpp"
 
 #include <fstream>
-#include <set>
 #include <sstream>
 
 #include "rpslyzer/obs/trace.hpp"
 
 namespace rpslyzer {
 
+Rpslyzer::Rpslyzer(irr::LoadResult&& loaded)
+    : ir_(std::make_unique<ir::Ir>(std::move(loaded.ir))),
+      diagnostics_(std::move(loaded.diagnostics)),
+      irr_counts_(std::move(loaded.counts)),
+      source_outcomes_(std::move(loaded.outcomes)),
+      raw_route_objects_(loaded.raw_route_objects) {}
+
 Rpslyzer Rpslyzer::from_texts(const std::vector<std::pair<std::string, std::string>>& dumps,
                               const std::string& caida_serial1,
                               const irr::LoadOptions& options) {
-  Rpslyzer lyzer;
-  lyzer.ir_ = std::make_unique<ir::Ir>();
-  irr::RouteKeySet seen_routes;
-  for (const auto& [name, text] : dumps) {
-    irr::IrrCounts counts;
-    counts.name = name;
-    ir::Ir parsed = irr::parse_dump_parallel(text, name, lyzer.diagnostics_, &counts,
-                                             options.threads, options.shard_target_bytes);
-    lyzer.raw_route_objects_ += parsed.routes.size();
-    irr::merge_into(*lyzer.ir_, std::move(parsed), &seen_routes);
-    lyzer.irr_counts_.push_back(std::move(counts));
-    lyzer.source_outcomes_.push_back({name, irr::SourceStatus::kOk, {}});
-  }
+  Rpslyzer lyzer(irr::load_irrs(dumps, options));
   {
     obs::Span span("relations.parse");
     lyzer.relations_ = relations::AsRelations::parse(caida_serial1, lyzer.diagnostics_);
@@ -35,13 +29,7 @@ Rpslyzer Rpslyzer::from_texts(const std::vector<std::pair<std::string, std::stri
 Rpslyzer Rpslyzer::from_files(const std::filesystem::path& irr_directory,
                               const std::filesystem::path& relationships,
                               const irr::LoadOptions& options) {
-  Rpslyzer lyzer;
-  irr::LoadResult loaded = irr::load_irrs(irr::table1_sources(irr_directory), options);
-  lyzer.ir_ = std::make_unique<ir::Ir>(std::move(loaded.ir));
-  lyzer.diagnostics_ = std::move(loaded.diagnostics);
-  lyzer.irr_counts_ = std::move(loaded.counts);
-  lyzer.source_outcomes_ = std::move(loaded.outcomes);
-  lyzer.raw_route_objects_ = loaded.raw_route_objects;
+  Rpslyzer lyzer(irr::load_irrs(irr::table1_sources(irr_directory), options));
 
   std::ifstream in(relationships, std::ios::binary);
   if (in) {

@@ -69,11 +69,11 @@ struct LoadOptions {
   /// 0 disables the guard.
   std::size_t max_object_bytes = 8u << 20;
 
-  /// Worker threads for the parallel ingestion pipeline: sources are read
-  /// concurrently and each dump is lexed/parsed as blank-line-separated
-  /// shards across the pool, then merged deterministically so the result is
-  /// byte-identical to the serial path. 0 = hardware_concurrency; 1 forces
-  /// the reference serial path.
+  /// Worker threads of the ingestion pipeline: with more than one, sources
+  /// are read concurrently and each dump is lexed/parsed as
+  /// blank-line-separated shards across the pool. The count only sizes the
+  /// pool; the pipeline, and its result, are the same at every count.
+  /// 0 = hardware_concurrency.
   unsigned threads = 0;
 
   /// Target shard size for within-dump parse parallelism. Shards are cut
@@ -97,23 +97,19 @@ struct LoadResult {
 /// load_irrs maintains incrementally and merge_into can share.
 using RouteKeySet = std::set<std::pair<net::Prefix, ir::Asn>>;
 
-/// Parse one dump text into a fresh Ir. `counts` may be null.
-ir::Ir parse_dump(std::string_view text, std::string_view source,
-                  util::Diagnostics& diagnostics, IrrCounts* counts = nullptr);
-
 /// Parse one dump by cutting it into blank-line-separated shards and
-/// lexing/parsing them on `threads` workers (0 = hardware_concurrency;
-/// <= 1 delegates to parse_dump). Shard fragments are merged in shard
-/// order — maps first-wins, routes concatenated undeduplicated — so the
-/// returned Ir, `diagnostics` (including line numbers), and `counts` are
-/// identical to parse_dump's regardless of thread count. The "irr.parse"
-/// failpoint is evaluated exactly once, on the calling thread, before
-/// sharding; a shard worker exception is rethrown after the completed
-/// shard prefix's diagnostics are merged, mirroring the serial path's
-/// fail-mid-dump behavior.
-ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
-                           util::Diagnostics& diagnostics, IrrCounts* counts,
-                           unsigned threads, std::size_t shard_target_bytes = 1u << 20);
+/// lexing/parsing them on `threads` workers (0 = hardware_concurrency; one
+/// worker takes the dump as a single shard). Shard fragments are merged in
+/// shard order — maps first-wins, routes concatenated undeduplicated — so
+/// the returned Ir, `diagnostics` (including line numbers; all lexer
+/// diagnostics before any parser diagnostic), and `counts` do not depend
+/// on the thread count or shard size. `counts` may be null. The
+/// "irr.parse" failpoint is evaluated exactly once, on the calling thread,
+/// before sharding; a shard worker exception is rethrown after the
+/// completed shard prefix's diagnostics are merged.
+ir::Ir parse_dump(std::string_view text, std::string_view source,
+                  util::Diagnostics& diagnostics, IrrCounts* counts = nullptr,
+                  unsigned threads = 1, std::size_t shard_target_bytes = 1u << 20);
 
 /// Merge `src` into `dst` with first-wins priority (dst's existing objects
 /// are kept). Route objects are deduplicated by (prefix, origin). When
@@ -126,18 +122,26 @@ void merge_into(ir::Ir& dst, ir::Ir&& src, RouteKeySet* seen = nullptr);
 /// exceptions are quarantined (error, nothing merged). Either way the
 /// remaining sources still load.
 ///
-/// With options.threads > 1 (the default resolves to hardware_concurrency)
-/// sources are read on a bounded pool and each dump parses as parallel
-/// shards, but outcomes, diagnostics, counts, and the merged corpus are
-/// byte-identical to the threads == 1 serial reference: per-source results
-/// merge on the coordinating thread in priority order, and within a source
-/// shard fragments merge in shard order. A fault in one shard quarantines
-/// only that source. The "irr.parse" and "irr.merge" failpoints still fire
-/// once per source, in priority order, on the coordinating thread;
-/// "irr.open"/"irr.read" fire per source on pool workers, so their N*
-/// budgets land on a nondeterministic *subset* of sources under parallel
-/// loading (unbounded actions behave identically either way).
+/// Every thread count runs one pipeline. Each source is read and checked
+/// against the integrity guards, then parsed (parse_dump, on the pool) and
+/// merged on the coordinating thread in priority order, so outcomes,
+/// diagnostics, counts, and the merged corpus do not depend on
+/// options.threads. With one worker each source is read just before it is
+/// parsed, so at most one dump's text is resident; with more, sources are
+/// read ahead on the pool. A fault in one shard quarantines only that
+/// source. The "irr.parse" and "irr.merge" failpoints fire once per source,
+/// in priority order, on the coordinating thread; "irr.open"/"irr.read"
+/// fire per source on pool workers when reading ahead, so their N* budgets
+/// land on a nondeterministic *subset* of sources there (unbounded actions
+/// behave identically at every thread count).
 LoadResult load_irrs(const std::vector<IrrSource>& sources,
+                     const LoadOptions& options = {});
+
+/// The same pipeline over dumps already in memory (IRR name -> text, in
+/// priority order): only the file read is skipped, so the "irr.open" and
+/// "irr.read" failpoints never fire, while the object-size guard, parser
+/// quarantine and priority merge behave as for files.
+LoadResult load_irrs(const std::vector<std::pair<std::string, std::string>>& dumps,
                      const LoadOptions& options = {});
 
 /// The paper's 13 IRRs in priority order (Table 1): names only; callers

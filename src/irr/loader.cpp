@@ -79,18 +79,27 @@ unsigned resolve_threads(unsigned threads) {
   return threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
 }
 
-/// The lex+parse core shared by the serial and sharded paths: no failpoint,
-/// no span, no counts->bytes — callers own those so each fires exactly once
-/// per dump regardless of shard count. Lexer and parser diagnostics go to
-/// *separate* sinks because the serial path reports all lexer diagnostics
-/// before any parser diagnostic (lex_objects finishes before the parse
-/// loop starts); the shard merge preserves that phase order by merging
-/// every shard's lex sink before any shard's parse sink. Serial callers
-/// pass the same sink twice.
+/// Run `work` on `workers` threads, the calling thread being one of them.
+/// `work` pulls its items off a shared cursor and keeps each item's failure
+/// in that item's result slot; the jthreads join even if the calling
+/// thread's share throws.
+template <typename Work>
+void run_on_pool(std::size_t workers, const Work& work) {
+  std::vector<std::jthread> pool;
+  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(work);
+  work();
+}
+
+/// The lex+parse core of one shard: no failpoint, no span, no
+/// counts->bytes — parse_dump owns those so each fires exactly once per
+/// dump regardless of shard count. Lexer and parser diagnostics go to
+/// *separate* sinks so that the shard merge can report every lexer
+/// diagnostic of the dump before any parser diagnostic, the order of
+/// lexing the dump whole and then parsing its objects.
 void parse_text_into(std::string_view text, std::string_view source,
                      std::size_t line_offset, ir::Ir& ir,
                      util::Diagnostics& lex_diagnostics,
-                     util::Diagnostics& diagnostics, IrrCounts* counts) {
+                     util::Diagnostics& diagnostics, IrrCounts& counts) {
   // Zero-copy hot path: raw attribute names/values are slices of `text`
   // (plus arena spill for joins), valid exactly as long as this frame —
   // parse_object materializes everything it keeps into interned symbols
@@ -98,36 +107,34 @@ void parse_text_into(std::string_view text, std::string_view source,
   util::Arena arena;
   auto raw_objects = rpsl::lex_objects_view(text, source, lex_diagnostics, arena,
                                             line_offset);
-  if (counts != nullptr) counts->objects += raw_objects.size();
+  counts.objects += raw_objects.size();
   for (const auto& raw : raw_objects) {
     rpsl::ParsedObject parsed = rpsl::parse_object(raw, diagnostics);
     std::visit(util::overloaded{
                    [](std::monostate) {},
                    [&](ir::AutNum& an) {
-                     if (counts != nullptr) {
-                       ++counts->aut_nums;
-                       count_rules(an, *counts);
-                     }
+                     ++counts.aut_nums;
+                     count_rules(an, counts);
                      ir.aut_nums.emplace(an.asn, std::move(an));
                    },
                    [&](ir::AsSet& s) {
-                     if (counts != nullptr) ++counts->as_sets;
+                     ++counts.as_sets;
                      ir.as_sets.emplace(ir::to_string(s.name), std::move(s));
                    },
                    [&](ir::RouteSet& s) {
-                     if (counts != nullptr) ++counts->route_sets;
+                     ++counts.route_sets;
                      ir.route_sets.emplace(ir::to_string(s.name), std::move(s));
                    },
                    [&](ir::PeeringSet& s) {
-                     if (counts != nullptr) ++counts->peering_sets;
+                     ++counts.peering_sets;
                      ir.peering_sets.emplace(ir::to_string(s.name), std::move(s));
                    },
                    [&](ir::FilterSet& s) {
-                     if (counts != nullptr) ++counts->filter_sets;
+                     ++counts.filter_sets;
                      ir.filter_sets.emplace(ir::to_string(s.name), std::move(s));
                    },
                    [&](ir::RouteObject& r) {
-                     if (counts != nullptr) ++counts->routes;
+                     ++counts.routes;
                      ir.routes.push_back(std::move(r));
                    },
                },
@@ -136,10 +143,10 @@ void parse_text_into(std::string_view text, std::string_view source,
 }
 
 /// Merge a shard fragment into the per-dump accumulator. Unlike merge_into
-/// this must NOT deduplicate routes: the serial parse_dump keeps every
-/// route object it sees (dedup happens later, across sources, in
-/// merge_into), so shard fragments concatenate routes in shard order and
-/// only the keyed maps resolve first-wins (dst = earlier shards).
+/// this must NOT deduplicate routes: a parsed dump keeps every route object
+/// it holds (dedup happens later, across sources, in merge_into), so shard
+/// fragments concatenate routes in shard order and only the keyed maps
+/// resolve first-wins (dst = earlier shards).
 void append_fragment(ir::Ir& dst, ir::Ir&& src) {
   dst.aut_nums.merge(src.aut_nums);
   dst.as_sets.merge(src.as_sets);
@@ -152,7 +159,7 @@ void append_fragment(ir::Ir& dst, ir::Ir&& src) {
 }
 
 /// Sum a shard's census into the per-dump census (bytes excluded: it is
-/// set once from the whole dump, matching serial parse_dump).
+/// set once from the whole dump).
 void accumulate_counts(IrrCounts& total, const IrrCounts& shard) {
   total.objects += shard.objects;
   total.aut_nums += shard.aut_nums;
@@ -195,36 +202,25 @@ const SourceOutcome* LoadResult::outcome(std::string_view name) const noexcept {
 }
 
 ir::Ir parse_dump(std::string_view text, std::string_view source,
-                  util::Diagnostics& diagnostics, IrrCounts* counts) {
+                  util::Diagnostics& diagnostics, IrrCounts* counts, unsigned threads,
+                  std::size_t shard_target_bytes) {
+  threads = resolve_threads(threads);
   obs::Span span("irr.parse", source);
+  // Evaluated exactly once for the whole dump, on the calling thread, so
+  // failpoint budgets and truncation do not depend on the shard count.
   if (const fp::Hit hit = fp::hit("irr.parse")) {
     if (hit.is_error()) throw std::runtime_error("irr.parse: " + hit.message);
     // Silent truncation at the parse layer: the lexer sees a shorter dump
     // and must still produce a clean (if smaller) object stream.
     if (hit.is_truncate()) text = text.substr(0, std::min(text.size(), hit.truncate_at));
   }
-  ir::Ir ir;
-  if (counts != nullptr) counts->bytes = text.size();
-  parse_text_into(text, source, 0, ir, diagnostics, diagnostics, counts);
-  return ir;
-}
-
-ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
-                           util::Diagnostics& diagnostics, IrrCounts* counts,
-                           unsigned threads, std::size_t shard_target_bytes) {
-  threads = resolve_threads(threads);
-  if (threads <= 1) return parse_dump(text, source, diagnostics, counts);
-
-  obs::Span span("irr.parse", source);
-  // Same prologue as parse_dump, evaluated exactly once for the whole dump
-  // so failpoint budgets and truncation semantics match the serial path.
-  if (const fp::Hit hit = fp::hit("irr.parse")) {
-    if (hit.is_error()) throw std::runtime_error("irr.parse: " + hit.message);
-    if (hit.is_truncate()) text = text.substr(0, std::min(text.size(), hit.truncate_at));
-  }
   if (counts != nullptr) counts->bytes = text.size();
 
-  const std::vector<rpsl::Shard> shards = rpsl::shard_objects(text, shard_target_bytes);
+  // One worker takes the dump as one shard: cutting it would buy no
+  // parallelism and cost a line scan plus fragment merges.
+  const std::vector<rpsl::Shard> shards =
+      threads == 1 ? std::vector<rpsl::Shard>{{text, 0}}
+                   : rpsl::shard_objects(text, shard_target_bytes);
   auto& registry = obs::MetricsRegistry::global();
   registry
       .counter("rpslyzer_loader_shards_total",
@@ -244,7 +240,7 @@ ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
   std::vector<ShardSlot> slots(shards.size());
 
   std::atomic<std::size_t> next{0};
-  auto worker = [&] {
+  run_on_pool(std::min<std::size_t>(threads, shards.size()), [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1);
       if (i >= shards.size()) break;
@@ -253,7 +249,7 @@ ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
       try {
         obs::Span shard_span("irr.shard", source);
         parse_text_into(shards[i].text, source, shards[i].line_offset, slot.ir,
-                        slot.lex_diagnostics, slot.parse_diagnostics, &slot.counts);
+                        slot.lex_diagnostics, slot.parse_diagnostics, slot.counts);
       } catch (...) {
         slot.error = std::current_exception();
       }
@@ -262,30 +258,24 @@ ir::Ir parse_dump_parallel(std::string_view text, std::string_view source,
       throughput.observe(static_cast<double>(shards[i].text.size()) /
                          std::max(seconds, 1e-9));
     }
-  };
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, shards.size()));
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (auto& thread : pool) thread.join();
-  }
+  });
 
   // Deterministic merge in shard (= text) order, lexer phase before parser
-  // phase — exactly the serial ordering, where lex_objects finishes over
-  // the whole dump before the parse loop starts. On a worker exception the
-  // completed prefix's parser diagnostics are still delivered — like the
-  // serial path failing mid-dump — before the exception resumes here.
+  // phase. On a worker exception the completed prefix's parser diagnostics
+  // are still delivered before the exception resumes here, as if the parse
+  // of the whole dump had failed at that shard.
   ir::Ir ir;
   for (ShardSlot& slot : slots) diagnostics.merge(std::move(slot.lex_diagnostics));
-  for (ShardSlot& slot : slots) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    ShardSlot& slot = slots[i];
     diagnostics.merge(std::move(slot.parse_diagnostics));
     if (slot.error) std::rethrow_exception(slot.error);
     if (counts != nullptr) accumulate_counts(*counts, slot.counts);
-    append_fragment(ir, std::move(slot.ir));
+    if (i == 0) {
+      ir = std::move(slot.ir);
+    } else {
+      append_fragment(ir, std::move(slot.ir));
+    }
   }
   return ir;
 }
@@ -317,215 +307,94 @@ void merge_into(ir::Ir& dst, ir::Ir&& src, RouteKeySet* seen) {
 
 namespace {
 
-/// The serial reference pipeline (options.threads == 1): one source at a
-/// time, slurp → lex → parse → merge. The parallel pipeline is proven
-/// byte-identical to this by tests/parallel_loader_test.cpp, so this body
-/// stays deliberately independent of the sharded path.
-LoadResult load_irrs_serial(const std::vector<IrrSource>& sources,
-                            const LoadOptions& options) {
-  obs::Span load_span("irr.load");
-  auto& registry = obs::MetricsRegistry::global();
-  obs::Counter& bytes_read = registry.counter(
-      "rpslyzer_loader_bytes_read_total", "Bytes read from IRR dump files");
-  obs::Counter& objects_parsed = registry.counter(
-      "rpslyzer_loader_objects_parsed_total", "RPSL objects parsed from IRR dumps");
-  obs::Histogram& source_seconds = registry.histogram(
-      "rpslyzer_loader_source_seconds", "Wall time loading one IRR source",
-      obs::exponential_bounds(0.001, 4.0, 10));
+/// One source as the loader sees it: a dump file to read, or a dump
+/// already in memory, which skips the read step.
+struct SourceInput {
+  std::string_view name;
+  const std::filesystem::path* path = nullptr;  // null: `text` is the dump
+  std::string_view text;
+};
 
-  LoadResult result;
-  RouteKeySet seen_routes;
-  for (const auto& source : sources) {
-    obs::Span source_span("irr.source", source.name);
-    const auto source_start = std::chrono::steady_clock::now();
-    IrrCounts counts;
-    counts.name = source.name;
-    SourceOutcome outcome;
-    outcome.name = source.name;
-
-    const auto degrade = [&](std::string detail) {
-      outcome.status = SourceStatus::kDegraded;
-      result.diagnostics.warning(util::DiagnosticKind::kOther, detail, source.name,
-                                 {source.name, 0});
-      obs::log_warn("loader", "source degraded",
-                    {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-    // Quarantine: the dump exists but cannot be trusted; merging a prefix
-    // of it would silently shrink the corpus, so none of it is merged and
-    // the failure is recorded as a hard error (unlike a missing dump).
-    const auto quarantine = [&](std::string detail) {
-      outcome.status = SourceStatus::kQuarantined;
-      result.diagnostics.error(util::DiagnosticKind::kOther,
-                               "IRR dump quarantined: " + detail, source.name,
-                               {source.name, 0});
-      obs::log_error("loader", "source quarantined",
-                     {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-
-    const auto finish = [&] {
-      registry
-          .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
-                   {{"source", source.name}, {"status", to_string(outcome.status)}})
-          .inc();
-      source_seconds.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - source_start)
-              .count());
-      result.counts.push_back(std::move(counts));
-      result.outcomes.push_back(std::move(outcome));
-    };
-
-    std::ifstream in;
-    {
-      obs::Span open_span("irr.open", source.name);
-      if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
-        degrade("IRR dump unavailable: injected open fault: " + hit.message);
-        finish();
-        continue;
-      }
-      std::error_code ec;
-      const bool exists = std::filesystem::exists(source.path, ec);
-      if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
-        quarantine("not a regular file: " + source.path.string());
-        finish();
-        continue;
-      }
-      in.open(source.path, std::ios::binary);
-      if (!in) {
-        degrade("IRR dump unavailable: " + source.path.string());
-        finish();
-        continue;
-      }
-    }
-    std::string text;
-    std::string read_error;
-    bool read_ok;
-    {
-      obs::Span read_span("irr.read", source.name);
-      read_ok = slurp(in, &text, &read_error);
-    }
-    bytes_read.inc(text.size());
-    if (!read_ok) {
-      quarantine("read failed mid-dump (" + read_error + "): " + source.path.string());
-      finish();
-      continue;
-    }
-    if (options.max_object_bytes > 0) {
-      const std::size_t largest = largest_object_bytes(text);
-      if (largest > options.max_object_bytes) {
-        quarantine("pathological object of " + std::to_string(largest) +
-                   " bytes (limit " + std::to_string(options.max_object_bytes) +
-                   "): " + source.path.string());
-        finish();
-        continue;
-      }
-    }
-    try {
-      ir::Ir parsed = parse_dump(text, source.name, result.diagnostics, &counts);
-      const std::size_t raw_routes = parsed.routes.size();
-      {
-        obs::Span merge_span("irr.merge", source.name);
-        merge_into(result.ir, std::move(parsed), &seen_routes);
-      }
-      result.raw_route_objects += raw_routes;
-      objects_parsed.inc(counts.objects);
-    } catch (const std::exception& e) {
-      quarantine(std::string("exception mid-load: ") + e.what());
-      counts = IrrCounts{};  // partial counts would misstate the census
-      counts.name = source.name;
-    }
-    finish();
-  }
-  obs::log_info("loader", "load complete",
-                {{"sources", sources.size()},
-                 {"degraded", result.count_with(SourceStatus::kDegraded)},
-                 {"quarantined", result.count_with(SourceStatus::kQuarantined)},
-                 {"routes", result.ir.routes.size()},
-                 {"aut_nums", result.ir.aut_nums.size()}});
-  return result;
-}
-
-/// What phase A (concurrent per-source I/O) hands to phase B: either the
-/// complete, guard-checked dump bytes or a pre-parse verdict. Diagnostics,
-/// logs, and metrics for the verdict are deliberately NOT emitted here —
-/// phase B materializes them on the coordinating thread in priority order
-/// so their order matches the serial reference exactly.
-struct PreloadedSource {
-  std::string text;
-  bool ready = false;  // text is complete and passed the integrity guards
-  SourceStatus status = SourceStatus::kOk;
-  std::string detail;  // degrade/quarantine reason when !ready
+/// What the read step hands to the merge loop: the dump bytes, read and
+/// guard-checked, or the verdict that keeps the source out of the merge.
+/// Diagnostics, logs and metrics for a verdict are NOT emitted here: the
+/// merge loop emits them in priority order, so their order does not depend
+/// on which worker read which source.
+struct ReadSource {
+  std::string bytes;  // the file's contents; empty for an in-memory dump
+  SourceStatus status = SourceStatus::kOk;  // kOk: ready to parse
+  std::string detail;  // degrade/quarantine reason otherwise
   double read_seconds = 0;
 };
 
-PreloadedSource preload_source(const IrrSource& source, const LoadOptions& options,
-                               obs::Counter& bytes_read) {
-  PreloadedSource pre;
+ReadSource read_source(const SourceInput& input, const LoadOptions& options,
+                       obs::Counter& bytes_read) {
+  obs::Span source_span("irr.source", input.name);
+  ReadSource pre;
   const auto start = std::chrono::steady_clock::now();
   const auto done = [&](SourceStatus status, std::string detail) {
     pre.status = status;
     pre.detail = std::move(detail);
     pre.read_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    return std::move(pre);
   };
 
-  std::ifstream in;
-  {
-    obs::Span open_span("irr.open", source.name);
-    if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
-      done(SourceStatus::kDegraded,
-           "IRR dump unavailable: injected open fault: " + hit.message);
-      return pre;
+  // How a verdict names the dump: its file, or the source for a dump in
+  // memory.
+  const std::string where =
+      input.path != nullptr ? input.path->string() : std::string(input.name);
+  std::string_view text = input.text;
+  if (input.path != nullptr) {
+    const std::filesystem::path& path = *input.path;
+    std::ifstream in;
+    {
+      obs::Span open_span("irr.open", input.name);
+      if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
+        return done(SourceStatus::kDegraded,
+                    "IRR dump unavailable: injected open fault: " + hit.message);
+      }
+      std::error_code ec;
+      const bool exists = std::filesystem::exists(path, ec);
+      if (exists && !std::filesystem::is_regular_file(path, ec)) {
+        return done(SourceStatus::kQuarantined, "not a regular file: " + where);
+      }
+      in.open(path, std::ios::binary);
+      if (!in) return done(SourceStatus::kDegraded, "IRR dump unavailable: " + where);
     }
-    std::error_code ec;
-    const bool exists = std::filesystem::exists(source.path, ec);
-    if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
-      done(SourceStatus::kQuarantined, "not a regular file: " + source.path.string());
-      return pre;
+    std::string read_error;
+    bool read_ok;
+    {
+      obs::Span read_span("irr.read", input.name);
+      read_ok = slurp(in, &pre.bytes, &read_error);
     }
-    in.open(source.path, std::ios::binary);
-    if (!in) {
-      done(SourceStatus::kDegraded, "IRR dump unavailable: " + source.path.string());
-      return pre;
+    bytes_read.inc(pre.bytes.size());
+    if (!read_ok) {
+      return done(SourceStatus::kQuarantined,
+                  "read failed mid-dump (" + read_error + "): " + where);
     }
-  }
-  std::string read_error;
-  bool read_ok;
-  {
-    obs::Span read_span("irr.read", source.name);
-    read_ok = slurp(in, &pre.text, &read_error);
-  }
-  bytes_read.inc(pre.text.size());
-  if (!read_ok) {
-    done(SourceStatus::kQuarantined,
-         "read failed mid-dump (" + read_error + "): " + source.path.string());
-    return pre;
+    text = pre.bytes;
   }
   if (options.max_object_bytes > 0) {
-    const std::size_t largest = largest_object_bytes(pre.text);
+    const std::size_t largest = largest_object_bytes(text);
     if (largest > options.max_object_bytes) {
-      done(SourceStatus::kQuarantined,
-           "pathological object of " + std::to_string(largest) + " bytes (limit " +
-               std::to_string(options.max_object_bytes) + "): " + source.path.string());
-      return pre;
+      return done(SourceStatus::kQuarantined,
+                  "pathological object of " + std::to_string(largest) + " bytes (limit " +
+                      std::to_string(options.max_object_bytes) + "): " + where);
     }
   }
-  pre.ready = true;
-  pre.read_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return pre;
+  return done(SourceStatus::kOk, {});
 }
 
-/// The parallel pipeline: phase A reads + integrity-checks every source on
-/// a bounded pool, phase B walks sources in priority order on this thread,
-/// parsing each ready dump as parallel shards (parse_dump_parallel) and
+/// The ingestion pipeline, for every thread count and every source kind:
+/// read (and guard) each source, then walk the sources in priority order
+/// on this thread, parsing each ready dump as shards on the pool and
 /// merging through the shared RouteKeySet. All ordering-sensitive effects
 /// (diagnostics, outcomes, counts, merge, "irr.parse"/"irr.merge"
-/// failpoints) happen in phase B, in priority order — which is why the
-/// result is byte-identical to load_irrs_serial.
-LoadResult load_irrs_parallel(const std::vector<IrrSource>& sources,
-                              const LoadOptions& options, unsigned threads) {
+/// failpoints) happen in the priority-order loop, which is why the result
+/// does not depend on the thread count.
+LoadResult load(const std::vector<SourceInput>& inputs, const LoadOptions& options) {
+  const unsigned threads = resolve_threads(options.threads);
   obs::Span load_span("irr.load");
   auto& registry = obs::MetricsRegistry::global();
   obs::Counter& bytes_read = registry.counter(
@@ -536,104 +405,91 @@ LoadResult load_irrs_parallel(const std::vector<IrrSource>& sources,
       "rpslyzer_loader_source_seconds", "Wall time loading one IRR source",
       obs::exponential_bounds(0.001, 4.0, 10));
 
-  // Phase A: concurrent reads. Workers pull source indices off an atomic
-  // cursor; each source's open/read/guard work stays on one worker, so the
-  // per-source failpoint ordering (irr.open before irr.read) holds.
-  std::vector<PreloadedSource> preloaded(sources.size());
-  {
+  // Read-ahead: with a pool, every source is read and guard-checked up
+  // front, each on one worker (so irr.open fires before irr.read per
+  // source). One worker reads each source just before parsing it instead,
+  // so at most one dump's text is resident.
+  std::vector<ReadSource> read_ahead;
+  if (threads > 1) {
     obs::Span read_span("irr.read_all");
+    read_ahead.resize(inputs.size());
     std::atomic<std::size_t> next{0};
-    auto reader = [&] {
+    run_on_pool(std::min<std::size_t>(threads, inputs.size()), [&] {
       while (true) {
         const std::size_t i = next.fetch_add(1);
-        if (i >= sources.size()) break;
-        obs::Span source_span("irr.source", sources[i].name);
-        preloaded[i] = preload_source(sources[i], options, bytes_read);
+        if (i >= inputs.size()) break;
+        read_ahead[i] = read_source(inputs[i], options, bytes_read);
       }
-    };
-    const unsigned readers =
-        static_cast<unsigned>(std::min<std::size_t>(threads, sources.size()));
-    if (readers <= 1) {
-      reader();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(readers);
-      for (unsigned t = 0; t < readers; ++t) pool.emplace_back(reader);
-      for (auto& thread : pool) thread.join();
-    }
+    });
   }
 
-  // Phase B: priority-order parse + merge on this thread. Shard-level
-  // parallelism inside parse_dump_parallel keeps the pool busy while the
-  // ordering-sensitive merge stays sequential.
   LoadResult result;
   RouteKeySet seen_routes;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    const IrrSource& source = sources[i];
-    PreloadedSource& pre = preloaded[i];
-    const auto phase_b_start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const SourceInput& input = inputs[i];
+    const std::string name(input.name);
+    ReadSource pre = threads > 1 ? std::move(read_ahead[i])
+                                 : read_source(input, options, bytes_read);
+    const auto merge_start = std::chrono::steady_clock::now();
     IrrCounts counts;
-    counts.name = source.name;
+    counts.name = name;
     SourceOutcome outcome;
-    outcome.name = source.name;
+    outcome.name = name;
 
-    const auto degrade = [&](std::string detail) {
-      outcome.status = SourceStatus::kDegraded;
-      result.diagnostics.warning(util::DiagnosticKind::kOther, detail, source.name,
-                                 {source.name, 0});
-      obs::log_warn("loader", "source degraded",
-                    {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-    const auto quarantine = [&](std::string detail) {
-      outcome.status = SourceStatus::kQuarantined;
-      result.diagnostics.error(util::DiagnosticKind::kOther,
-                               "IRR dump quarantined: " + detail, source.name,
-                               {source.name, 0});
-      obs::log_error("loader", "source quarantined",
-                     {{"source", source.name}, {"reason", detail}});
-      outcome.detail = std::move(detail);
-    };
-
-    if (!pre.ready) {
-      if (pre.status == SourceStatus::kDegraded) {
-        degrade(std::move(pre.detail));
+    // Degraded: the dump is unavailable and skipped with a warning.
+    // Quarantined: the dump exists but cannot be trusted; merging a prefix
+    // of it would silently shrink the corpus, so none of it is merged and
+    // the failure is recorded as a hard error.
+    const auto reject = [&](SourceStatus status, std::string detail) {
+      outcome.status = status;
+      if (status == SourceStatus::kDegraded) {
+        result.diagnostics.warning(util::DiagnosticKind::kOther, detail, name, {name, 0});
+        obs::log_warn("loader", "source degraded", {{"source", name}, {"reason", detail}});
       } else {
-        quarantine(std::move(pre.detail));
+        result.diagnostics.error(util::DiagnosticKind::kOther,
+                                 "IRR dump quarantined: " + detail, name, {name, 0});
+        obs::log_error("loader", "source quarantined",
+                       {{"source", name}, {"reason", detail}});
       }
+      outcome.detail = std::move(detail);
+    };
+
+    if (pre.status != SourceStatus::kOk) {
+      reject(pre.status, std::move(pre.detail));
     } else {
       try {
-        ir::Ir parsed = parse_dump_parallel(pre.text, source.name, result.diagnostics,
-                                            &counts, threads, options.shard_target_bytes);
+        const std::string_view text = input.path != nullptr ? pre.bytes : input.text;
+        ir::Ir parsed = parse_dump(text, input.name, result.diagnostics, &counts, threads,
+                                   options.shard_target_bytes);
         const std::size_t raw_routes = parsed.routes.size();
         {
-          obs::Span merge_span("irr.merge", source.name);
+          obs::Span merge_span("irr.merge", input.name);
           merge_into(result.ir, std::move(parsed), &seen_routes);
         }
         result.raw_route_objects += raw_routes;
         objects_parsed.inc(counts.objects);
       } catch (const std::exception& e) {
-        quarantine(std::string("exception mid-load: ") + e.what());
+        reject(SourceStatus::kQuarantined, std::string("exception mid-load: ") + e.what());
         counts = IrrCounts{};  // partial counts would misstate the census
-        counts.name = source.name;
+        counts.name = name;
       }
     }
-    pre.text.clear();
-    pre.text.shrink_to_fit();
+    const double read_seconds = pre.read_seconds;
+    pre = ReadSource{};  // release the dump's bytes before the next source
 
     registry
         .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
-                 {{"source", source.name}, {"status", to_string(outcome.status)}})
+                 {{"source", name}, {"status", to_string(outcome.status)}})
         .inc();
     source_seconds.observe(
-        pre.read_seconds +
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_b_start)
+        read_seconds +
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - merge_start)
             .count());
     result.counts.push_back(std::move(counts));
     result.outcomes.push_back(std::move(outcome));
   }
   obs::log_info("loader", "load complete",
-                {{"sources", sources.size()},
+                {{"sources", inputs.size()},
                  {"threads", threads},
                  {"degraded", result.count_with(SourceStatus::kDegraded)},
                  {"quarantined", result.count_with(SourceStatus::kQuarantined)},
@@ -645,9 +501,18 @@ LoadResult load_irrs_parallel(const std::vector<IrrSource>& sources,
 }  // namespace
 
 LoadResult load_irrs(const std::vector<IrrSource>& sources, const LoadOptions& options) {
-  const unsigned threads = resolve_threads(options.threads);
-  if (threads <= 1 || sources.empty()) return load_irrs_serial(sources, options);
-  return load_irrs_parallel(sources, options, threads);
+  std::vector<SourceInput> inputs;
+  inputs.reserve(sources.size());
+  for (const IrrSource& source : sources) inputs.push_back({source.name, &source.path, {}});
+  return load(inputs, options);
+}
+
+LoadResult load_irrs(const std::vector<std::pair<std::string, std::string>>& dumps,
+                     const LoadOptions& options) {
+  std::vector<SourceInput> inputs;
+  inputs.reserve(dumps.size());
+  for (const auto& [name, text] : dumps) inputs.push_back({name, nullptr, text});
+  return load(inputs, options);
 }
 
 std::vector<IrrSource> table1_sources(const std::filesystem::path& directory) {

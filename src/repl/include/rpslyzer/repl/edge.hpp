@@ -15,7 +15,7 @@
 //   [backoff, keep serving last-good; partial downloads resume at their offset]
 //
 // Failure policy: any error drops the origin connection, counts a sync
-// failure, and schedules the next poll by reconnect_backoff — the edge
+// failure, and schedules the next poll by util::backoff — the edge
 // NEVER stops serving whatever generation it last activated, including
 // one recovered from disk at startup (`recover_last_good`). A transfer
 // interrupted mid-fetch leaves `incoming.partial` + its offset in memory;

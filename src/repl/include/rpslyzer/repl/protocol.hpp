@@ -94,17 +94,6 @@ struct MetricDigest {
 std::string render_digest(const MetricDigest& digest);
 std::optional<MetricDigest> parse_digest(std::string_view token);
 
-/// Deterministic capped exponential backoff with multiplicative jitter in
-/// [0.75, 1.25]·step — the edge's reconnect schedule after a failed sync
-/// or heartbeat. Attempt 0 ≈ initial, doubling up to `max_backoff`. Pure:
-/// the whole retry ladder is unit-testable without a clock, mirroring
-/// server::reload_backoff (same contract, independent jitter stream so an
-/// edge's reconnects do not phase-lock with its server's reload retries).
-std::chrono::milliseconds reconnect_backoff(unsigned attempt,
-                                            std::chrono::milliseconds initial,
-                                            std::chrono::milliseconds max_backoff,
-                                            std::uint64_t seed) noexcept;
-
 /// Jittered heartbeat period: base scaled into [0.80, 1.20], deterministic
 /// in (seed, tick). Jitter is load-bearing fleet hygiene — N edges started
 /// by the same orchestrator must not beat against the origin in lockstep.

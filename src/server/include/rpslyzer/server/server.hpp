@@ -23,7 +23,7 @@
 //
 // Degraded-mode serving: a failed reload never takes the daemon down — the
 // last good generation stays live, the event loop schedules retries with
-// capped exponential backoff + jitter (reload_backoff), and `!health`
+// capped exponential backoff + jitter (util::backoff), and `!health`
 // reports healthy / degraded(reason, stale age) / loading. Per-query
 // deadlines (`query_deadline`) answer overdue queries with `F timeout`
 // while the stalled worker's late result is discarded, and slow clients
@@ -136,14 +136,6 @@ struct HealthStatus {
   std::chrono::milliseconds next_retry{0};  // until the armed retry fires
   bool reload_in_flight = false;
 };
-
-/// Deterministic capped exponential backoff with multiplicative jitter in
-/// [0.75, 1.25]·step: attempt 0 ≈ initial, doubling up to `max_backoff`.
-/// Pure — the retry schedule is unit-testable without a clock.
-std::chrono::milliseconds reload_backoff(unsigned attempt,
-                                         std::chrono::milliseconds initial,
-                                         std::chrono::milliseconds max_backoff,
-                                         std::uint64_t seed) noexcept;
 
 class Server {
  public:

@@ -22,8 +22,8 @@
 #include "rpslyzer/obs/log.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/query/query.hpp"
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
-#include "rpslyzer/util/rand.hpp"
 #include "rpslyzer/util/strings.hpp"
 #include "rpslyzer/verify/verifier.hpp"
 
@@ -69,24 +69,6 @@ const char* to_string(Health h) noexcept {
       return "degraded";
   }
   return "?";
-}
-
-std::chrono::milliseconds reload_backoff(unsigned attempt,
-                                         std::chrono::milliseconds initial,
-                                         std::chrono::milliseconds max_backoff,
-                                         std::uint64_t seed) noexcept {
-  if (initial.count() <= 0) initial = std::chrono::milliseconds(1);
-  if (max_backoff < initial) max_backoff = initial;
-  const std::uint64_t cap = static_cast<std::uint64_t>(max_backoff.count());
-  std::uint64_t base = static_cast<std::uint64_t>(initial.count());
-  for (unsigned i = 0; i < attempt && base < cap; ++i) base *= 2;
-  base = std::min(base, cap);
-  // splitmix64 over (seed, attempt): deterministic jitter in [0.75, 1.25].
-  const std::uint64_t z =
-      util::splitmix64_at(seed, static_cast<std::uint64_t>(attempt));
-  const std::uint64_t jittered = base * (750 + z % 501) / 1000;
-  return std::chrono::milliseconds(
-      std::clamp<std::uint64_t>(jittered, 1, cap));
 }
 
 /// Per-connection state, touched only by the event-loop thread. Pipelined
@@ -1331,8 +1313,8 @@ void Server::maybe_schedule_retry(std::chrono::steady_clock::time_point now) {
     if (!retry_armed_) {
       const unsigned attempt = reload_attempts_ > 0 ? reload_attempts_ - 1 : 0;
       const auto delay =
-          reload_backoff(attempt, config_.reload_retry_initial,
-                         config_.reload_retry_max, generation());
+          util::backoff(attempt, config_.reload_retry_initial,
+                        config_.reload_retry_max, generation());
       retry_at_ = now + delay;
       retry_armed_ = true;
       return;

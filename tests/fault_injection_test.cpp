@@ -24,6 +24,7 @@
 #include "rpslyzer/relations/relations.hpp"
 #include "rpslyzer/server/client.hpp"
 #include "rpslyzer/server/server.hpp"
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
 
 namespace rpslyzer {
@@ -119,7 +120,7 @@ TEST_F(FaultInjection, ConfigureIsAtomic) {
 }
 
 // ---------------------------------------------------------------------------
-// reload_backoff (pure function)
+// util::backoff (pure function), as the server schedules reload retries
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjection, BackoffIsDeterministicCappedAndJittered) {
@@ -127,8 +128,8 @@ TEST_F(FaultInjection, BackoffIsDeterministicCappedAndJittered) {
   const milliseconds initial(100);
   const milliseconds cap(2000);
   for (unsigned attempt = 0; attempt < 12; ++attempt) {
-    const auto a = server::reload_backoff(attempt, initial, cap, 42);
-    const auto b = server::reload_backoff(attempt, initial, cap, 42);
+    const auto a = util::backoff(attempt, initial, cap, 42);
+    const auto b = util::backoff(attempt, initial, cap, 42);
     EXPECT_EQ(a, b) << "same inputs must give the same delay";
     EXPECT_GE(a, milliseconds(1));
     EXPECT_LE(a, cap);
@@ -141,12 +142,12 @@ TEST_F(FaultInjection, BackoffIsDeterministicCappedAndJittered) {
   // Different seeds decorrelate the schedule (jitter actually jitters).
   bool any_difference = false;
   for (std::uint64_t seed = 0; seed < 16 && !any_difference; ++seed) {
-    any_difference = server::reload_backoff(3, initial, cap, seed) !=
-                     server::reload_backoff(3, initial, cap, seed + 1);
+    any_difference = util::backoff(3, initial, cap, seed) !=
+                     util::backoff(3, initial, cap, seed + 1);
   }
   EXPECT_TRUE(any_difference);
   // Degenerate knobs are clamped, never UB or zero.
-  EXPECT_GE(server::reload_backoff(50, milliseconds(0), milliseconds(0), 7).count(), 1);
+  EXPECT_GE(util::backoff(50, milliseconds(0), milliseconds(0), 7).count(), 1);
 }
 
 // ---------------------------------------------------------------------------

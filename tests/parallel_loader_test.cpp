@@ -1,13 +1,13 @@
-// Differential proof for the parallel sharded ingestion pipeline: for any
-// thread count and shard size — down to one object per shard — the parallel
-// loader's merged Ir, per-source outcomes/counts, diagnostics, and
-// serialized index must be byte-identical to the serial (threads == 1)
-// reference on the synthetic 13-IRR corpus, with and without failpoint
-// injection at "irr.read"/"irr.parse". Runs under TSan via
-// scripts/sanitize_check.sh to catch shard-merge races.
+// Differential proof for the ingestion pipeline: for any thread count and
+// shard size — down to one object per shard — load_irrs' merged Ir,
+// per-source outcomes/counts, diagnostics, and serialized index must be
+// byte-identical to the serial reference below on the synthetic 13-IRR
+// corpus, with and without failpoint injection at "irr.read"/"irr.parse".
+// Runs under TSan via scripts/sanitize_check.sh to catch shard-merge races.
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,6 +18,11 @@
 #include "rpslyzer/irr/index.hpp"
 #include "rpslyzer/irr/loader.hpp"
 #include "rpslyzer/json/json.hpp"
+#include "rpslyzer/obs/log.hpp"
+#include "rpslyzer/obs/metrics.hpp"
+#include "rpslyzer/obs/trace.hpp"
+#include "rpslyzer/rpsl/object_lexer.hpp"
+#include "rpslyzer/rpsl/object_parser.hpp"
 #include "rpslyzer/synth/generator.hpp"
 #include "rpslyzer/util/failpoint.hpp"
 #include "rpslyzer/util/strings.hpp"
@@ -26,6 +31,264 @@ namespace rpslyzer::irr {
 namespace {
 
 namespace fp = util::failpoint;
+
+// The serial ingestion pipeline as it stood before every thread count ran
+// the sharded one, kept verbatim as the reference the library is checked
+// against: one source at a time, slurp → lex → parse → merge, no shards.
+namespace reference {
+
+void count_rules(const ir::AutNum& an, IrrCounts& counts) {
+  counts.imports += an.imports.size();
+  counts.exports += an.exports.size();
+}
+
+/// Slurp a stream chunk-wise so stream state reflects how the read ended:
+/// eof = complete, bad/fail-without-eof = the transfer died mid-file.
+/// Returns false (with *detail set) on an I/O error; the partial bytes read
+/// so far stay in *text for diagnostics but must not be parsed as complete.
+bool slurp(std::ifstream& in, std::string* text, std::string* detail) {
+  char chunk[64 * 1024];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text->append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (in.eof()) break;
+    if (in.bad()) break;
+  }
+  if (in.bad() || (in.fail() && !in.eof())) {
+    *detail = "I/O error after " + std::to_string(text->size()) + " bytes";
+    return false;
+  }
+  if (const fp::Hit hit = fp::hit("irr.read")) {
+    if (hit.is_error()) {
+      *detail = "injected read fault: " + hit.message;
+      return false;
+    }
+    if (hit.is_truncate()) {
+      // Simulates a transfer that died mid-file *and was detected*: the
+      // stream handed back fewer bytes than the dump holds.
+      text->resize(std::min(text->size(), hit.truncate_at));
+      *detail = "injected mid-read truncation at " +
+                std::to_string(text->size()) + " bytes";
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Longest blank-line-separated paragraph, i.e. what the lexer will treat
+/// as one raw object. A corrupt dump that lost its separators shows up as
+/// one pathological multi-megabyte "object".
+std::size_t largest_object_bytes(std::string_view text) {
+  std::size_t largest = 0;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    const std::size_t sep = text.find("\n\n", start);
+    const std::size_t end = sep == std::string_view::npos ? text.size() : sep;
+    largest = std::max(largest, end - start);
+    if (sep == std::string_view::npos) break;
+    start = sep + 2;
+  }
+  return largest;
+}
+
+/// The lex+parse core shared by the serial and sharded paths: no failpoint,
+/// no span, no counts->bytes — callers own those so each fires exactly once
+/// per dump regardless of shard count. Lexer and parser diagnostics go to
+/// *separate* sinks because the serial path reports all lexer diagnostics
+/// before any parser diagnostic (lex_objects finishes before the parse
+/// loop starts); the shard merge preserves that phase order by merging
+/// every shard's lex sink before any shard's parse sink. Serial callers
+/// pass the same sink twice.
+void parse_text_into(std::string_view text, std::string_view source,
+                     std::size_t line_offset, ir::Ir& ir,
+                     util::Diagnostics& lex_diagnostics,
+                     util::Diagnostics& diagnostics, IrrCounts* counts) {
+  // Zero-copy hot path: raw attribute names/values are slices of `text`
+  // (plus arena spill for joins), valid exactly as long as this frame —
+  // parse_object materializes everything it keeps into interned symbols
+  // and IR values before the arena dies with the shard.
+  util::Arena arena;
+  auto raw_objects = rpsl::lex_objects_view(text, source, lex_diagnostics, arena,
+                                            line_offset);
+  if (counts != nullptr) counts->objects += raw_objects.size();
+  for (const auto& raw : raw_objects) {
+    rpsl::ParsedObject parsed = rpsl::parse_object(raw, diagnostics);
+    std::visit(util::overloaded{
+                   [](std::monostate) {},
+                   [&](ir::AutNum& an) {
+                     if (counts != nullptr) {
+                       ++counts->aut_nums;
+                       count_rules(an, *counts);
+                     }
+                     ir.aut_nums.emplace(an.asn, std::move(an));
+                   },
+                   [&](ir::AsSet& s) {
+                     if (counts != nullptr) ++counts->as_sets;
+                     ir.as_sets.emplace(ir::to_string(s.name), std::move(s));
+                   },
+                   [&](ir::RouteSet& s) {
+                     if (counts != nullptr) ++counts->route_sets;
+                     ir.route_sets.emplace(ir::to_string(s.name), std::move(s));
+                   },
+                   [&](ir::PeeringSet& s) {
+                     if (counts != nullptr) ++counts->peering_sets;
+                     ir.peering_sets.emplace(ir::to_string(s.name), std::move(s));
+                   },
+                   [&](ir::FilterSet& s) {
+                     if (counts != nullptr) ++counts->filter_sets;
+                     ir.filter_sets.emplace(ir::to_string(s.name), std::move(s));
+                   },
+                   [&](ir::RouteObject& r) {
+                     if (counts != nullptr) ++counts->routes;
+                     ir.routes.push_back(std::move(r));
+                   },
+               },
+               parsed);
+  }
+}
+
+ir::Ir parse_dump(std::string_view text, std::string_view source,
+                  util::Diagnostics& diagnostics, IrrCounts* counts) {
+  obs::Span span("irr.parse", source);
+  if (const fp::Hit hit = fp::hit("irr.parse")) {
+    if (hit.is_error()) throw std::runtime_error("irr.parse: " + hit.message);
+    // Silent truncation at the parse layer: the lexer sees a shorter dump
+    // and must still produce a clean (if smaller) object stream.
+    if (hit.is_truncate()) text = text.substr(0, std::min(text.size(), hit.truncate_at));
+  }
+  ir::Ir ir;
+  if (counts != nullptr) counts->bytes = text.size();
+  parse_text_into(text, source, 0, ir, diagnostics, diagnostics, counts);
+  return ir;
+}
+
+/// The serial reference pipeline: one source at a time, slurp → lex →
+/// parse → merge.
+LoadResult load_irrs(const std::vector<IrrSource>& sources,
+                     const LoadOptions& options) {
+  obs::Span load_span("irr.load");
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& bytes_read = registry.counter(
+      "rpslyzer_loader_bytes_read_total", "Bytes read from IRR dump files");
+  obs::Counter& objects_parsed = registry.counter(
+      "rpslyzer_loader_objects_parsed_total", "RPSL objects parsed from IRR dumps");
+  obs::Histogram& source_seconds = registry.histogram(
+      "rpslyzer_loader_source_seconds", "Wall time loading one IRR source",
+      obs::exponential_bounds(0.001, 4.0, 10));
+
+  LoadResult result;
+  RouteKeySet seen_routes;
+  for (const auto& source : sources) {
+    obs::Span source_span("irr.source", source.name);
+    const auto source_start = std::chrono::steady_clock::now();
+    IrrCounts counts;
+    counts.name = source.name;
+    SourceOutcome outcome;
+    outcome.name = source.name;
+
+    const auto degrade = [&](std::string detail) {
+      outcome.status = SourceStatus::kDegraded;
+      result.diagnostics.warning(util::DiagnosticKind::kOther, detail, source.name,
+                                 {source.name, 0});
+      obs::log_warn("loader", "source degraded",
+                    {{"source", source.name}, {"reason", detail}});
+      outcome.detail = std::move(detail);
+    };
+    // Quarantine: the dump exists but cannot be trusted; merging a prefix
+    // of it would silently shrink the corpus, so none of it is merged and
+    // the failure is recorded as a hard error (unlike a missing dump).
+    const auto quarantine = [&](std::string detail) {
+      outcome.status = SourceStatus::kQuarantined;
+      result.diagnostics.error(util::DiagnosticKind::kOther,
+                               "IRR dump quarantined: " + detail, source.name,
+                               {source.name, 0});
+      obs::log_error("loader", "source quarantined",
+                     {{"source", source.name}, {"reason", detail}});
+      outcome.detail = std::move(detail);
+    };
+
+    const auto finish = [&] {
+      registry
+          .counter("rpslyzer_loader_sources_total", "IRR source load outcomes",
+                   {{"source", source.name}, {"status", to_string(outcome.status)}})
+          .inc();
+      source_seconds.observe(
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - source_start)
+              .count());
+      result.counts.push_back(std::move(counts));
+      result.outcomes.push_back(std::move(outcome));
+    };
+
+    std::ifstream in;
+    {
+      obs::Span open_span("irr.open", source.name);
+      if (const fp::Hit hit = fp::hit("irr.open"); hit && hit.is_error()) {
+        degrade("IRR dump unavailable: injected open fault: " + hit.message);
+        finish();
+        continue;
+      }
+      std::error_code ec;
+      const bool exists = std::filesystem::exists(source.path, ec);
+      if (exists && !std::filesystem::is_regular_file(source.path, ec)) {
+        quarantine("not a regular file: " + source.path.string());
+        finish();
+        continue;
+      }
+      in.open(source.path, std::ios::binary);
+      if (!in) {
+        degrade("IRR dump unavailable: " + source.path.string());
+        finish();
+        continue;
+      }
+    }
+    std::string text;
+    std::string read_error;
+    bool read_ok;
+    {
+      obs::Span read_span("irr.read", source.name);
+      read_ok = slurp(in, &text, &read_error);
+    }
+    bytes_read.inc(text.size());
+    if (!read_ok) {
+      quarantine("read failed mid-dump (" + read_error + "): " + source.path.string());
+      finish();
+      continue;
+    }
+    if (options.max_object_bytes > 0) {
+      const std::size_t largest = largest_object_bytes(text);
+      if (largest > options.max_object_bytes) {
+        quarantine("pathological object of " + std::to_string(largest) +
+                   " bytes (limit " + std::to_string(options.max_object_bytes) +
+                   "): " + source.path.string());
+        finish();
+        continue;
+      }
+    }
+    try {
+      ir::Ir parsed = reference::parse_dump(text, source.name, result.diagnostics, &counts);
+      const std::size_t raw_routes = parsed.routes.size();
+      {
+        obs::Span merge_span("irr.merge", source.name);
+        merge_into(result.ir, std::move(parsed), &seen_routes);
+      }
+      result.raw_route_objects += raw_routes;
+      objects_parsed.inc(counts.objects);
+    } catch (const std::exception& e) {
+      quarantine(std::string("exception mid-load: ") + e.what());
+      counts = IrrCounts{};  // partial counts would misstate the census
+      counts.name = source.name;
+    }
+    finish();
+  }
+  obs::log_info("loader", "load complete",
+                {{"sources", sources.size()},
+                 {"degraded", result.count_with(SourceStatus::kDegraded)},
+                 {"quarantined", result.count_with(SourceStatus::kQuarantined)},
+                 {"routes", result.ir.routes.size()},
+                 {"aut_nums", result.ir.aut_nums.size()}});
+  return result;
+}
+
+}  // namespace reference
 
 class ParallelLoader : public ::testing::Test {
  protected:
@@ -52,6 +315,10 @@ class ParallelLoader : public ::testing::Test {
     options.threads = threads;
     options.shard_target_bytes = shard_bytes;
     return load_irrs(table1_sources(dir_), options);
+  }
+
+  LoadResult load_reference(const LoadOptions& options = {}) {
+    return reference::load_irrs(table1_sources(dir_), options);
   }
 
   static void expect_identical(const LoadResult& serial, const LoadResult& parallel,
@@ -101,17 +368,20 @@ class ParallelLoader : public ::testing::Test {
     EXPECT_EQ(json::dump(ir::to_json(serial.ir)), json::dump(ir::to_json(parallel.ir)));
   }
 
+  static constexpr unsigned kThreads[] = {1u, 2u, 8u};
+  // Shard targets from "whole dump in one shard" down to one object per
+  // shard (target 1 cuts at every blank-line boundary).
+  static constexpr std::size_t kShardBytes[] = {std::size_t{1} << 20, std::size_t{4096},
+                                                std::size_t{64}, std::size_t{1}};
+
   std::filesystem::path dir_;
 };
 
 TEST_F(ParallelLoader, ThreadsAndShardSizesAreByteIdentical) {
-  const LoadResult serial = load_with(1, 1u << 20);
+  const LoadResult serial = load_reference();
   ASSERT_GT(serial.ir.object_count(), 0u);
-  // Shard targets from "whole dump in one shard" down to one object per
-  // shard (target 1 cuts at every blank-line boundary).
-  for (unsigned threads : {2u, 8u}) {
-    for (std::size_t shard_bytes : {std::size_t{1} << 20, std::size_t{4096},
-                                    std::size_t{64}, std::size_t{1}}) {
+  for (unsigned threads : kThreads) {
+    for (std::size_t shard_bytes : kShardBytes) {
       const LoadResult parallel = load_with(threads, shard_bytes);
       expect_identical(serial, parallel,
                        "threads=" + std::to_string(threads) +
@@ -121,7 +391,7 @@ TEST_F(ParallelLoader, ThreadsAndShardSizesAreByteIdentical) {
 }
 
 TEST_F(ParallelLoader, IndexQueriesAgree) {
-  const LoadResult serial = load_with(1, 1u << 20);
+  const LoadResult serial = load_reference();
   const LoadResult parallel = load_with(8, 512);
   Index serial_index(serial.ir);
   Index parallel_index(parallel.ir);
@@ -134,8 +404,8 @@ TEST_F(ParallelLoader, IndexQueriesAgree) {
 
 TEST_F(ParallelLoader, MissingAndExtraDumpsMatchSerial) {
   // Knock out two dumps (degraded) and corrupt one into a pathological
-  // object (quarantined): the parallel path must report the exact same
-  // per-source outcomes and corpus as serial.
+  // object (quarantined): every thread count must report the exact same
+  // per-source outcomes and corpus as the reference.
   std::filesystem::remove(dir_ / "ripe.db");
   std::filesystem::remove(dir_ / "altdb.db");
   {
@@ -144,19 +414,21 @@ TEST_F(ParallelLoader, MissingAndExtraDumpsMatchSerial) {
   }
   LoadOptions small_guard;
   small_guard.max_object_bytes = 256u << 10;  // far above any legit object
-  small_guard.threads = 1;
-  const LoadResult serial = load_irrs(table1_sources(dir_), small_guard);
-  small_guard.threads = 4;
-  small_guard.shard_target_bytes = 256;
-  const LoadResult parallel = load_irrs(table1_sources(dir_), small_guard);
+  const LoadResult serial = load_reference(small_guard);
   EXPECT_EQ(serial.count_with(SourceStatus::kDegraded), 2u);
   EXPECT_EQ(serial.count_with(SourceStatus::kQuarantined), 1u);
-  expect_identical(serial, parallel, "degraded+quarantined corpus");
+  for (unsigned threads : {1u, 4u}) {
+    small_guard.threads = threads;
+    small_guard.shard_target_bytes = 256;
+    const LoadResult parallel = load_irrs(table1_sources(dir_), small_guard);
+    expect_identical(serial, parallel,
+                     "degraded+quarantined corpus, threads=" + std::to_string(threads));
+  }
 }
 
 // Failpoint injection: unbounded actions fire on every evaluation, so the
-// serial and parallel pipelines observe the same faults regardless of
-// worker scheduling (N* budgets would land nondeterministically — see the
+// reference and the pipeline observe the same faults regardless of worker
+// scheduling (N* budgets would land nondeterministically — see the
 // load_irrs contract).
 TEST_F(ParallelLoader, FailpointInjectionMatchesSerial) {
   const struct {
@@ -172,13 +444,17 @@ TEST_F(ParallelLoader, FailpointInjectionMatchesSerial) {
     SCOPED_TRACE(c.spec);
     std::string error;
     ASSERT_TRUE(fp::configure(c.spec, &error)) << error;
-    const LoadResult serial = load_with(1, 1u << 20);
+    const LoadResult serial = load_reference();
     fp::clear_all();
     ASSERT_TRUE(fp::configure(c.spec, &error)) << error;
-    for (unsigned threads : {2u, 8u}) {
-      const LoadResult parallel = load_with(threads, 2048);
-      expect_identical(serial, parallel, "threads=" + std::to_string(threads));
-      EXPECT_EQ(parallel.count_with(SourceStatus::kQuarantined), c.quarantined);
+    for (unsigned threads : kThreads) {
+      for (std::size_t shard_bytes : kShardBytes) {
+        const LoadResult parallel = load_with(threads, shard_bytes);
+        expect_identical(serial, parallel,
+                         "threads=" + std::to_string(threads) +
+                             " shard_bytes=" + std::to_string(shard_bytes));
+        EXPECT_EQ(parallel.count_with(SourceStatus::kQuarantined), c.quarantined);
+      }
     }
     fp::clear_all();
   }
@@ -203,8 +479,9 @@ TEST_F(ParallelLoader, ShardFaultQuarantinesOnlyItsSource) {
 }
 
 TEST_F(ParallelLoader, ParseDumpParallelMatchesParseDump) {
-  // Direct equivalence of the two parse entry points on one dump text,
-  // exercising the counts and diagnostics plumbing without load_irrs.
+  // parse_dump at any worker count and shard size against the reference
+  // parse of one dump text, exercising the counts and diagnostics plumbing
+  // without load_irrs.
   std::string text;
   {
     std::ifstream in(dir_ / "radb.db", std::ios::binary);
@@ -214,17 +491,20 @@ TEST_F(ParallelLoader, ParseDumpParallelMatchesParseDump) {
   }
   util::Diagnostics serial_diag;
   IrrCounts serial_counts;
-  const ir::Ir serial = parse_dump(text, "RADB", serial_diag, &serial_counts);
-  for (std::size_t shard_bytes : {std::size_t{1}, std::size_t{777}}) {
-    util::Diagnostics parallel_diag;
-    IrrCounts parallel_counts;
-    const ir::Ir parallel =
-        parse_dump_parallel(text, "RADB", parallel_diag, &parallel_counts, 4, shard_bytes);
-    EXPECT_TRUE(serial == parallel) << shard_bytes;
-    EXPECT_EQ(serial_counts.objects, parallel_counts.objects);
-    EXPECT_EQ(serial_counts.bytes, parallel_counts.bytes);
-    EXPECT_EQ(serial_counts.routes, parallel_counts.routes);
-    ASSERT_EQ(serial_diag.all().size(), parallel_diag.all().size());
+  const ir::Ir serial = reference::parse_dump(text, "RADB", serial_diag, &serial_counts);
+  for (unsigned threads : {1u, 4u}) {
+    for (std::size_t shard_bytes : {std::size_t{1}, std::size_t{777}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      util::Diagnostics parallel_diag;
+      IrrCounts parallel_counts;
+      const ir::Ir parallel =
+          parse_dump(text, "RADB", parallel_diag, &parallel_counts, threads, shard_bytes);
+      EXPECT_TRUE(serial == parallel) << shard_bytes;
+      EXPECT_EQ(serial_counts.objects, parallel_counts.objects);
+      EXPECT_EQ(serial_counts.bytes, parallel_counts.bytes);
+      EXPECT_EQ(serial_counts.routes, parallel_counts.routes);
+      ASSERT_EQ(serial_diag.all().size(), parallel_diag.all().size());
+    }
   }
 }
 

@@ -1,14 +1,18 @@
-// Pins the consolidated splitmix64 in util/rand.hpp to exact output
-// vectors. Three call sites (server reload backoff, repl reconnect jitter,
-// trace-id minting) rely on these streams staying decorrelated by seed and
-// reproducible across builds; a constant typo would pass every statistical
-// smoke test while changing every value, so the vectors are hard-coded.
+// Pins the consolidated splitmix64 in util/rand.hpp, and the one backoff
+// ladder in util/backoff.hpp built on it, to exact output vectors. The
+// server's reload retries, the edge's reconnects and trace-id minting rely
+// on these streams staying decorrelated by seed and reproducible across
+// builds; a constant typo would pass every statistical smoke test while
+// changing every value, so the vectors are hard-coded.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <cstdint>
 #include <set>
 
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/rand.hpp"
 
 namespace rpslyzer::util {
@@ -66,6 +70,40 @@ TEST(Rand, ConstexprUsable) {
   static_assert(splitmix64_at(5, 0) == mix64(5 + kSplitMix64Gamma));
   constexpr std::uint64_t v = splitmix64_at(5, 0);
   EXPECT_NE(v, 0u);
+}
+
+
+TEST(Rand, BackoffLadderKnownVectors) {
+  // The first 12 delays (ms) of a 100 ms → 60 s ladder for two seeds, on
+  // the server's reload stream (bare seed) and the edge's reconnect stream
+  // (seed ^ kReconnectStream), as the two separate ladders produced them
+  // before they became one function.
+  using std::chrono::milliseconds;
+  struct Case {
+    std::uint64_t seed;
+    std::array<std::int64_t, 12> reload;
+    std::array<std::int64_t, 12> reconnect;
+  };
+  const Case cases[] = {
+      {42,
+       {82, 207, 342, 763, 1556, 3811, 6419, 14041, 22912, 55244, 59880, 60000},
+       {118, 247, 316, 789, 1388, 3747, 7417, 15526, 19225, 56832, 47940, 60000}},
+      {0xdeadbeef,
+       {100, 168, 455, 871, 1252, 2828, 6214, 14105, 24704, 45056, 48660, 46680},
+       {106, 200, 442, 647, 1388, 2736, 5984, 12454, 26060, 44185, 60000, 50040}},
+  };
+  for (const Case& c : cases) {
+    for (unsigned attempt = 0; attempt < 12; ++attempt) {
+      EXPECT_EQ(backoff(attempt, milliseconds(100), milliseconds(60000), c.seed).count(),
+                c.reload[attempt])
+          << "seed=" << c.seed << " attempt=" << attempt;
+      EXPECT_EQ(backoff(attempt, milliseconds(100), milliseconds(60000),
+                        c.seed ^ kReconnectStream)
+                    .count(),
+                c.reconnect[attempt])
+          << "seed=" << c.seed << " attempt=" << attempt;
+    }
+  }
 }
 
 }  // namespace

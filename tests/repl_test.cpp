@@ -28,6 +28,7 @@
 #include "rpslyzer/server/client.hpp"
 #include "rpslyzer/server/server.hpp"
 #include "rpslyzer/synth/generator.hpp"
+#include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
 
 namespace rpslyzer {
@@ -37,15 +38,15 @@ namespace fp = util::failpoint;
 using std::chrono::milliseconds;
 
 // ---------------------------------------------------------------------------
-// Pure protocol math (mirrors the reload_backoff suite)
+// Pure protocol math (the edge's reconnect stream of util::backoff)
 // ---------------------------------------------------------------------------
 
 TEST(ReconnectBackoff, IsDeterministicCappedAndJittered) {
   const milliseconds initial(100);
   const milliseconds cap(2000);
   for (unsigned attempt = 0; attempt < 12; ++attempt) {
-    const auto a = repl::reconnect_backoff(attempt, initial, cap, 42);
-    const auto b = repl::reconnect_backoff(attempt, initial, cap, 42);
+    const auto a = util::backoff(attempt, initial, cap, 42 ^ util::kReconnectStream);
+    const auto b = util::backoff(attempt, initial, cap, 42 ^ util::kReconnectStream);
     EXPECT_EQ(a, b) << "same inputs must give the same delay";
     EXPECT_GE(a, milliseconds(1));
     EXPECT_LE(a, cap);
@@ -58,12 +59,14 @@ TEST(ReconnectBackoff, IsDeterministicCappedAndJittered) {
   // Different seeds decorrelate the schedule.
   bool any_difference = false;
   for (std::uint64_t seed = 0; seed < 16 && !any_difference; ++seed) {
-    any_difference = repl::reconnect_backoff(3, initial, cap, seed) !=
-                     repl::reconnect_backoff(3, initial, cap, seed + 1);
+    any_difference = util::backoff(3, initial, cap, seed ^ util::kReconnectStream) !=
+                     util::backoff(3, initial, cap, (seed + 1) ^ util::kReconnectStream);
   }
   EXPECT_TRUE(any_difference);
   // Degenerate knobs are clamped, never UB or zero.
-  EXPECT_GE(repl::reconnect_backoff(50, milliseconds(0), milliseconds(0), 7).count(), 1);
+  EXPECT_GE(
+      util::backoff(50, milliseconds(0), milliseconds(0), 7 ^ util::kReconnectStream).count(),
+      1);
 }
 
 TEST(ReconnectBackoff, DoesNotPhaseLockWithReloadBackoff) {
@@ -73,8 +76,8 @@ TEST(ReconnectBackoff, DoesNotPhaseLockWithReloadBackoff) {
   const milliseconds cap(60000);
   bool any_difference = false;
   for (unsigned attempt = 0; attempt < 8 && !any_difference; ++attempt) {
-    any_difference = repl::reconnect_backoff(attempt, initial, cap, 42) !=
-                     server::reload_backoff(attempt, initial, cap, 42);
+    any_difference = util::backoff(attempt, initial, cap, 42 ^ util::kReconnectStream) !=
+                     util::backoff(attempt, initial, cap, 42);
   }
   EXPECT_TRUE(any_difference);
 }

@@ -57,7 +57,7 @@ int usage() {
                "  parse <dir>                     parse dumps and print a census\n"
                "  load <dir> [--threads N] [--shard-kb N] [--trace-out F]\n"
                "                                  load + index, print per-stage timings\n"
-               "                                  (--threads 1 = serial; default: all cores)\n"
+               "                                  (--threads 1 = one worker; default: all cores)\n"
                "  lint <dir>                      lint the corpus\n"
                "  export <dir> <out.json>         export the IR as JSON\n"
                "  report <dir> <prefix> <asn...>  verify one route (Appendix-C style)\n"

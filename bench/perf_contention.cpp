@@ -8,7 +8,7 @@
 //     lookups take no lock and touch only acquire-loaded cells.
 //  2. What does one shared atomic counter cost the workers versus per-thread
 //     cache-line-padded counters? This is the measured justification for
-//     verify_routes_parallel's per-worker result buffers: the padded
+//     keeping verify_routes_parallel's scratch per worker: the padded
 //     variant's advantage at 4 threads is the gate.
 //
 // On hosts with <4 hardware threads the contention ratio is noise (threads

@@ -58,9 +58,12 @@ run_labeled "" "" "fault|persist|repl|delta|parallel"
 # tests), and the flat aggregation tables over a whole small corpus
 # (aggregate_golden_test). The snapshot writer's zero-length copies (an
 # empty section table or payload) once reached memcpy with a null pointer,
-# which is why the persist suite joined this list first.
+# which is why the persist suite joined this list first. The distinct-hop
+# grouping in verify_routes_parallel (parallel_verify_test) is index
+# arithmetic over shared arrays: prefix groups, run offsets, trie links.
 for suite in verifier_test report_test compile_snapshot_test obs_test bgp_parse_reference_test \
-             relations_parse_reference_test aggregate_golden_test persist_test; do
+             relations_parse_reference_test aggregate_golden_test persist_test \
+             parallel_verify_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
 done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"

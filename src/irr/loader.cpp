@@ -6,7 +6,6 @@
 #include <exception>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 
 #include "rpslyzer/obs/log.hpp"
 #include "rpslyzer/obs/metrics.hpp"
@@ -14,6 +13,7 @@
 #include "rpslyzer/rpsl/object_lexer.hpp"
 #include "rpslyzer/rpsl/object_parser.hpp"
 #include "rpslyzer/util/failpoint.hpp"
+#include "rpslyzer/util/pool.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::irr {
@@ -73,21 +73,6 @@ std::size_t largest_object_bytes(std::string_view text) {
     start = sep + 2;
   }
   return largest;
-}
-
-unsigned resolve_threads(unsigned threads) {
-  return threads == 0 ? std::max(1u, std::thread::hardware_concurrency()) : threads;
-}
-
-/// Run `work` on `workers` threads, the calling thread being one of them.
-/// `work` pulls its items off a shared cursor and keeps each item's failure
-/// in that item's result slot; the jthreads join even if the calling
-/// thread's share throws.
-template <typename Work>
-void run_on_pool(std::size_t workers, const Work& work) {
-  std::vector<std::jthread> pool;
-  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(work);
-  work();
 }
 
 /// The lex+parse core of one shard: no failpoint, no span, no
@@ -204,7 +189,7 @@ const SourceOutcome* LoadResult::outcome(std::string_view name) const noexcept {
 ir::Ir parse_dump(std::string_view text, std::string_view source,
                   util::Diagnostics& diagnostics, IrrCounts* counts, unsigned threads,
                   std::size_t shard_target_bytes) {
-  threads = resolve_threads(threads);
+  threads = util::resolve_threads(threads);
   obs::Span span("irr.parse", source);
   // Evaluated exactly once for the whole dump, on the calling thread, so
   // failpoint budgets and truncation do not depend on the shard count.
@@ -240,7 +225,7 @@ ir::Ir parse_dump(std::string_view text, std::string_view source,
   std::vector<ShardSlot> slots(shards.size());
 
   std::atomic<std::size_t> next{0};
-  run_on_pool(std::min<std::size_t>(threads, shards.size()), [&] {
+  util::run_on_pool(std::min<std::size_t>(threads, shards.size()), [&](std::size_t) {
     while (true) {
       const std::size_t i = next.fetch_add(1);
       if (i >= shards.size()) break;
@@ -394,7 +379,7 @@ ReadSource read_source(const SourceInput& input, const LoadOptions& options,
 /// failpoints) happen in the priority-order loop, which is why the result
 /// does not depend on the thread count.
 LoadResult load(const std::vector<SourceInput>& inputs, const LoadOptions& options) {
-  const unsigned threads = resolve_threads(options.threads);
+  const unsigned threads = util::resolve_threads(options.threads);
   obs::Span load_span("irr.load");
   auto& registry = obs::MetricsRegistry::global();
   obs::Counter& bytes_read = registry.counter(
@@ -414,7 +399,7 @@ LoadResult load(const std::vector<SourceInput>& inputs, const LoadOptions& optio
     obs::Span read_span("irr.read_all");
     read_ahead.resize(inputs.size());
     std::atomic<std::size_t> next{0};
-    run_on_pool(std::min<std::size_t>(threads, inputs.size()), [&] {
+    util::run_on_pool(std::min<std::size_t>(threads, inputs.size()), [&](std::size_t) {
       while (true) {
         const std::size_t i = next.fetch_add(1);
         if (i >= inputs.size()) break;

@@ -11,7 +11,10 @@ std::size_t StatusCounts::total() const noexcept {
   return sum;
 }
 
-bool StatusCounts::single_status(Status* which) const noexcept {
+namespace {
+
+template <typename Counts>
+bool single_status_of(const Counts& counts, Status* which) noexcept {
   int found = -1;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (counts[i] == 0) continue;
@@ -23,8 +26,24 @@ bool StatusCounts::single_status(Status* which) const noexcept {
   return true;
 }
 
+}  // namespace
+
+bool StatusCounts::single_status(Status* which) const noexcept {
+  return single_status_of(counts, which);
+}
+
 void StatusCounts::merge(const StatusCounts& other) noexcept {
   for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
+}
+
+std::size_t RouteCounts::total() const noexcept {
+  std::size_t sum = 0;
+  for (std::uint32_t c : counts) sum += c;
+  return sum;
+}
+
+bool RouteCounts::single_status(Status* which) const noexcept {
+  return single_status_of(counts, which);
 }
 
 std::array<double, kStatusCount> StatusCounts::fractions() const noexcept {
@@ -182,7 +201,7 @@ Aggregator::PairRow& Aggregator::pair_row(Asn from, Asn to) {
   return pair_rows_[row];
 }
 
-void Aggregator::add_check(AsRow& as, StatusCounts& pair, StatusCounts& route, bool is_import,
+void Aggregator::add_check(AsRow& as, StatusCounts& pair, RouteCounts& route, bool is_import,
                            const verify::CheckResult& check) {
   ++total_checks_;
   (is_import ? as.imports : as.exports).add(check.status);
@@ -218,7 +237,7 @@ void Aggregator::add_check(AsRow& as, StatusCounts& pair, StatusCounts& route, b
 
 void Aggregator::add(const bgp::Route& route, const std::vector<verify::HopCheck>& hops) {
   (void)route;
-  StatusCounts& counts = routes_.emplace_back();
+  RouteCounts& counts = routes_.emplace_back();
   for (const auto& hop : hops) {
     PairRow& pair = pair_row(hop.from, hop.to);
     add_check(as_rows_[pair.from_row], pair.exports, counts, /*is_import=*/false,

@@ -37,6 +37,20 @@ struct StatusCounts {
   std::array<double, kStatusCount> fractions() const noexcept;
 };
 
+/// One route's checks per status, for Figure 4. A route has two checks
+/// per hop, so one status can reach twice the hop count: 32 bits each.
+/// StatusCounts stays 64-bit because per-AS and per-pair totals pass 2^32
+/// at the paper's scale.
+struct RouteCounts {
+  std::array<std::uint32_t, kStatusCount> counts{};
+
+  void add(Status s) noexcept { ++counts[static_cast<std::size_t>(s)]; }
+  std::size_t total() const noexcept;
+  /// All checks share one status; that status (only valid if true).
+  bool single_status(Status* which = nullptr) const noexcept;
+};
+static_assert(sizeof(RouteCounts) == 24);
+
 /// Figure 5's unrecorded categories.
 enum class UnrecordedCategory : std::uint8_t {
   kMissingAutNum,
@@ -98,7 +112,7 @@ class Aggregator {
   PerPair pair_exports() const;
 
   // --- Figure 4: per route (all hops, both directions) ---
-  const std::vector<StatusCounts>& routes() const noexcept { return routes_; }
+  const std::vector<RouteCounts>& routes() const noexcept { return routes_; }
   /// First-hop-only counts (the paper's route-leak discussion in §5.2).
   const StatusCounts& first_hops() const noexcept { return first_hops_; }
 
@@ -163,7 +177,7 @@ class Aggregator {
 
   std::uint32_t as_row(Asn asn);
   PairRow& pair_row(Asn from, Asn to);
-  void add_check(AsRow& as, StatusCounts& pair, StatusCounts& route, bool is_import,
+  void add_check(AsRow& as, StatusCounts& pair, RouteCounts& route, bool is_import,
                  const verify::CheckResult& check);
 
   // Deques: growing never copies the rows or holds two copies at once.
@@ -171,7 +185,7 @@ class Aggregator {
   std::deque<AsRow> as_rows_;
   FlatIndex<AsnPair, AsnPairHash> pair_index_;
   std::deque<PairRow> pair_rows_;
-  std::vector<StatusCounts> routes_;
+  std::vector<RouteCounts> routes_;
   StatusCounts first_hops_;
   std::size_t total_checks_ = 0;
   std::size_t unverified_checks_ = 0;

@@ -1,7 +1,16 @@
 #pragma once
 // Multi-threaded route verification. The paper verifies 779M routes on a
-// dual-64-core machine (§5); checks are independent per route, so the
-// engine parallelizes by sharding routes across threads.
+// dual-64-core machine (§5). Routes from different vantage points to one
+// prefix share their tails toward the origin, so most hop checks repeat: a
+// hop's verdict is a pure function of (prefix, path suffix from the
+// importer to the origin). The engine groups the routes by prefix, builds
+// each group's reversed-path trie, checks each trie node's hop once, and
+// copies the verdicts to every route through the node. Workers claim runs
+// of prefix groups; one thread is the same code with one worker.
+//
+// The grouping holds only while Verifier::check reads nothing of a route
+// but its prefix and the announced path (see verifier.hpp). A check that
+// reads more of bgp::Route silently gives routes a sibling's verdict.
 //
 // With VerifyOptions::use_snapshot (the default), the index/relations
 // overload compiles a CompiledPolicySnapshot once and all workers share a

@@ -98,6 +98,12 @@ class Verifier {
   bool only_provider_policies(Asn asn) const;
 
  private:
+  /// One check. It must stay a pure function of (self, peer, is_import,
+  /// route.prefix, announced_path): of the route it reads only the prefix
+  /// and route.origin(), the announced path's last ASN.
+  /// verify_routes_parallel checks each distinct (prefix, path suffix)
+  /// once and copies the verdict to every route through it, so reading
+  /// anything else of `route` breaks its results.
   CheckResult check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
                     std::span<const Asn> announced_path) const;
 

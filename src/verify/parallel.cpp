@@ -1,108 +1,228 @@
 #include "rpslyzer/verify/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <thread>
+#include <cstdint>
+#include <span>
 
 #include "rpslyzer/compile/snapshot.hpp"
 #include "rpslyzer/obs/trace.hpp"
+#include "rpslyzer/util/pool.hpp"
+#include "rpslyzer/util/rand.hpp"
 
 namespace rpslyzer::verify {
 
 namespace {
 
-/// One claimed batch of results, staged worker-locally: the verdicts for
-/// routes [begin_index, begin_index + checks.size()).
-struct ResultChunk {
-  std::size_t begin_index = 0;
-  std::vector<std::vector<HopCheck>> checks;
+/// Workers claim runs of prefix groups: at most this many groups a run,
+/// and fewer when that would leave under kRunsPerWorker runs a worker.
+constexpr std::size_t kMaxGroupsPerRun = 128;
+constexpr std::size_t kRunsPerWorker = 8;
+
+/// The routes grouped by prefix (groups numbered in order of first
+/// appearance), and the groups cut into runs of `groups_per_run`: run b is
+/// routes order[starts[b]] up to order[starts[b + 1]], in input order, so
+/// a worker writes the results of neighbouring routes one after another
+/// and whoever reads the results in route order walks memory in runs.
+struct PrefixRuns {
+  std::size_t groups_per_run = 1;
+  std::vector<std::size_t> group_of;  // per route
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> starts{0};
+
+  std::size_t size() const noexcept { return starts.size() - 1; }
+  std::span<const std::size_t> run(std::size_t b) const noexcept {
+    return {order.data() + starts[b], starts[b + 1] - starts[b]};
+  }
 };
 
-/// The shared claim counter on its own cache line: neighbouring hot data
-/// (the workers' chunk vectors live in an array indexed by thread) must not
-/// false-share with the one word every worker CASes.
-struct alignas(64) ClaimCounter {
-  std::atomic<std::size_t> next{0};
-  char pad[64 - sizeof(std::atomic<std::size_t>)];
-};
+std::uint64_t prefix_hash(const net::Prefix& prefix) noexcept {
+  const std::uint64_t tag = std::uint64_t{prefix.length()} << 1 | (prefix.is_v4() ? 1 : 0);
+  return util::mix64(prefix.address().hi() ^ util::mix64(prefix.address().lo() ^ tag));
+}
 
-/// Shard `routes` across `threads` workers with a bounded claim loop and
-/// write results through `verifier_for_thread(t)`. Workers never touch the
-/// shared `results` vector: each stages its batches in worker-local chunks
-/// (no false sharing on adjacent vector headers while verifying) and the
-/// main thread splices them into place after the join — moves of already-
-/// built vectors, no verdict is copied.
-template <typename VerifierFor>
-void run_pool(const std::vector<bgp::Route>& routes,
-              std::vector<std::vector<HopCheck>>& results, unsigned threads,
-              const VerifierFor& verifier_for_thread) {
-  ClaimCounter claim;
-  std::vector<std::vector<ResultChunk>> worker_chunks(threads);
-  auto worker = [&](unsigned t) {
-    const Verifier& verifier = verifier_for_thread(t);
-    std::vector<ResultChunk>& local = worker_chunks[t];
-    constexpr std::size_t kBatch = 64;
-    while (true) {
-      // Claim [begin, end) with a CAS bounded at routes.size(): a bare
-      // fetch_add would keep incrementing the counter past the end on
-      // every spin of every thread (overflow risk on small inputs with
-      // many threads).
-      std::size_t begin = claim.next.load(std::memory_order_relaxed);
-      std::size_t end = 0;
-      do {
-        if (begin >= routes.size()) return;
-        end = std::min(begin + kBatch, routes.size());
-      } while (!claim.next.compare_exchange_weak(begin, end, std::memory_order_relaxed));
-      obs::Span batch_span("verify.batch");
-      ResultChunk chunk;
-      chunk.begin_index = begin;
-      chunk.checks.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        chunk.checks.push_back(verifier.verify_route(routes[i]));
-      }
-      local.push_back(std::move(chunk));
-    }
+/// One pass over `routes` through an open-addressing table keyed on the
+/// prefix (family, address words and length), then a counting sort by run.
+PrefixRuns group_by_prefix(const std::vector<bgp::Route>& routes, unsigned threads) {
+  constexpr std::size_t kNoGroup = SIZE_MAX;
+  struct Slot {
+    net::Prefix prefix;
+    std::size_t group = kNoGroup;
   };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-  for (auto& thread : pool) thread.join();
-  for (std::vector<ResultChunk>& local : worker_chunks) {
-    for (ResultChunk& chunk : local) {
-      for (std::size_t i = 0; i < chunk.checks.size(); ++i) {
-        results[chunk.begin_index + i] = std::move(chunk.checks[i]);
+  // Linear probing over a power-of-two table kept at most half full.
+  std::vector<Slot> slots(1024);
+  auto slot_of = [&](const net::Prefix& prefix) -> Slot& {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t s = prefix_hash(prefix) & mask;
+    while (slots[s].group != kNoGroup && !(slots[s].prefix == prefix)) s = (s + 1) & mask;
+    return slots[s];
+  };
+  PrefixRuns runs;
+  runs.group_of.resize(routes.size());
+  std::size_t groups = 0;
+  for (std::size_t r = 0; r < routes.size(); ++r) {
+    if (2 * (groups + 1) > slots.size()) {
+      std::vector<Slot> old(2 * slots.size());
+      old.swap(slots);
+      for (const Slot& slot : old) {
+        if (slot.group != kNoGroup) slot_of(slot.prefix) = slot;
+      }
+    }
+    Slot& slot = slot_of(routes[r].prefix);
+    if (slot.group == kNoGroup) slot = {routes[r].prefix, groups++};
+    runs.group_of[r] = slot.group;
+  }
+
+  runs.groups_per_run =
+      std::clamp<std::size_t>(groups / (kRunsPerWorker * threads), 1, kMaxGroupsPerRun);
+  const std::size_t per_run = runs.groups_per_run;
+  std::vector<std::size_t> next((groups + per_run - 1) / per_run);
+  for (const std::size_t g : runs.group_of) ++next[g / per_run];
+  runs.starts.resize(next.size() + 1);
+  for (std::size_t b = 0; b < next.size(); ++b) {
+    runs.starts[b + 1] = runs.starts[b] + next[b];
+    next[b] = runs.starts[b];
+  }
+  runs.order.resize(routes.size());
+  for (std::size_t r = 0; r < routes.size(); ++r) {
+    runs.order[next[runs.group_of[r] / per_run]++] = r;
+  }
+  return runs;
+}
+
+constexpr std::uint32_t kNone = UINT32_MAX;
+
+/// A node of a run's reversed-path tries. Nodes 0 .. groups_per_run - 1
+/// are the roots, one per prefix group of the run; each child is the next
+/// AS toward the vantage point. A node stands for one path suffix (its AS
+/// up to the origin), and a node whose parent is not a root is one hop:
+/// its parent's AS exported to its AS.
+struct TrieNode {
+  Asn asn = 0;
+  std::uint32_t parent = kNone;
+  std::uint32_t first_child = kNone;
+  std::uint32_t next_sibling = kNone;
+  std::uint32_t uses = 0;  // routes of the run through this node
+};
+
+/// One worker's scratch, reused for every run it verifies: the tries, one
+/// hop check per node (unset for the roots and the origins), and each
+/// route's vantage-point node.
+struct RunScratch {
+  std::vector<TrieNode> nodes;
+  std::vector<HopCheck> hops;
+  std::vector<std::uint32_t> leaves;
+};
+
+/// Verify the routes of one run into `results`. Inserting the routes'
+/// reversed paths checks each new node's hop once, with the route that
+/// created it; then every route takes its nodes' checks in verify_route's
+/// order (origin side first), the last route through a node by move and
+/// the others by copy.
+void verify_run(const Verifier& verifier, const std::vector<bgp::Route>& routes,
+                const PrefixRuns& runs, std::size_t b, RunScratch& scratch,
+                std::vector<std::vector<HopCheck>>& results) {
+  const std::span<const std::size_t> run = runs.run(b);
+  std::vector<TrieNode>& nodes = scratch.nodes;
+  std::vector<HopCheck>& hops = scratch.hops;
+  const std::size_t roots = runs.groups_per_run;
+  nodes.assign(roots, TrieNode{});
+  hops.clear();
+  hops.resize(roots);
+  scratch.leaves.clear();
+  for (const std::size_t r : run) {
+    const bgp::Route& route = routes[r];
+    const std::vector<Asn>& path = route.path;
+    auto parent = static_cast<std::uint32_t>(runs.group_of[r] % roots);
+    for (std::size_t i = path.size(); i-- > 0;) {
+      std::uint32_t node = nodes[parent].first_child;
+      while (node != kNone && nodes[node].asn != path[i]) node = nodes[node].next_sibling;
+      if (node == kNone) {
+        node = static_cast<std::uint32_t>(nodes.size());
+        TrieNode& fresh = nodes.emplace_back();
+        fresh.asn = path[i];
+        fresh.parent = parent;
+        fresh.next_sibling = nodes[parent].first_child;
+        nodes[parent].first_child = node;
+        HopCheck& hop = hops.emplace_back();
+        if (parent >= roots) {
+          // path[i + 1] announced path[i + 1..] to path[i].
+          hop.from = path[i + 1];
+          hop.to = path[i];
+          const std::span<const Asn> announced(path.data() + i + 1, path.size() - i - 1);
+          hop.export_result = verifier.check_export(hop.from, hop.to, route, announced);
+          hop.import_result = verifier.check_import(hop.to, hop.from, route, announced);
+        }
+      }
+      ++nodes[node].uses;
+      parent = node;
+    }
+    scratch.leaves.push_back(parent);
+  }
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    const std::size_t length = routes[run[k]].path.size();
+    if (length < 2) continue;
+    std::vector<HopCheck>& out = results[run[k]];
+    out.resize(length - 1);
+    // From the vantage point toward the origin, filling `out` from the back.
+    std::uint32_t node = scratch.leaves[k];
+    for (std::size_t h = length - 1; h-- > 0; node = nodes[node].parent) {
+      if (--nodes[node].uses == 0) {
+        out[h] = std::move(hops[node]);
+      } else {
+        out[h] = hops[node];
       }
     }
   }
+}
+
+/// `threads` capped at the number of runs.
+std::size_t worker_count(unsigned threads, const PrefixRuns& runs) {
+  return std::max<std::size_t>(1, std::min<std::size_t>(threads, runs.size()));
+}
+
+/// The one worker body of both backends: `workers` threads claim runs and
+/// verify them through `verifier_for_thread(t)`. Each route belongs to one
+/// run, so each results[i] has one writer.
+template <typename VerifierFor>
+std::vector<std::vector<HopCheck>> verify_runs(const std::vector<bgp::Route>& routes,
+                                               const PrefixRuns& runs, std::size_t workers,
+                                               const VerifierFor& verifier_for_thread) {
+  std::vector<std::vector<HopCheck>> results(routes.size());
+  std::atomic<std::size_t> next{0};
+  util::run_on_pool(workers, [&](std::size_t t) {
+    const Verifier& verifier = verifier_for_thread(t);
+    RunScratch scratch;
+    while (true) {
+      const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+      if (b >= runs.size()) return;
+      obs::Span batch_span("verify.batch");
+      verify_run(verifier, routes, runs, b, scratch, results);
+    }
+  });
+  return results;
 }
 
 std::vector<std::vector<HopCheck>> verify_interpreted(
     const irr::Index& index, const relations::AsRelations& relations,
     const std::vector<bgp::Route>& routes, VerifyOptions options, unsigned threads) {
   obs::Span verify_span("verify.routes");
-  std::vector<std::vector<HopCheck>> results(routes.size());
-  if (routes.empty()) return results;
-  if (threads == 1 || routes.size() < 2 * threads) {
-    obs::Span batch_span("verify.batch");
-    Verifier verifier(index, relations, options);
-    for (std::size_t i = 0; i < routes.size(); ++i) {
-      results[i] = verifier.verify_route(routes[i]);
-    }
-    return results;
+  threads = util::resolve_threads(threads);
+  const PrefixRuns runs = group_by_prefix(routes, threads);
+  const std::size_t workers = worker_count(threads, runs);
+  if (workers > 1) {
+    // Make all as-set flattening queries pure reads before sharing the index.
+    index.prewarm();
+    // Tier-1 computation caches lazily inside AsRelations; force it now.
+    relations.tier1();
   }
-
-  // Make all as-set flattening queries pure reads before sharing the index.
-  index.prewarm();
-  // Tier-1 computation caches lazily inside AsRelations; force it now.
-  relations.tier1();
-
   // Verifier-level caches (customer cones, only-provider bits) are
   // per-thread; they deduplicate quickly across a shard.
   std::vector<Verifier> verifiers;
-  verifiers.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) verifiers.emplace_back(index, relations, options);
-  run_pool(routes, results, threads,
-           [&](unsigned t) -> const Verifier& { return verifiers[t]; });
-  return results;
+  verifiers.reserve(workers);
+  for (std::size_t t = 0; t < workers; ++t) verifiers.emplace_back(index, relations, options);
+  return verify_runs(routes, runs, workers,
+                     [&](std::size_t t) -> const Verifier& { return verifiers[t]; });
 }
 
 }  // namespace
@@ -111,27 +231,17 @@ std::vector<std::vector<HopCheck>> verify_routes_parallel(
     std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot,
     const std::vector<bgp::Route>& routes, VerifyOptions options, unsigned threads) {
   obs::Span verify_span("verify.routes");
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<std::vector<HopCheck>> results(routes.size());
-  if (routes.empty()) return results;
+  threads = util::resolve_threads(threads);
+  const PrefixRuns runs = group_by_prefix(routes, threads);
   // One immutable Verifier for everyone; no per-thread state exists.
-  Verifier verifier(std::move(snapshot), options);
-  if (threads == 1 || routes.size() < 2 * threads) {
-    obs::Span batch_span("verify.batch");
-    for (std::size_t i = 0; i < routes.size(); ++i) {
-      results[i] = verifier.verify_route(routes[i]);
-    }
-    return results;
-  }
-  run_pool(routes, results, threads,
-           [&](unsigned) -> const Verifier& { return verifier; });
-  return results;
+  const Verifier verifier(std::move(snapshot), options);
+  return verify_runs(routes, runs, worker_count(threads, runs),
+                     [&](std::size_t) -> const Verifier& { return verifier; });
 }
 
 std::vector<std::vector<HopCheck>> verify_routes_parallel(
     const irr::Index& index, const relations::AsRelations& relations,
     const std::vector<bgp::Route>& routes, VerifyOptions options, unsigned threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   if (options.use_snapshot) {
     // Build a snapshot over non-owning aliases: the caller guarantees index
     // and relations outlive this call, and the snapshot dies with it.

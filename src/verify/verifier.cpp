@@ -161,6 +161,9 @@ std::optional<Reason> Verifier::safelist(Asn self, Asn peer, bool is_import) con
   return std::nullopt;
 }
 
+// Reads of `route` stay limited to route.prefix and route.origin(): see
+// the purity invariant in verifier.hpp, which verify_routes_parallel's
+// distinct-hop grouping relies on.
 CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
                             std::span<const Asn> announced_path) const {
   if (snapshot_ != nullptr) {

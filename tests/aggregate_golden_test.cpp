@@ -41,6 +41,10 @@ class Digest {
   void mix(const StatusCounts& counts) {
     for (std::size_t c : counts.counts) mix(c);
   }
+  // Each 32-bit count widened to 64 bits, as when routes held StatusCounts.
+  void mix(const RouteCounts& counts) {
+    for (std::uint32_t c : counts.counts) mix(std::uint64_t{c});
+  }
   template <std::size_t N>
   void mix(const std::array<std::size_t, N>& counts) {
     for (std::size_t c : counts) mix(c);
@@ -89,7 +93,7 @@ std::string render(const Aggregator& agg) {
   for (std::size_t c : agg.first_hops().counts) out << " " << c;
   out << "\n";
   Digest routes;
-  for (const StatusCounts& counts : agg.routes()) routes.mix(counts);
+  for (const RouteCounts& counts : agg.routes()) routes.mix(counts);
   out << "route_series " << agg.routes().size() << " " << routes.hex() << "\n";
   // Each table is bound to a name first: an accessor may return by value.
   const auto& as_imports = agg.as_imports();

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/synth/generator.hpp"
 #include "rpslyzer/verify/parallel.hpp"
@@ -82,10 +86,9 @@ TEST(ParallelVerify, SingleThreadAndEmptyInput) {
 }
 
 TEST(ParallelVerify, ManyThreadsOnTinyInputVerifiesEveryRouteOnce) {
-  // Regression: the batch dispatcher claimed work with a bare
-  // fetch_add(kBatch), pushing the shared counter far past routes.size()
-  // when threads outnumber batches. The bounded CAS claim must hand out
-  // each route exactly once and park the surplus workers.
+  // Threads far outnumber the prefix groups: the worker count is capped
+  // at the number of claimed runs, and each route is verified exactly
+  // once.
   auto& p = pipeline();
   Verifier serial(p.lyzer.index(), p.lyzer.relations());
 
@@ -102,8 +105,7 @@ TEST(ParallelVerify, ManyThreadsOnTinyInputVerifiesEveryRouteOnce) {
     }
   }
 
-  // ~200 routes and 64 threads is past the serial fast path but leaves only
-  // a handful of batches, so most workers contend on an exhausted counter.
+  // 64 threads over ~200 routes: each worker gets only a few runs.
   ASSERT_GE(p.routes.size(), 200u);
   std::vector<bgp::Route> small(p.routes.begin(), p.routes.begin() + 200);
   auto small_results =
@@ -157,6 +159,142 @@ TEST(ParallelVerify, OptionsPropagate) {
       EXPECT_NE(hop.export_result.status, Status::kSafelisted);
     }
   }
+}
+
+/// Every result of verify_routes_parallel, on both backends and at several
+/// thread counts, equals Verifier::verify_route on the same route.
+void expect_every_thread_count_matches(const Rpslyzer& lyzer,
+                                       const std::vector<bgp::Route>& routes) {
+  const Verifier serial(lyzer.index(), lyzer.relations());
+  for (const bool use_snapshot : {true, false}) {
+    VerifyOptions options;
+    options.use_snapshot = use_snapshot;
+    for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
+      SCOPED_TRACE(testing::Message() << "snapshot " << use_snapshot << " threads " << threads);
+      const auto results =
+          verify_routes_parallel(lyzer.index(), lyzer.relations(), routes, options, threads);
+      ASSERT_EQ(results.size(), routes.size());
+      for (std::size_t i = 0; i < routes.size(); ++i) {
+        const auto expected = serial.verify_route(routes[i]);
+        ASSERT_EQ(results[i].size(), expected.size()) << "route " << i;
+        for (std::size_t h = 0; h < expected.size(); ++h) {
+          EXPECT_EQ(results[i][h].from, expected[h].from) << "route " << i << " hop " << h;
+          EXPECT_EQ(results[i][h].to, expected[h].to) << "route " << i << " hop " << h;
+          EXPECT_TRUE(same_check(results[i][h].export_result, expected[h].export_result))
+              << "route " << i << " hop " << h;
+          EXPECT_TRUE(same_check(results[i][h].import_result, expected[h].import_result))
+              << "route " << i << " hop " << h;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelVerify, DistinctHopGroupingMatchesVerifyRoute) {
+  // verify_routes_parallel checks each distinct (prefix, path suffix) once
+  // and copies the verdict to every route through it. The inputs a wrong
+  // grouping or a wrong copy would get wrong, mixed with plain routes.
+  auto& p = pipeline();
+  ASSERT_GE(p.routes.size(), 300u);
+  std::vector<bgp::Route> routes(p.routes.begin(), p.routes.begin() + 300);
+
+  // Duplicates.
+  for (std::size_t i = 0; i < 20; ++i) routes.push_back(p.routes[i]);
+  // Empty and one-ASN paths, beside routes of the same prefix.
+  routes.push_back({p.routes[0].prefix, {}});
+  routes.push_back({p.routes[0].prefix, {p.routes[0].origin()}});
+  // A non-adjacent repeated ASN: A B A C.
+  const bgp::Route* long_route = nullptr;
+  for (const auto& route : p.routes) {
+    if (route.path.size() >= 3 && route.path[0] != route.origin()) {
+      long_route = &route;
+      break;
+    }
+  }
+  ASSERT_NE(long_route, nullptr);
+  const bgp::Asn a = long_route->path[0];
+  routes.push_back({long_route->prefix, {a, long_route->path[1], a, long_route->origin()}});
+  // A v4 and a v6 prefix with equal address words and length.
+  const bgp::Route* v4_route = nullptr;
+  for (const auto& route : p.routes) {
+    if (route.prefix.is_v4() && route.path.size() >= 2) {
+      v4_route = &route;
+      break;
+    }
+  }
+  ASSERT_NE(v4_route, nullptr);
+  const net::Prefix v6_twin(net::IpAddress::v6(v4_route->prefix.address().hi(),
+                                               v4_route->prefix.address().lo()),
+                            v4_route->prefix.length());
+  routes.push_back(*v4_route);
+  routes.push_back({v6_twin, v4_route->path});
+  // Many vantage points sharing one tail: 40 ASes of the corpus that are
+  // not on the path, each in front of it.
+  std::set<bgp::Asn> vantage_points;
+  for (const auto& route : p.routes) {
+    for (const bgp::Asn asn : route.path) {
+      if (std::find(long_route->path.begin(), long_route->path.end(), asn) ==
+              long_route->path.end() &&
+          vantage_points.size() < 40) {
+        vantage_points.insert(asn);
+      }
+    }
+  }
+  ASSERT_EQ(vantage_points.size(), 40u);
+  for (const bgp::Asn vantage : vantage_points) {
+    std::vector<bgp::Asn> path = long_route->path;
+    path.insert(path.begin(), vantage);
+    routes.push_back({long_route->prefix, std::move(path)});
+  }
+  // Interleave the prefixes.
+  std::shuffle(routes.begin(), routes.end(), std::mt19937_64(22));
+
+  expect_every_thread_count_matches(p.lyzer, routes);
+}
+
+TEST(ParallelVerify, DistinctHopKeyHoldsPrefixFamilyAndAnnouncedTail) {
+  // A hop's verdict depends on the prefix (with its family) and on the
+  // whole path its exporter announces, not only on (exporter, importer).
+  // Each pair of routes below shares everything but one of those and gets
+  // a different verdict, so a grouping that drops it copies a wrong one.
+  const std::string rpsl =
+      "aut-num: AS1\n"
+      "import: from AS2 accept <^AS2 AS3$>\n"
+      "import: from AS5 accept 192.0.2.0/24\n"
+      "import: from AS6 accept ANY\n\n"
+      "aut-num: AS2\nexport: to AS1 announce ANY\n"
+      "import: from AS3 accept ANY\nimport: from AS4 accept ANY\n\n"
+      "aut-num: AS3\nexport: to AS2 announce ANY\n\n"
+      "aut-num: AS4\nexport: to AS2 announce ANY\n"
+      "import: from AS3 accept ANY\n\n"
+      "aut-num: AS5\nexport: to AS1 announce ANY\n\n"
+      "aut-num: AS6\nexport: to AS1 announce ANY\n"
+      "mp-export: afi ipv6.unicast to AS1 announce ANY\n";
+  const Rpslyzer lyzer = Rpslyzer::from_texts({{"TEST", rpsl}}, "");
+  auto route = [](std::string_view prefix, std::vector<bgp::Asn> path) {
+    return bgp::Route{*net::Prefix::parse(prefix), std::move(path)};
+  };
+  const std::vector<bgp::Route> routes = {
+      // Same prefix, exporter and importer; tails AS2 AS3 and AS2 AS4 AS3.
+      route("203.0.113.0/24", {1, 2, 3}),
+      route("203.0.113.0/24", {1, 2, 4, 3}),
+      // Same path; only the first prefix passes AS1's filter.
+      route("192.0.2.0/24", {1, 5}),
+      route("198.51.100.0/24", {1, 5}),
+      // Same address words, length and path; AS1's import covers IPv4 only.
+      route("10.0.0.0/8", {1, 6}),
+      route("a00::/8", {1, 6}),
+  };
+
+  // The corpus is decisive: each pair's first-hop import differs.
+  const Verifier serial(lyzer.index(), lyzer.relations());
+  for (std::size_t i = 0; i < routes.size(); i += 2) {
+    const auto first = serial.verify_route(routes[i]);
+    const auto second = serial.verify_route(routes[i + 1]);
+    EXPECT_EQ(first.back().import_result.status, Status::kVerified) << "route " << i;
+    EXPECT_NE(second.back().import_result.status, Status::kVerified) << "route " << i + 1;
+  }
+  expect_every_thread_count_matches(lyzer, routes);
 }
 
 TEST(IndexPrewarm, StabilizesTaint) {

@@ -40,11 +40,7 @@ World::World(double scale)
 report::Aggregator World::verify_all(verify::VerifyOptions options) const {
   verify::Verifier verifier = lyzer.verifier(options);
   report::Aggregator agg;
-  for (const auto& dump : bgp_dumps) {
-    for (const auto& route : bgp::parse_table_dump(dump)) {
-      agg.add(route, verifier.verify_route(route));
-    }
-  }
+  for (const auto& route : all_routes()) agg.add(route, verifier.verify_route(route));
   return agg;
 }
 

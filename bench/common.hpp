@@ -24,6 +24,8 @@ struct World {
 
   /// Verify every route in every dump and aggregate (§5 pipeline).
   report::Aggregator verify_all(verify::VerifyOptions options = {}) const;
+  /// Every usable route of every dump, each dump parsed on every hardware
+  /// thread.
   std::vector<bgp::Route> all_routes() const;
 };
 

@@ -16,6 +16,7 @@
 #include "rpslyzer/report/render.hpp"
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/synth/generator.hpp"
+#include "rpslyzer/verify/parallel.hpp"
 
 namespace {
 
@@ -54,15 +55,19 @@ int main(int argc, char** argv) {
     bgp_dumps = generator->bgp_dumps();
   }
 
-  verify::Verifier verifier = lyzer->verifier();
+  // Both the dump parse and the verification run on every hardware thread.
+  const unsigned threads = 0;
   report::Aggregator agg;
   bgp::DumpStats dump_stats;
   const auto start = std::chrono::steady_clock::now();
+  std::vector<bgp::Route> routes;
   for (const auto& dump : bgp_dumps) {
-    for (const auto& route : bgp::parse_table_dump(dump, &dump_stats)) {
-      agg.add(route, verifier.verify_route(route));
+    for (auto& route : bgp::parse_table_dump(dump, &dump_stats, threads)) {
+      routes.push_back(std::move(route));
     }
   }
+  const auto checks = verify::verify_routes_parallel(lyzer->snapshot(), routes, {}, threads);
+  for (std::size_t i = 0; i < routes.size(); ++i) agg.add(routes[i], checks[i]);
   const auto elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start);
 
   std::printf("\nVerified %zu routes (%zu checks) from %zu collectors in %.2fs\n",

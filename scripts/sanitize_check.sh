@@ -84,11 +84,12 @@ run_labeled "irr.parse=truncate(65536)"
 
 # TSan pass (if the toolchain supports it): the metrics registry, log gate,
 # and span recording all lean on relaxed atomics, the sharded ingestion
-# pipeline merges per-shard results across a worker pool, and parallel
-# verification shares one immutable CompiledPolicySnapshot (and one const
-# Verifier) across every worker, so a race-detector run of obs_test's
-# multi-threaded tests, the server loop, the parallel loader differential
-# suite, and the snapshot-sharing verify tests is the strongest check that
+# pipeline and the table-dump parser merge per-shard results across a
+# worker pool, and parallel verification shares one immutable
+# CompiledPolicySnapshot (and one const Verifier) across every worker, so a
+# race-detector run of obs_test's multi-threaded tests, the server loop, the
+# parallel loader and table-dump differential suites, and the
+# snapshot-sharing verify tests is the strongest check that
 # "lock-cheap" (and "lock-free-by-immutability") did not become "racy".
 TSAN_BUILD="${BUILD}-tsan"
 tsan_probe="$(mktemp -d)"
@@ -98,13 +99,16 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   echo "== ThreadSanitizer pass =="
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
   cmake --build "$TSAN_BUILD" -j "$(nproc)" --target obs_test server_test parallel_loader_test \
-    compile_snapshot_test parallel_verify_test verifier_test persist_test repl_test \
-    delta_test delta_fuzz_test arena_interner_test
+    compile_snapshot_test parallel_verify_test bgp_parse_reference_test verifier_test \
+    persist_test repl_test delta_test delta_fuzz_test arena_interner_test
   "$TSAN_BUILD/tests/obs_test"
   "$TSAN_BUILD/tests/server_test"
   "$TSAN_BUILD/tests/parallel_loader_test"
   "$TSAN_BUILD/tests/compile_snapshot_test"
   "$TSAN_BUILD/tests/parallel_verify_test"
+  # Table-dump shards are parsed on pool workers, each into its own route
+  # vector and stats, then joined on the calling thread.
+  "$TSAN_BUILD/tests/bgp_parse_reference_test"
   # Every worker reads the snapshot's fold plans and keeps its own leased
   # rule-merge buffers; the plans must stay read-only after build.
   "$TSAN_BUILD/tests/verifier_test"

@@ -68,9 +68,17 @@ struct DumpStats {
   std::size_t single_as = 0;
   std::size_t with_as_set = 0;
   std::size_t malformed = 0;
+
+  DumpStats& operator+=(const DumpStats& other) noexcept;
 };
 
-/// Parse a whole dump; only usable routes are returned.
-std::vector<Route> parse_table_dump(std::string_view text, DumpStats* stats = nullptr);
+/// Parse a whole dump; only usable routes are returned, in line order, and
+/// `stats` (when given) is added to. The text is cut into line-aligned
+/// shards parsed on `threads` workers (0 = the hardware concurrency), the
+/// calling thread being one of them. A shard spans at least 64 KiB, so a
+/// dump under 128 KiB is parsed on the calling thread alone. Every thread
+/// count returns the same routes and stats.
+std::vector<Route> parse_table_dump(std::string_view text, DumpStats* stats = nullptr,
+                                    unsigned threads = 0);
 
 }  // namespace rpslyzer::bgp

@@ -1,7 +1,10 @@
 #include "rpslyzer/bgp/route.hpp"
 
+#include <algorithm>
 #include <array>
+#include <iterator>
 
+#include "rpslyzer/util/pool.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::bgp {
@@ -109,32 +112,82 @@ std::optional<ParsedRoute> parse_table_dump_line(std::string_view line) {
   return out;
 }
 
-std::vector<Route> parse_table_dump(std::string_view text, DumpStats* stats) {
-  std::vector<Route> routes;
+DumpStats& DumpStats::operator+=(const DumpStats& other) noexcept {
+  total_lines += other.total_lines;
+  routes += other.routes;
+  single_as += other.single_as;
+  with_as_set += other.with_as_set;
+  malformed += other.malformed;
+  return *this;
+}
+
+namespace {
+
+/// A dump gets one shard per this many bytes at most: below it, starting a
+/// thread costs more than the lines it would parse.
+constexpr std::size_t kMinShardBytes = 64 * 1024;
+
+/// The per-line loop of every shard; `text` holds whole lines.
+void parse_lines(std::string_view text, std::vector<Route>& routes, DumpStats& stats) {
   for (std::size_t start = 0; start <= text.size();) {
     std::size_t newline = text.find('\n', start);
     if (newline == std::string_view::npos) newline = text.size();
     auto parsed = parse_table_dump_line(text.substr(start, newline - start));
     start = newline + 1;
     if (!parsed) continue;
-    if (stats != nullptr) {
-      ++stats->total_lines;
-      switch (parsed->issue) {
-        case RouteIssue::kOk:
-          ++stats->routes;
-          break;
-        case RouteIssue::kSingleAs:
-          ++stats->single_as;
-          break;
-        case RouteIssue::kHasAsSet:
-          ++stats->with_as_set;
-          break;
-        case RouteIssue::kMalformed:
-          ++stats->malformed;
-          break;
-      }
+    ++stats.total_lines;
+    switch (parsed->issue) {
+      case RouteIssue::kOk:
+        ++stats.routes;
+        routes.push_back(std::move(parsed->route));
+        break;
+      case RouteIssue::kSingleAs:
+        ++stats.single_as;
+        break;
+      case RouteIssue::kHasAsSet:
+        ++stats.with_as_set;
+        break;
+      case RouteIssue::kMalformed:
+        ++stats.malformed;
+        break;
     }
-    if (parsed->issue == RouteIssue::kOk) routes.push_back(std::move(parsed->route));
+  }
+}
+
+}  // namespace
+
+std::vector<Route> parse_table_dump(std::string_view text, DumpStats* stats, unsigned threads) {
+  // Shard w starts after the first '\n' at or after size·w/workers, so each
+  // holds whole lines. A cut that would leave a shard empty (a line longer
+  // than a shard, or no '\n' left) is dropped, which merges two shards.
+  const std::size_t workers = std::min<std::size_t>(
+      util::resolve_threads(threads), std::max<std::size_t>(1, text.size() / kMinShardBytes));
+  std::vector<std::size_t> cuts{0};
+  for (std::size_t w = 1; w < workers; ++w) {
+    const std::size_t newline = text.find('\n', text.size() * w / workers);
+    if (newline == std::string_view::npos) break;
+    if (newline + 1 > cuts.back() && newline + 1 < text.size()) cuts.push_back(newline + 1);
+  }
+  cuts.push_back(text.size());
+
+  const std::size_t shards = cuts.size() - 1;
+  std::vector<std::vector<Route>> parts(shards);
+  std::vector<DumpStats> part_stats(shards);
+  util::run_on_pool(shards, [&](std::size_t s) {
+    parse_lines(text.substr(cuts[s], cuts[s + 1] - cuts[s]), parts[s], part_stats[s]);
+  });
+
+  // Shard order is line order: concatenate by move.
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<Route> routes = std::move(parts[0]);
+  routes.reserve(total);
+  for (std::size_t s = 1; s < shards; ++s) {
+    routes.insert(routes.end(), std::make_move_iterator(parts[s].begin()),
+                  std::make_move_iterator(parts[s].end()));
+  }
+  if (stats != nullptr) {
+    for (const DumpStats& part : part_stats) *stats += part;
   }
   return routes;
 }

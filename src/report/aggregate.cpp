@@ -208,19 +208,22 @@ void Aggregator::add_check(AsRow& as, StatusCounts& pair, RouteCounts& route, bo
   pair.add(check.status);
   route.add(check.status);
 
-  // Runs of unnamed MatchRemoteAsNum belong to no category and are skipped
-  // whole.
-  auto skip_run = [](std::span<const Asn>) {};
+  // Runs of unnamed MatchRemoteAsNum belong to no category and are no
+  // filter reason: they are skipped whole, and a list that is one run is
+  // not walked at all, so its heap block is never read.
+  auto visit_items = [&](const auto& on_item) {
+    if (!check.items.single_run()) check.items.visit([](std::span<const Asn>) {}, on_item);
+  };
   if (check.status == Status::kUnrecorded) {
     as.unrecorded_seen = true;
-    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
+    visit_items([&](const verify::ReportItem& item) {
       if (auto category = unrecorded_category(item.reason)) {
         ++as.unrecorded[static_cast<std::size_t>(*category)];
       }
     });
   } else if (check.status == Status::kRelaxed || check.status == Status::kSafelisted) {
     as.special_seen = true;
-    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
+    visit_items([&](const verify::ReportItem& item) {
       if (auto category = special_category(item.reason)) {
         ++as.special[static_cast<std::size_t>(*category)];
       }
@@ -228,7 +231,7 @@ void Aggregator::add_check(AsRow& as, StatusCounts& pair, RouteCounts& route, bo
   } else if (check.status == Status::kUnverified) {
     ++unverified_checks_;
     bool filter_involved = false;
-    check.items.visit(skip_run, [&](const verify::ReportItem& item) {
+    visit_items([&](const verify::ReportItem& item) {
       filter_involved = filter_involved || is_filter_reason(item.reason);
     });
     if (!filter_involved) ++unverified_peering_undeclared_;

@@ -153,6 +153,10 @@ class ReportItems {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
+  /// Is the sequence exactly one run of unnamed MatchRemoteAsNum? Read off
+  /// the lengths alone (one header word plus one word per item), without
+  /// touching the encoding.
+  bool single_run() const noexcept { return words_ == size_ + 1; }
   iterator begin() const noexcept;
   iterator end() const noexcept;
   /// Linear in `i`: the runs are walked from the front.

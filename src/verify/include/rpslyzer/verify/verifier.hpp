@@ -18,6 +18,8 @@
 //    relations::AsRelations with per-Verifier memo caches. Kept behind
 //    VerifyOptions::use_snapshot=false for one release as the reference.
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -59,6 +61,20 @@ struct VerifyOptions {
   bool use_snapshot = true;
 };
 
+/// The way check() decided a check: no aut-num for the AS under check,
+/// zero rules for the direction, the snapshot's reject-all fast path (no
+/// rule names the peer), or the loop over the rules. Only the snapshot
+/// backend has the reject-all path.
+enum class CheckPath : std::uint8_t { kMissingAutNum, kZeroRules, kRejectAll, kRuleLoop };
+inline constexpr std::size_t kCheckPathCount = 4;
+
+/// "missing_aut_num", "zero_rules", "reject_all" or "rule_loop".
+const char* to_string(CheckPath path) noexcept;
+
+/// Checks per CheckPath, kept by one caller (a verify worker) without
+/// atomics.
+using CheckPathCounts = std::array<std::uint64_t, kCheckPathCount>;
+
 class Verifier {
  public:
   /// Interpreted backend: evaluate directly against the index.
@@ -71,13 +87,16 @@ class Verifier {
                     VerifyOptions options = {});
 
   /// Check AS `from`'s export of `route` toward `to`. `announced_path` is
-  /// the AS path as announced by `from` (from..origin, BGP order).
+  /// the AS path as announced by `from` (from..origin, BGP order). When
+  /// `paths` is given, the CheckPath taken is counted in it.
   CheckResult check_export(Asn from, Asn to, const bgp::Route& route,
-                           std::span<const Asn> announced_path) const;
+                           std::span<const Asn> announced_path,
+                           CheckPathCounts* paths = nullptr) const;
 
   /// Check AS `to`'s import of `route` from `from`.
   CheckResult check_import(Asn to, Asn from, const bgp::Route& route,
-                           std::span<const Asn> announced_path) const;
+                           std::span<const Asn> announced_path,
+                           CheckPathCounts* paths = nullptr) const;
 
   /// Verify every AS pair of the route, origin side first (Appendix C
   /// report order). Prepends must already be stripped (bgp::parse_* does).
@@ -105,7 +124,7 @@ class Verifier {
   /// once and copies the verdict to every route through it, so reading
   /// anything else of `route` breaks its results.
   CheckResult check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
-                    std::span<const Asn> announced_path) const;
+                    std::span<const Asn> announced_path, CheckPathCounts* paths) const;
 
   /// Shared tail of check(): §5 status from the merged rule outcomes, then
   /// the §5.1.1 relaxations and §5.1.2 safelists in paper order. Backend

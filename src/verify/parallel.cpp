@@ -1,11 +1,13 @@
 #include "rpslyzer/verify/parallel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
 
 #include "rpslyzer/compile/snapshot.hpp"
+#include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/util/pool.hpp"
 #include "rpslyzer/util/rand.hpp"
@@ -121,7 +123,7 @@ struct RunScratch {
 /// the others by copy.
 void verify_run(const Verifier& verifier, const std::vector<bgp::Route>& routes,
                 const PrefixRuns& runs, std::size_t b, RunScratch& scratch,
-                std::vector<std::vector<HopCheck>>& results) {
+                CheckPathCounts& paths, std::vector<std::vector<HopCheck>>& results) {
   const std::span<const std::size_t> run = runs.run(b);
   std::vector<TrieNode>& nodes = scratch.nodes;
   std::vector<HopCheck>& hops = scratch.hops;
@@ -150,8 +152,8 @@ void verify_run(const Verifier& verifier, const std::vector<bgp::Route>& routes,
           hop.from = path[i + 1];
           hop.to = path[i];
           const std::span<const Asn> announced(path.data() + i + 1, path.size() - i - 1);
-          hop.export_result = verifier.check_export(hop.from, hop.to, route, announced);
-          hop.import_result = verifier.check_import(hop.to, hop.from, route, announced);
+          hop.export_result = verifier.check_export(hop.from, hop.to, route, announced, &paths);
+          hop.import_result = verifier.check_import(hop.to, hop.from, route, announced, &paths);
         }
       }
       ++nodes[node].uses;
@@ -176,6 +178,21 @@ void verify_run(const Verifier& verifier, const std::vector<bgp::Route>& routes,
   }
 }
 
+/// Add one worker's per-path check counts to
+/// rpslyzer_verify_checks_total{path}.
+void flush_check_paths(const CheckPathCounts& paths) {
+  static const std::array<obs::Counter*, kCheckPathCount> counters = [] {
+    std::array<obs::Counter*, kCheckPathCount> out{};
+    for (std::size_t p = 0; p < kCheckPathCount; ++p) {
+      out[p] = &obs::MetricsRegistry::global().counter(
+          "rpslyzer_verify_checks_total", "Policy checks by the path that decided them",
+          {{"path", to_string(static_cast<CheckPath>(p))}});
+    }
+    return out;
+  }();
+  for (std::size_t p = 0; p < kCheckPathCount; ++p) counters[p]->inc(paths[p]);
+}
+
 /// `threads` capped at the number of runs.
 std::size_t worker_count(unsigned threads, const PrefixRuns& runs) {
   return std::max<std::size_t>(1, std::min<std::size_t>(threads, runs.size()));
@@ -183,7 +200,8 @@ std::size_t worker_count(unsigned threads, const PrefixRuns& runs) {
 
 /// The one worker body of both backends: `workers` threads claim runs and
 /// verify them through `verifier_for_thread(t)`. Each route belongs to one
-/// run, so each results[i] has one writer.
+/// run, so each results[i] has one writer. A worker counts its checks per
+/// path locally and flushes the counts once, when it runs out of runs.
 template <typename VerifierFor>
 std::vector<std::vector<HopCheck>> verify_runs(const std::vector<bgp::Route>& routes,
                                                const PrefixRuns& runs, std::size_t workers,
@@ -193,12 +211,14 @@ std::vector<std::vector<HopCheck>> verify_runs(const std::vector<bgp::Route>& ro
   util::run_on_pool(workers, [&](std::size_t t) {
     const Verifier& verifier = verifier_for_thread(t);
     RunScratch scratch;
+    CheckPathCounts paths{};
     while (true) {
       const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= runs.size()) return;
+      if (b >= runs.size()) break;
       obs::Span batch_span("verify.batch");
-      verify_run(verifier, routes, runs, b, scratch, results);
+      verify_run(verifier, routes, runs, b, scratch, paths, results);
     }
+    flush_check_paths(paths);
   });
   return results;
 }

@@ -15,6 +15,20 @@ using internal::RuleMerge;
 
 }  // namespace
 
+const char* to_string(CheckPath path) noexcept {
+  switch (path) {
+    case CheckPath::kMissingAutNum:
+      return "missing_aut_num";
+    case CheckPath::kZeroRules:
+      return "zero_rules";
+    case CheckPath::kRejectAll:
+      return "reject_all";
+    case CheckPath::kRuleLoop:
+      return "rule_loop";
+  }
+  return "unknown";
+}
+
 Verifier::Verifier(const irr::Index& index, const relations::AsRelations& relations,
                    VerifyOptions options)
     : index_(&index), relations_(&relations), options_(options) {}
@@ -165,16 +179,21 @@ std::optional<Reason> Verifier::safelist(Asn self, Asn peer, bool is_import) con
 // the purity invariant in verifier.hpp, which verify_routes_parallel's
 // distinct-hop grouping relies on.
 CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route& route,
-                            std::span<const Asn> announced_path) const {
+                            std::span<const Asn> announced_path, CheckPathCounts* paths) const {
+  auto took = [paths](CheckPath path) {
+    if (paths != nullptr) ++(*paths)[static_cast<std::size_t>(path)];
+  };
   if (snapshot_ != nullptr) {
     // Unrecorded (1): no aut-num object for the AS under check.
     const compile::CompiledAutNum* can = snapshot_->compiled_aut_num(self);
     if (can == nullptr) {
+      took(CheckPath::kMissingAutNum);
       return {Status::kUnrecorded, {{Reason::kUnrecordedAutNum, self, {}}}};
     }
     // Unrecorded (2): zero rules for the direction being checked.
     const auto& crules = is_import ? can->imports : can->exports;
     if (crules.empty()) {
+      took(CheckPath::kZeroRules);
       return {Status::kUnrecorded, {{Reason::kUnrecordedNoRules, self, {}}}};
     }
 
@@ -185,6 +204,7 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
     const compile::RejectAll& reject = can->reject_all_for(is_import, route.prefix.is_v4());
     if (reject.simple &&
         !std::binary_search(reject.peers.begin(), reject.peers.end(), peer)) {
+      took(CheckPath::kRejectAll);
       std::optional<ReportItem> tail;
       if (const std::optional<Reason> reason = safelist(self, peer, is_import)) {
         tail = ReportItem{*reason, 0, {}};
@@ -193,6 +213,7 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
               ReportItems(reject.no_match_asns, tail)};
     }
 
+    took(CheckPath::kRuleLoop);
     internal::EvalContextT<compile::CompiledPolicySnapshot> ctx{
         *snapshot_, options_, self, peer, route.prefix, announced_path, route.origin()};
 
@@ -226,13 +247,16 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
   // Unrecorded (1): no aut-num object for the AS under check.
   const ir::AutNum* an = index_->aut_num(self);
   if (an == nullptr) {
+    took(CheckPath::kMissingAutNum);
     return {Status::kUnrecorded, {{Reason::kUnrecordedAutNum, self, {}}}};
   }
   // Unrecorded (2): zero rules for the direction being checked.
   const auto& rules = is_import ? an->imports : an->exports;
   if (rules.empty()) {
+    took(CheckPath::kZeroRules);
     return {Status::kUnrecorded, {{Reason::kUnrecordedNoRules, self, {}}}};
   }
+  took(CheckPath::kRuleLoop);
 
   internal::InterpretedCorpus corpus{*index_};
   internal::EvalContext ctx{corpus,         options_,       self, peer,
@@ -247,13 +271,15 @@ CheckResult Verifier::check(Asn self, Asn peer, bool is_import, const bgp::Route
 }
 
 CheckResult Verifier::check_export(Asn from, Asn to, const bgp::Route& route,
-                                   std::span<const Asn> announced_path) const {
-  return check(from, to, /*is_import=*/false, route, announced_path);
+                                   std::span<const Asn> announced_path,
+                                   CheckPathCounts* paths) const {
+  return check(from, to, /*is_import=*/false, route, announced_path, paths);
 }
 
 CheckResult Verifier::check_import(Asn to, Asn from, const bgp::Route& route,
-                                   std::span<const Asn> announced_path) const {
-  return check(to, from, /*is_import=*/true, route, announced_path);
+                                   std::span<const Asn> announced_path,
+                                   CheckPathCounts* paths) const {
+  return check(to, from, /*is_import=*/true, route, announced_path, paths);
 }
 
 std::vector<HopCheck> Verifier::verify_route(const bgp::Route& route) const {

@@ -339,6 +339,103 @@ TEST(BgpParseReference, DumpsMatchTheSplitParser) {
   }
 }
 
+// The sharded parse of `dump` on `threads` workers must equal the split
+// parser's: the same routes in the same order and every DumpStats field.
+// The summed total_lines equal only if the shards neither overlap nor drop
+// a line.
+void expect_sharded_parse_matches(const std::string& dump, unsigned threads) {
+  SCOPED_TRACE("threads " + std::to_string(threads) + ", " + std::to_string(dump.size()) +
+               " bytes");
+  DumpStats got_stats;
+  DumpStats want_stats;
+  const std::vector<Route> got = parse_table_dump(dump, &got_stats, threads);
+  const std::vector<Route> want = reference::parse_table_dump(dump, &want_stats);
+  EXPECT_EQ(got_stats.total_lines, want_stats.total_lines);
+  EXPECT_EQ(got_stats.routes, want_stats.routes);
+  EXPECT_EQ(got_stats.single_as, want_stats.single_as);
+  EXPECT_EQ(got_stats.with_as_set, want_stats.with_as_set);
+  EXPECT_EQ(got_stats.malformed, want_stats.malformed);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) expect_same_route(got[i], want[i]);
+}
+
+constexpr std::array<unsigned, 5> kShardThreads = {1, 2, 3, 8, 64};
+
+TEST(BgpParseReference, ShardedDumpsMatchTheSplitParser) {
+  constexpr std::size_t kMiB = 1 << 20;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Gen gen(seed);
+    std::string dump;
+    while (dump.size() < kMiB) dump += gen.line() + "\n";
+    std::string unterminated = dump + gen.line() + "2001:db8::/32|1 2";  // no final newline
+    std::string crlf;
+    for (char c : dump) {
+      if (c == '\n') crlf += '\r';
+      crlf += c;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const unsigned threads : kShardThreads) {
+      expect_sharded_parse_matches(dump, threads);
+      expect_sharded_parse_matches(unterminated, threads);
+      expect_sharded_parse_matches(crlf, threads);
+    }
+  }
+}
+
+TEST(BgpParseReference, ShardCutsAtEveryLineOffset) {
+  // Equal 64-byte lines: as the tail grows a byte at a time, the cut points
+  // size·w/workers move across a whole line, landing on the '\n', just
+  // after it and everywhere between.
+  std::string line = "10.0.0.0/8|64500 64501 64502";
+  line.resize(63, ' ');
+  line += '\n';
+  std::string lines;
+  for (int n = 0; n < 4096; ++n) lines += line;
+  for (std::size_t tail = 0; tail <= 2 * line.size(); ++tail) {
+    const std::string dump = lines + "192.0.2.0/24|64500 6" + std::string(tail, '4');
+    for (const unsigned threads : {2u, 3u, 4u}) expect_sharded_parse_matches(dump, threads);
+  }
+}
+
+TEST(BgpParseReference, ShardedParseEdgeCases) {
+  Gen gen(5);
+  std::string head;
+  while (head.size() < 512 * 1024) head += gen.line() + "\n";
+  // One route whose line is longer than any shard.
+  std::string long_line = "198.51.100.0/24|";
+  for (std::uint32_t asn = 1; long_line.size() < 600 * 1024; ++asn) {
+    long_line += std::to_string(asn) + " ";
+  }
+  std::string comments;
+  while (comments.size() < 1 << 20) comments += comments.size() % 3 == 0 ? "\n" : "# c\n\n";
+
+  const std::vector<std::string> dumps = {
+      head + long_line + "\n" + head,
+      long_line,  // no '\n' at all
+      comments,   // nothing but newlines and comments
+      "",
+      "\n",
+  };
+  for (const std::string& dump : dumps) {
+    for (const unsigned threads : kShardThreads) expect_sharded_parse_matches(dump, threads);
+  }
+}
+
+TEST(BgpParseReference, ShardedParseAddsToStats) {
+  Gen gen(9);
+  std::string dump;
+  while (dump.size() < 256 * 1024) dump += gen.line() + "\n";
+  DumpStats once;
+  parse_table_dump(dump, &once, 4);
+  DumpStats twice;
+  parse_table_dump(dump, &twice, 4);
+  parse_table_dump(dump, &twice, 1);
+  EXPECT_GT(once.total_lines, 0u);
+  EXPECT_EQ(twice.total_lines, 2 * once.total_lines);
+  EXPECT_EQ(twice.routes, 2 * once.routes);
+  EXPECT_EQ(twice.malformed, 2 * once.malformed);
+}
+
 TEST(BgpParseReference, LinesMatchTheSplitParser) {
   Gen gen(7);
   std::size_t long_paths = 0;

@@ -7,6 +7,7 @@
 #include <random>
 #include <set>
 
+#include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/synth/generator.hpp"
 #include "rpslyzer/verify/parallel.hpp"
@@ -295,6 +296,70 @@ TEST(ParallelVerify, DistinctHopKeyHoldsPrefixFamilyAndAnnouncedTail) {
     EXPECT_NE(second.back().import_result.status, Status::kVerified) << "route " << i + 1;
   }
   expect_every_thread_count_matches(lyzer, routes);
+}
+
+/// rpslyzer_verify_checks_total{path} as it stands.
+CheckPathCounts checks_total() {
+  CheckPathCounts out{};
+  for (std::size_t p = 0; p < kCheckPathCount; ++p) {
+    out[p] = obs::MetricsRegistry::global()
+                 .counter("rpslyzer_verify_checks_total",
+                          "Policy checks by the path that decided them",
+                          {{"path", to_string(static_cast<CheckPath>(p))}})
+                 .value();
+  }
+  return out;
+}
+
+/// The per-path counts one verify_routes_parallel call adds.
+CheckPathCounts checks_of(const Rpslyzer& lyzer, const std::vector<bgp::Route>& routes,
+                          bool use_snapshot, unsigned threads) {
+  VerifyOptions options;
+  options.use_snapshot = use_snapshot;
+  const CheckPathCounts before = checks_total();
+  verify_routes_parallel(lyzer.index(), lyzer.relations(), routes, options, threads);
+  CheckPathCounts added = checks_total();
+  for (std::size_t p = 0; p < kCheckPathCount; ++p) added[p] -= before[p];
+  return added;
+}
+
+TEST(ParallelVerify, CheckPathCountsCoverEveryDistinctHop) {
+  // Each distinct (prefix, path suffix) hop is checked once for the export
+  // and once for the import, so the per-path counts sum to twice the
+  // distinct hops at every thread count and on both backends.
+  auto& p = pipeline();
+  std::set<std::pair<net::Prefix, std::vector<bgp::Asn>>> hops;
+  for (const auto& route : p.routes) {
+    for (std::size_t i = 0; i + 1 < route.path.size(); ++i) {
+      hops.emplace(route.prefix, std::vector<bgp::Asn>(route.path.begin() +
+                                                           static_cast<std::ptrdiff_t>(i),
+                                                       route.path.end()));
+    }
+  }
+  auto sum = [](const CheckPathCounts& counts) {
+    return counts[0] + counts[1] + counts[2] + counts[3];
+  };
+  auto at = [](const CheckPathCounts& counts, CheckPath path) {
+    return counts[static_cast<std::size_t>(path)];
+  };
+
+  const CheckPathCounts snapshot = checks_of(p.lyzer, p.routes, true, 1);
+  EXPECT_EQ(sum(snapshot), 2 * hops.size());
+  EXPECT_GT(at(snapshot, CheckPath::kRejectAll), 0u);
+  EXPECT_GT(at(snapshot, CheckPath::kRuleLoop), 0u);
+  for (const unsigned threads : {2u, 4u, 64u}) {
+    EXPECT_EQ(checks_of(p.lyzer, p.routes, true, threads), snapshot) << threads;
+  }
+
+  // The interpreted backend has no reject-all path: those checks run the
+  // rule loop, and the two early exits count alike.
+  const CheckPathCounts interpreted = checks_of(p.lyzer, p.routes, false, 4);
+  EXPECT_EQ(sum(interpreted), 2 * hops.size());
+  EXPECT_EQ(at(interpreted, CheckPath::kMissingAutNum), at(snapshot, CheckPath::kMissingAutNum));
+  EXPECT_EQ(at(interpreted, CheckPath::kZeroRules), at(snapshot, CheckPath::kZeroRules));
+  EXPECT_EQ(at(interpreted, CheckPath::kRejectAll), 0u);
+  EXPECT_EQ(at(interpreted, CheckPath::kRuleLoop),
+            at(snapshot, CheckPath::kRejectAll) + at(snapshot, CheckPath::kRuleLoop));
 }
 
 TEST(IndexPrewarm, StabilizesTaint) {

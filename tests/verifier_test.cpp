@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -1114,6 +1115,13 @@ TEST(ReportItems, PushBackMatchesBulkAndEqualityIsElementwise) {
   }
 }
 
+// A non-empty list of unnamed MatchRemoteAsNum only: one maximal run.
+bool is_one_run(const std::vector<ReportItem>& items) {
+  return !items.empty() && std::all_of(items.begin(), items.end(), [](const ReportItem& item) {
+    return item.reason == Reason::kMatchRemoteAsNum && item.name.empty();
+  });
+}
+
 TEST(ReportItems, RunConstructorAndVisitorMatchTheVectorConstructor) {
   std::mt19937_64 rng(29);
   const std::vector<std::optional<ReportItem>> tails = {
@@ -1132,13 +1140,16 @@ TEST(ReportItems, RunConstructorAndVisitorMatchTheVectorConstructor) {
     const ReportItems got(run, tail);
     EXPECT_EQ(got, ReportItems(want));
     expect_same_items(got, want);
+    EXPECT_EQ(got.single_run(), is_one_run(want));
   }
   // The visitor rebuilds every item, and its runs are maximal and non-empty.
   for (int n = 0; n < 2000; ++n) {
     const std::vector<ReportItem> want = random_items(rng);
     std::vector<ReportItem> visited;
     bool last_was_run = false;
-    ReportItems(want).visit(
+    const ReportItems items(want);
+    EXPECT_EQ(items.single_run(), is_one_run(want));
+    items.visit(
         [&](std::span<const Asn> asns) {
           EXPECT_FALSE(asns.empty());
           EXPECT_FALSE(last_was_run);

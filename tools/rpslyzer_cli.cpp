@@ -330,7 +330,7 @@ int cmd_verify(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const std::string text = std::move(buffer).str();
-    for (auto& route : bgp::parse_table_dump(text, &dump_stats)) {
+    for (auto& route : bgp::parse_table_dump(text, &dump_stats, threads)) {
       routes.push_back(std::move(route));
     }
   }

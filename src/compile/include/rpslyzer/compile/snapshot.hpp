@@ -46,6 +46,7 @@
 #include "rpslyzer/net/prefix_trie.hpp"
 #include "rpslyzer/relations/relations.hpp"
 #include "rpslyzer/util/interner.hpp"
+#include "rpslyzer/util/shared_list.hpp"
 
 namespace rpslyzer::persist {
 class SnapshotCodec;
@@ -139,10 +140,16 @@ struct RejectAll {
   }
 };
 
+/// An aut-num's compiled rules in declaration order. Like the ir::RuleList
+/// they point into, the lists are immutable and shared: an incremental
+/// build carries them forward while the aut-num's rule lists are the
+/// previous generation's, so every `rule` pointer stays valid.
+using CompiledRuleList = util::SharedList<CompiledRule>;
+
 struct CompiledAutNum {
   const ir::AutNum* an = nullptr;
-  std::vector<CompiledRule> imports;
-  std::vector<CompiledRule> exports;
+  CompiledRuleList imports;
+  CompiledRuleList exports;
   std::span<const ir::Asn> customer_cone;  // sorted; export-self relaxation
   bool only_provider = false;              // §5.1.2 only-provider-policies bit
   /// Import v4, import v6, export v4, export v6.
@@ -197,6 +204,9 @@ struct IncrementalStats {
   std::size_t regexes_reused = 0;      // NFA tables rehydrated from previous
   std::size_t regexes_recompiled = 0;  // Thompson constructions run
   std::size_t cones_reused = 0;
+  /// Aut-nums whose rule lists are the previous generation's, so their
+  /// compiled rules were carried forward instead of re-lowered.
+  std::size_t aut_nums_reused = 0;
 };
 
 /// Does `asn` only specify rules for its providers (§5.1.2)? The canonical
@@ -333,7 +343,7 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
       std::size_t peers, asns, size;  // offsets into the pool; both lists have `size` ASNs
       std::size_t plan, plan_size;    // offset into the plan pool
     };
-    void derive(const std::vector<CompiledRule>& rules, RejectAll& v4, RejectAll& v6);
+    void derive(const CompiledRuleList& rules, RejectAll& v4, RejectAll& v6);
 
     std::vector<ir::Asn>& pool_;
     std::vector<std::uint32_t>& plans_;
@@ -344,6 +354,8 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   };
   void compile_filter(const ir::Filter& filter);
   CompiledRule compile_rule(const ir::Rule& rule) const;
+  /// compile_rule over a list, compiling each rule's filter regexes too.
+  CompiledRuleList compile_rules(const ir::RuleList& rules);
 
   std::shared_ptr<const irr::Index> index_;
   std::shared_ptr<const relations::AsRelations> relations_;

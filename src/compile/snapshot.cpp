@@ -525,6 +525,16 @@ CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
   return out;
 }
 
+CompiledRuleList CompiledPolicySnapshot::compile_rules(const ir::RuleList& rules) {
+  std::vector<CompiledRule> out;
+  out.reserve(rules.size());
+  for (const ir::Rule& rule : rules) {
+    out.push_back(compile_rule(rule));
+    for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
+  }
+  return CompiledRuleList(std::move(out));
+}
+
 void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previous,
                                             const DirtySet* dirty,
                                             IncrementalStats* stats) {
@@ -536,7 +546,11 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   // object equality re-check so a missed dirty entry degrades to a
   // recompile, never to a stale automaton. The same check picks the
   // aut-nums whose RejectAll entries are copied rather than re-derived.
+  // Those whose rule lists are the previous generation's (the delta store
+  // shares an unedited aut-num's lists) also keep its compiled rules: each
+  // `rule` pointer still points into the shared list.
   std::vector<const CompiledAutNum*> unchanged(index_->ir().aut_nums.size(), nullptr);
+  std::vector<char> carried(index_->ir().aut_nums.size(), 0);
   if (previous != nullptr && dirty != nullptr) {
     auto seed_pairs = [&](const std::vector<const ir::FilterAsPath*>& olds,
                           const std::vector<const ir::FilterAsPath*>& news) {
@@ -558,7 +572,14 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
       const ir::AutNum* prev_an = previous->index_->aut_num(asn);
       if (prev_an == nullptr || !(*prev_an == an)) continue;
       unchanged[i] = previous->compiled_aut_num(asn);
-      seed_pairs(collect_as_paths(*prev_an), collect_as_paths(an));
+      if (unchanged[i] != nullptr && prev_an->imports.shares(an.imports) &&
+          prev_an->exports.shares(an.exports)) {
+        carried[i] = 1;
+        const auto paths = collect_as_paths(an);  // the previous ones too
+        seed_pairs(paths, paths);
+      } else {
+        seed_pairs(collect_as_paths(*prev_an), collect_as_paths(an));
+      }
     }
     for (const auto& [name, set] : index_->ir().filter_sets) {
       if (dirty->filter_sets.contains(name)) continue;
@@ -594,15 +615,19 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   for (const auto& [asn, an] : index_->ir().aut_nums) {
     CompiledAutNum compiled;
     compiled.an = &an;
-    compiled.imports.reserve(an.imports.size());
-    compiled.exports.reserve(an.exports.size());
-    for (const ir::Rule& rule : an.imports) {
-      compiled.imports.push_back(compile_rule(rule));
-      for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
-    }
-    for (const ir::Rule& rule : an.exports) {
-      compiled.exports.push_back(compile_rule(rule));
-      for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
+    if (carried[i] != 0) {
+      compiled.imports = unchanged[i]->imports;
+      compiled.exports = unchanged[i]->exports;
+      if (stats != nullptr) ++stats->aut_nums_reused;
+      // Seeding rehydrated the supported regexes; this compiles the rest.
+      for (const auto* rules : {&an.imports, &an.exports}) {
+        for (const ir::Rule& rule : *rules) {
+          for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
+        }
+      }
+    } else {
+      compiled.imports = compile_rules(an.imports);
+      compiled.exports = compile_rules(an.exports);
     }
     const std::vector<ir::Asn>& cone = cones[i];
     const std::size_t offset = cone_pool_.size();
@@ -659,7 +684,7 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(CompiledAutNum& can) {
   derive(can.exports, can.reject_all[2], can.reject_all[3]);
 }
 
-void CompiledPolicySnapshot::RejectAllBuilder::derive(const std::vector<CompiledRule>& rules,
+void CompiledPolicySnapshot::RejectAllBuilder::derive(const CompiledRuleList& rules,
                                                       RejectAll& v4, RejectAll& v6) {
   // One pass stages each family's covering simple rules' ASNs in rule order:
   // the fold plan, and the merged list before deduplication.

@@ -2,7 +2,6 @@
 
 #include <variant>
 
-#include "rpslyzer/irr/loader.hpp"
 #include "rpslyzer/rpsl/object_lexer.hpp"
 #include "rpslyzer/util/strings.hpp"
 
@@ -73,7 +72,60 @@ Classified classify(const rpsl::ParsedObject& object, const rpsl::RawObject& raw
   return c;
 }
 
+/// Copy every object of `from` whose key `into` does not hold yet.
+template <typename Map>
+void insert_absent(Map& into, const Map& from) {
+  for (const auto& [key, object] : from) into.try_emplace(key, object);
+}
+
+/// The object `key` resolves to in a keyed map, or null.
+template <typename Map, typename Key>
+const typename Map::mapped_type* find_in(const Map& map, const Key& key) {
+  const auto it = map.find(key);
+  return it == map.end() ? nullptr : &it->second;
+}
+
 }  // namespace
+
+template <typename Map, typename Key>
+void CorpusStore::refresh(Map SourceState::*objects, const Key& key) {
+  // Re-insert rather than assign: a name key then takes the winning
+  // source's spelling, as merging the sources from scratch would.
+  Map& merged = merged_.*objects;
+  merged.erase(key);
+  for (const SourceState& src : sources_) {
+    const Map& from = src.*objects;
+    if (const auto it = from.find(key); it != from.end()) {
+      merged.emplace(it->first, it->second);
+      return;
+    }
+  }
+}
+
+void CorpusStore::refresh_merged(const PreparedOp& op) {
+  switch (op.cls) {
+    case ObjectClass::kAutNum:
+      refresh(&SourceState::aut_nums, op.asn);
+      break;
+    case ObjectClass::kAsSet:
+      refresh(&SourceState::as_sets, op.name);
+      break;
+    case ObjectClass::kRouteSet:
+      refresh(&SourceState::route_sets, op.name);
+      break;
+    case ObjectClass::kPeeringSet:
+      refresh(&SourceState::peering_sets, op.name);
+      break;
+    case ObjectClass::kFilterSet:
+      refresh(&SourceState::filter_sets, op.name);
+      break;
+    case ObjectClass::kRoute:
+      refresh(&SourceState::routes, op.route_key);
+      break;
+    case ObjectClass::kOther:
+      break;
+  }
+}
 
 void CorpusStore::init(const std::vector<std::pair<std::string, std::string>>& dumps) {
   sources_.clear();
@@ -100,6 +152,17 @@ void CorpusStore::init(const std::vector<std::pair<std::string, std::string>>& d
       store_object(src, op);
     }
     sources_.push_back(std::move(src));
+  }
+  // The first (highest-priority) definition of each key wins, as in
+  // irr::merge_into. Later mutations refresh one key at a time.
+  merged_ = {};
+  for (const SourceState& src : sources_) {
+    insert_absent(merged_.aut_nums, src.aut_nums);
+    insert_absent(merged_.as_sets, src.as_sets);
+    insert_absent(merged_.route_sets, src.route_sets);
+    insert_absent(merged_.peering_sets, src.peering_sets);
+    insert_absent(merged_.filter_sets, src.filter_sets);
+    insert_absent(merged_.routes, src.routes);
   }
 }
 
@@ -258,6 +321,7 @@ CorpusStore::UndoLog CorpusStore::apply(const std::vector<PreparedOp>& ops) {
     } else {
       erase_object(src, op);  // DEL of an absent identity is a clean no-op
     }
+    refresh_merged(op);
   }
   return undo;
 }
@@ -280,82 +344,45 @@ void CorpusStore::revert(UndoLog&& undo) {
       op.object = std::move(entry.old_object);
       store_object(src, op);
     }
+    refresh_merged(op);
   }
   undo.clear();
 }
 
 const ir::AutNum* CorpusStore::merged_aut_num(ir::Asn asn) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.aut_nums.find(asn); it != src.aut_nums.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.aut_nums, asn);
 }
 
 const ir::AsSet* CorpusStore::merged_as_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.as_sets.find(std::string(name)); it != src.as_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.as_sets, std::string(name));
 }
 
 const ir::RouteSet* CorpusStore::merged_route_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.route_sets.find(std::string(name));
-        it != src.route_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.route_sets, std::string(name));
 }
 
 const ir::PeeringSet* CorpusStore::merged_peering_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.peering_sets.find(std::string(name));
-        it != src.peering_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.peering_sets, std::string(name));
 }
 
 const ir::FilterSet* CorpusStore::merged_filter_set(std::string_view name) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.filter_sets.find(std::string(name));
-        it != src.filter_sets.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.filter_sets, std::string(name));
 }
 
 const ir::RouteObject* CorpusStore::merged_route(
     const std::pair<net::Prefix, ir::Asn>& key) const {
-  for (const SourceState& src : sources_) {
-    if (const auto it = src.routes.find(key); it != src.routes.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return find_in(merged_.routes, key);
 }
 
 ir::Ir CorpusStore::materialize() const {
   ir::Ir out;
-  irr::RouteKeySet seen;
-  for (const SourceState& src : sources_) {
-    ir::Ir fragment;
-    fragment.aut_nums = src.aut_nums;
-    fragment.as_sets = src.as_sets;
-    fragment.route_sets = src.route_sets;
-    fragment.peering_sets = src.peering_sets;
-    fragment.filter_sets = src.filter_sets;
-    fragment.routes.reserve(src.routes.size());
-    for (const auto& [key, route] : src.routes) fragment.routes.push_back(route);
-    irr::merge_into(out, std::move(fragment), &seen);
-  }
+  out.aut_nums = merged_.aut_nums;
+  out.as_sets = merged_.as_sets;
+  out.route_sets = merged_.route_sets;
+  out.peering_sets = merged_.peering_sets;
+  out.filter_sets = merged_.filter_sets;
+  out.routes.reserve(merged_.routes.size());
+  for (const auto& [key, route] : merged_.routes) out.routes.push_back(route);
   return out;
 }
 

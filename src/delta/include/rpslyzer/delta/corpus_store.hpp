@@ -94,7 +94,7 @@ class CorpusStore {
   UndoLog apply(const std::vector<PreparedOp>& ops);
   void revert(UndoLog&& undo);
 
-  // --- merged (priority-resolved) object views ---
+  // --- merged (priority-resolved) object views, O(log n) lookups ---
   const ir::AutNum* merged_aut_num(ir::Asn asn) const;
   const ir::AsSet* merged_as_set(std::string_view name) const;
   const ir::RouteSet* merged_route_set(std::string_view name) const;
@@ -102,9 +102,10 @@ class CorpusStore {
   const ir::FilterSet* merged_filter_set(std::string_view name) const;
   const ir::RouteObject* merged_route(const std::pair<net::Prefix, ir::Asn>& key) const;
 
-  /// Merge every source into one Ir with irr::merge_into semantics. Equals
-  /// what irr loading of source_texts() produces, up to route vector order
-  /// (which no consumer observes — the Index re-sorts per origin).
+  /// The merged view as one Ir: irr::merge_into semantics, and equal to
+  /// what irr loading of source_texts() produces up to route vector order
+  /// (which no consumer observes — the Index re-sorts per origin). Copies
+  /// the merged maps only; an aut-num's rule lists are shared, not copied.
   ir::Ir materialize() const;
 
   /// Canonical dump text per source, identity-ordered paragraphs separated
@@ -129,8 +130,16 @@ class CorpusStore {
 
   void store_object(SourceState& src, const PreparedOp& op);
   void erase_object(SourceState& src, const PreparedOp& op);
+  /// Re-resolve one key of `merged_` across the sources after a mutation.
+  template <typename Map, typename Key>
+  void refresh(Map SourceState::*objects, const Key& key);
+  void refresh_merged(const PreparedOp& op);
 
   std::vector<SourceState> sources_;
+  /// The priority-merged view (first source holding a key wins; `name` and
+  /// `texts` unused). init() builds it once; apply() and revert() refresh
+  /// each key they touch, so lookups and materialize() never scan sources.
+  SourceState merged_;
 };
 
 }  // namespace rpslyzer::delta

@@ -371,8 +371,16 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
       }
     }
 
-    auto ir = std::make_shared<const ir::Ir>(store_.materialize());
-    auto index = std::make_shared<const irr::Index>(*ir);
+    std::shared_ptr<const ir::Ir> ir;
+    {
+      obs::Span materialize_span("delta.materialize");
+      ir = std::make_shared<const ir::Ir>(store_.materialize());
+    }
+    std::shared_ptr<const irr::Index> index;
+    {
+      obs::Span index_span("delta.index");
+      index = std::make_shared<const irr::Index>(*ir);
+    }
 
     const auto compile_start = std::chrono::steady_clock::now();
     {
@@ -441,9 +449,9 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
     ops_skipped_ += skipped;
     last_error_.clear();
   }
-  // Tear the superseded generation down on the reclaimer thread: freeing a
-  // corpus-sized Ir + index + snapshot costs as much as the incremental
-  // rebuild itself and must not extend the apply critical path.
+  // Tear the superseded generation down on the reclaimer thread: its Ir
+  // maps, index and snapshot tables (the rule lists it shares with the new
+  // generation just drop a reference) are freed off the apply critical path.
   retire(std::move(previous));
   return result;
 }

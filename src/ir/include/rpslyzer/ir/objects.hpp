@@ -12,6 +12,7 @@
 #include "rpslyzer/ir/policy.hpp"
 #include "rpslyzer/net/prefix_set.hpp"
 #include "rpslyzer/util/interner.hpp"
+#include "rpslyzer/util/shared_list.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::ir {
@@ -50,13 +51,20 @@ inline std::vector<Symbol> sym_all(const std::vector<std::string>& v) {
   return out;
 }
 
+/// An aut-num's import or export rules, immutable once built. Copies share
+/// one vector, so the delta store, every generation's Ir and the undo log
+/// hold a clean aut-num's rules once, and pointers into a list (compiled
+/// rules, regex keys) stay valid while any copy lives. A list is never
+/// mutated: an edit builds a new list.
+using RuleList = util::SharedList<Rule>;
+
 /// aut-num: an AS's policies. `imports`/`exports` hold every (mp-)import/
 /// (mp-)export attribute in declaration order, which matters for reports.
 struct AutNum {
   Asn asn = 0;
   Symbol as_name;                    // as-name attribute
-  std::vector<Rule> imports;
-  std::vector<Rule> exports;
+  RuleList imports;
+  RuleList exports;
   std::vector<Symbol> member_of;     // as-sets joined via mbrs-by-ref
   std::vector<Symbol> mnt_by;
   Symbol source;                     // IRR this definition was taken from

@@ -637,6 +637,16 @@ Rule rule_from_json(const Value& v) {
 // Objects
 // ---------------------------------------------------------------------------
 
+namespace {
+
+RuleList rules_from_json(const Value& v) {
+  std::vector<Rule> rules;
+  for (const auto& r : v.as_array()) rules.push_back(rule_from_json(r));
+  return RuleList(std::move(rules));
+}
+
+}  // namespace
+
 json::Value to_json(const AutNum& v) {
   Object o;
   o["asn"] = Value(std::uint64_t{v.asn});
@@ -657,8 +667,8 @@ AutNum aut_num_from_json(const Value& v) {
   AutNum a;
   a.asn = static_cast<Asn>(v.at("asn").as_int());
   a.as_name = sym(v.at("as-name").as_string());
-  for (const auto& r : v.at("imports").as_array()) a.imports.push_back(rule_from_json(r));
-  for (const auto& r : v.at("exports").as_array()) a.exports.push_back(rule_from_json(r));
+  a.imports = rules_from_json(v.at("imports"));
+  a.exports = rules_from_json(v.at("exports"));
   a.member_of = symbols_from_json(v.at("member-of"));
   a.mnt_by = symbols_from_json(v.at("mnt-by"));
   a.source = sym(v.at("source").as_string());

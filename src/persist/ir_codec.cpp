@@ -550,6 +550,12 @@ ir::Rule decode_rule(ByteReader& r) {
   return rule;
 }
 
+ir::RuleList decode_rules(ByteReader& r) {
+  std::vector<ir::Rule> rules;
+  decode_elements_into(r, rules, [&] { rules.push_back(decode_rule(r)); });
+  return ir::RuleList(std::move(rules));
+}
+
 // --- objects ---------------------------------------------------------------
 
 void encode_aut_num(ByteWriter& w, const ir::AutNum& an) {
@@ -568,8 +574,8 @@ ir::AutNum decode_aut_num(ByteReader& r) {
   ir::AutNum an;
   an.asn = r.u32();
   an.as_name = decode_symbol(r);
-  decode_elements_into(r, an.imports, [&] { an.imports.push_back(decode_rule(r)); });
-  decode_elements_into(r, an.exports, [&] { an.exports.push_back(decode_rule(r)); });
+  an.imports = decode_rules(r);
+  an.exports = decode_rules(r);
   an.member_of = decode_symbol_vector(r);
   an.mnt_by = decode_symbol_vector(r);
   an.source = decode_symbol(r);

@@ -466,7 +466,8 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
         if (rule_count != source_rules->size()) {
           throw SnapshotError("snapshot rule count disagrees with its own IR");
         }
-        rules->reserve(rule_count);
+        std::vector<compile::CompiledRule> restored;
+        restored.reserve(rule_count);
         for (std::uint32_t j = 0; j < rule_count; ++j) {
           compile::CompiledRule rule;
           rule.rule = &(*source_rules)[j];
@@ -481,8 +482,9 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
           const std::uint32_t nm_count = r.u32();
           rule.no_match_asns.reserve(nm_count);
           for (std::uint32_t k = 0; k < nm_count; ++k) rule.no_match_asns.push_back(r.u32());
-          rules->push_back(std::move(rule));
+          restored.push_back(std::move(rule));
         }
+        *rules = compile::CompiledRuleList(std::move(restored));
       }
       reject_all.derive(snap->aut_nums_.emplace(asn, std::move(can)).first->second);
     }

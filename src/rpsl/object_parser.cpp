@@ -162,6 +162,8 @@ std::optional<ir::AutNum> parse_aut_num(const RawObjectView& raw,
   an.mnt_by = symbol_list(raw, "mnt-by", ctx);
   an.source = ir::sym(raw.source);
 
+  std::vector<ir::Rule> imports;
+  std::vector<ir::Rule> exports;
   for (const auto& attr : raw.attributes) {
     ir::Rule::Direction direction;
     bool mp = false;
@@ -180,8 +182,10 @@ std::optional<ir::AutNum> parse_aut_num(const RawObjectView& raw,
     }
     ParseContext rule_ctx = context_for(raw, diagnostics, attr.line);
     ir::Rule rule = parse_rule(attr.value, direction, mp, rule_ctx);
-    (rule.is_import() ? an.imports : an.exports).push_back(std::move(rule));
+    (rule.is_import() ? imports : exports).push_back(std::move(rule));
   }
+  an.imports = ir::RuleList(std::move(imports));
+  an.exports = ir::RuleList(std::move(exports));
   return an;
 }
 

@@ -12,7 +12,9 @@
 
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "rpslyzer/delta/equiv.hpp"
 #include "rpslyzer/delta/journal.hpp"
 #include "rpslyzer/delta/pipeline.hpp"
+#include "rpslyzer/irr/loader.hpp"
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/synth/churn.hpp"
 #include "rpslyzer/synth/generator.hpp"
@@ -395,6 +398,178 @@ TEST_F(DeltaTest, StoreRoundTripsModifyAndDelete) {
   store.revert(std::move(undo));
   ASSERT_NE(store.merged_as_set("AS-ONE"), nullptr);
   EXPECT_EQ(store.merged_as_set("AS-ONE")->members[0].asn, 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Shared rule lists: an apply keeps every unedited aut-num's rules
+// ---------------------------------------------------------------------------
+
+/// The first aut-num of `ir` with import rules: the one the tests edit.
+const ir::AutNum& edit_target(const ir::Ir& ir) {
+  for (const auto& [asn, an] : ir.aut_nums) {
+    if (!an.imports.empty()) return an;
+  }
+  throw std::runtime_error("corpus has no aut-num with imports");
+}
+
+/// An ADD that replaces `an` in its own source with one different rule.
+JournalBatch edit_batch(std::uint64_t serial, const ir::AutNum& an) {
+  return single_op_batch(serial, JournalOp::Kind::kAdd, ir::to_string(an.source),
+                         "aut-num: AS" + std::to_string(an.asn) +
+                             "\nimport: from AS64999 accept ANY\nexport: to AS64999 "
+                             "announce AS" +
+                             std::to_string(an.asn) + "\n");
+}
+
+/// The store's merged rule lists per aut-num (copies hold the storage, so
+/// an address cannot be reused while the map lives).
+std::map<ir::Asn, std::pair<ir::RuleList, ir::RuleList>> store_lists(
+    const DeltaPipeline& pipeline) {
+  std::map<ir::Asn, std::pair<ir::RuleList, ir::RuleList>> out;
+  for (const auto& [asn, an] : pipeline.current()->ir->aut_nums) {
+    const ir::AutNum* stored = pipeline.store().merged_aut_num(asn);
+    EXPECT_NE(stored, nullptr) << asn;
+    if (stored != nullptr) out.emplace(asn, std::pair{stored->imports, stored->exports});
+  }
+  return out;
+}
+
+void expect_store_keeps(const DeltaPipeline& pipeline,
+                        const std::map<ir::Asn, std::pair<ir::RuleList, ir::RuleList>>& lists,
+                        const std::string& context) {
+  for (const auto& [asn, rules] : lists) {
+    const ir::AutNum* stored = pipeline.store().merged_aut_num(asn);
+    ASSERT_NE(stored, nullptr) << context << " AS" << asn;
+    EXPECT_TRUE(stored->imports.shares(rules.first)) << context << " AS" << asn;
+    EXPECT_TRUE(stored->exports.shares(rules.second)) << context << " AS" << asn;
+  }
+}
+
+TEST_F(DeltaTest, ApplySharesEveryUneditedAutNumsRuleLists) {
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
+  const auto previous = pipeline.current();
+  const ir::AutNum& target = edit_target(*previous->ir);
+  const ApplyResult result = pipeline.apply(edit_batch(1, target));
+  ASSERT_TRUE(result.applied) << result.error;
+  const auto next = pipeline.current();
+  ASSERT_NE(next.get(), previous.get());
+  ASSERT_EQ(next->ir->aut_nums.size(), previous->ir->aut_nums.size());
+
+  std::size_t shared = 0;
+  for (const auto& [asn, an] : next->ir->aut_nums) {
+    const ir::AutNum& before = previous->ir->aut_nums.at(asn);
+    if (asn == target.asn) {
+      EXPECT_FALSE(an.imports.shares(before.imports));
+      EXPECT_FALSE(an.exports.shares(before.exports));
+      EXPECT_NE(an, before);
+      continue;
+    }
+    EXPECT_TRUE(an.imports.shares(before.imports)) << "AS" << asn;
+    EXPECT_TRUE(an.exports.shares(before.exports)) << "AS" << asn;
+    if (!an.imports.empty()) {
+      EXPECT_EQ(&an.imports[0], &before.imports[0]) << "AS" << asn;
+    }
+    ++shared;
+  }
+  EXPECT_EQ(shared, next->ir->aut_nums.size() - 1);
+  EXPECT_FALSE(next->stats.full_rebuild);
+  // The edited aut-num's cone and relations are unchanged, but its rules
+  // are new: every other aut-num carries its compiled rules forward.
+  EXPECT_EQ(next->stats.aut_nums_reused, shared);
+
+  // Still byte-identical to a from-scratch build of the edited corpus.
+  auto lyzer = std::make_shared<Rpslyzer>(Rpslyzer::from_texts(
+      pipeline.store().source_texts(), corpus().relationships));
+  auto snapshot = lyzer->snapshot();
+  const std::shared_ptr<const compile::CompiledPolicySnapshot> reference{
+      std::move(lyzer), snapshot.get()};
+  const EquivalenceResult eq =
+      compare_snapshots(pipeline.current_snapshot(), reference, test_equiv_options());
+  EXPECT_TRUE(eq.equal) << eq.mismatches << "/" << eq.probes << " probes mismatched\n"
+                        << eq.first_mismatch;
+}
+
+TEST_F(DeltaTest, RefusedApplyKeepsTheStoresRuleListsShared) {
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
+  const auto previous = pipeline.current();
+  const auto lists = store_lists(pipeline);
+  const JournalBatch batch = edit_batch(1, edit_target(*previous->ir));
+
+  // Refused before the store is touched.
+  ASSERT_TRUE(fp::set("delta.apply", "1*error"));
+  EXPECT_TRUE(pipeline.apply(batch).refused);
+  EXPECT_EQ(pipeline.current().get(), previous.get());
+  expect_store_keeps(pipeline, lists, "delta.apply");
+
+  // Refused after the store was mutated: the degraded full rebuild fails,
+  // and revert() puts back the very lists the batch replaced.
+  ASSERT_TRUE(fp::set("delta.dirty", "1*error"));
+  ASSERT_TRUE(fp::set("compile.build", "1*error"));
+  EXPECT_TRUE(pipeline.apply(batch).refused);
+  EXPECT_EQ(pipeline.current().get(), previous.get());
+  expect_store_keeps(pipeline, lists, "delta.dirty revert");
+
+  // A degraded batch that applies rebuilds in full from the same lists.
+  ASSERT_TRUE(fp::set("delta.dirty", "1*error"));
+  const ApplyResult applied = pipeline.apply(batch);
+  ASSERT_TRUE(applied.applied) << applied.error;
+  EXPECT_TRUE(pipeline.current()->stats.full_rebuild);
+  EXPECT_EQ(pipeline.current()->stats.aut_nums_reused, 0u);
+  auto unedited = lists;
+  unedited.erase(edit_target(*previous->ir).asn);
+  expect_store_keeps(pipeline, unedited, "delta.dirty full rebuild");
+  for (const auto& [asn, rules] : unedited) {
+    EXPECT_TRUE(pipeline.current()->ir->aut_nums.at(asn).imports.shares(rules.first));
+  }
+}
+
+TEST(CorpusStoreMerge, MaterializeMatchesTheLoaderAfterEdits) {
+  CorpusStore store;
+  store.init({{"RADB", "as-set: AS-Case\nmembers: AS1\n\naut-num: AS1\n"
+                       "import: from AS2 accept ANY\n\nroute: 192.0.2.0/24\norigin: AS1\n"},
+              {"RIPE", "as-set: AS-CASE\nmembers: AS2\n\naut-num: AS1\n\n"
+                       "route: 192.0.2.0/24\norigin: AS1\n\nroute: 198.51.100.0/24\n"
+                       "origin: AS2\n"}});
+  const auto expect_loader_view = [&](const std::string& context) {
+    const ir::Ir got = store.materialize();
+    const ir::Ir want = irr::load_irrs(store.source_texts()).ir;
+    EXPECT_EQ(got.aut_nums, want.aut_nums) << context;
+    ASSERT_EQ(got.as_sets.size(), want.as_sets.size()) << context;
+    for (auto g = got.as_sets.begin(), w = want.as_sets.begin(); g != got.as_sets.end();
+         ++g, ++w) {
+      EXPECT_EQ(g->first, w->first) << context;  // the winning source's spelling
+      EXPECT_EQ(g->second, w->second) << context;
+    }
+    std::set<std::pair<std::string, ir::Asn>> got_routes, want_routes;
+    for (const auto& r : got.routes) got_routes.emplace(r.prefix.to_string(), r.origin);
+    for (const auto& r : want.routes) want_routes.emplace(r.prefix.to_string(), r.origin);
+    EXPECT_EQ(got_routes, want_routes) << context;
+    EXPECT_EQ(got.routes.size(), want.routes.size()) << context;
+  };
+  expect_loader_view("initial");
+
+  const auto apply = [&](std::uint64_t serial, JournalOp::Kind kind, const char* source,
+                         const char* paragraph) {
+    std::size_t skipped = 0;
+    std::string error;
+    auto prepared =
+        store.prepare(single_op_batch(serial, kind, source, paragraph), 0, &skipped, &error);
+    EXPECT_TRUE(prepared.has_value()) << error;
+    return prepared ? store.apply(*prepared) : CorpusStore::UndoLog{};
+  };
+  // Drop the shadowing RADB definitions: RIPE's spelling and objects win.
+  apply(1, JournalOp::Kind::kDel, "RADB", "as-set: AS-Case\n");
+  apply(2, JournalOp::Kind::kDel, "RADB", "aut-num: AS1\n");
+  apply(3, JournalOp::Kind::kDel, "RADB", "route: 192.0.2.0/24\norigin: AS1\n");
+  expect_loader_view("after DELs");
+  // Shadow them again, then revert: the RIPE view comes back.
+  auto undo = apply(4, JournalOp::Kind::kAdd, "RADB", "as-set: AS-Case\nmembers: AS3\n");
+  expect_loader_view("after re-ADD");
+  store.revert(std::move(undo));
+  expect_loader_view("after revert");
+  ASSERT_NE(store.merged_as_set("as-case"), nullptr);
+  EXPECT_EQ(store.merged_as_set("as-case")->members.at(0).asn, 2u);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ cmake --build "$BUILD" -j "$(nproc)" --target \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
   persist_test repl_test delta_test delta_fuzz_test arena_interner_test rand_test \
   verifier_test report_test bgp_parse_reference_test relations_parse_reference_test \
-  aggregate_golden_test rpslyzer_cli
+  aggregate_golden_test prefix_test rpslyzer_cli
 
 run_labeled() {
   local spec="$1" exclude="${2:-}" labels="${3:-fault}"
@@ -61,9 +61,12 @@ run_labeled "" "" "fault|persist|repl|delta|parallel"
 # which is why the persist suite joined this list first. The distinct-hop
 # grouping in verify_routes_parallel (parallel_verify_test) is index
 # arithmetic over shared arrays: prefix groups, run offsets, trie links.
+# So are the prefix trie's 32-bit child links, its erase-time pruning and
+# re-layout (prefix_test's property tests), and the origin table's pool
+# offsets as the delta pipeline patches and compacts them (delta_test).
 for suite in verifier_test report_test compile_snapshot_test obs_test bgp_parse_reference_test \
              relations_parse_reference_test aggregate_golden_test persist_test \
-             parallel_verify_test; do
+             parallel_verify_test prefix_test delta_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
 done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
@@ -122,8 +125,10 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   "$TSAN_BUILD/tests/repl_test"
   # The delta pipeline splits its state behind two mutexes (apply vs
   # publish/stats) and shares immutable previous-generation tables into the
-  # next snapshot; the differential suite recompiles under that sharing on
-  # every batch, so a TSan pass here signs off the reuse scheme.
+  # next snapshot: whole compiled aut-nums and the origin table, which
+  # server workers read while the reclaimer thread frees old generations.
+  # The differential suite recompiles under that sharing on every batch, so
+  # a TSan pass here signs off the reuse scheme.
   "$TSAN_BUILD/tests/delta_test"
   "$TSAN_BUILD/tests/delta_fuzz_test"
   # The interner's lock-free read path (acquire cell loads against the

@@ -46,7 +46,6 @@
 #include "rpslyzer/net/prefix_trie.hpp"
 #include "rpslyzer/relations/relations.hpp"
 #include "rpslyzer/util/interner.hpp"
-#include "rpslyzer/util/shared_list.hpp"
 
 namespace rpslyzer::persist {
 class SnapshotCodec;
@@ -140,24 +139,101 @@ struct RejectAll {
   }
 };
 
-/// An aut-num's compiled rules in declaration order. Like the ir::RuleList
-/// they point into, the lists are immutable and shared: an incremental
-/// build carries them forward while the aut-num's rule lists are the
-/// previous generation's, so every `rule` pointer stays valid.
-using CompiledRuleList = util::SharedList<CompiledRule>;
-
+/// One aut-num's compiled form: a piece that generations share. The spans
+/// point into `storage`, which the piece owns and which copies share, so a
+/// clean aut-num is carried into the next generation by copying this struct
+/// (the one exception: a snapshot restored from a mapped file points
+/// `customer_cone` into the mapping, which outlives the snapshot).
 struct CompiledAutNum {
-  const ir::AutNum* an = nullptr;
-  CompiledRuleList imports;
-  CompiledRuleList exports;
+  /// What the spans point into. `imports`/`exports` are the rule lists the
+  /// piece was compiled from: they keep every CompiledRule::rule and every
+  /// `as_paths` node alive, and a later generation whose lists share these
+  /// can carry the piece without looking at a rule.
+  struct Storage {
+    ir::RuleList imports;
+    ir::RuleList exports;
+    std::vector<CompiledRule> rules;     // imports, then exports
+    std::vector<ir::Asn> asns;           // the cone, then the RejectAll lists
+    std::vector<std::uint32_t> plans;    // the RejectAll fold plans
+    std::vector<const ir::FilterAsPath*> as_paths;
+  };
+
+  std::span<const CompiledRule> imports;  // declaration order
+  std::span<const CompiledRule> exports;
   std::span<const ir::Asn> customer_cone;  // sorted; export-self relaxation
   bool only_provider = false;              // §5.1.2 only-provider-policies bit
   /// Import v4, import v6, export v4, export v6.
   std::array<RejectAll, 4> reject_all;
+  /// Every AS-path filter in the rules, in compile order (the order of the
+  /// persisted NFA section); empty for almost every aut-num.
+  std::span<const ir::FilterAsPath* const> as_paths;
+  std::shared_ptr<const Storage> storage;
 
   const RejectAll& reject_all_for(bool is_import, bool v4) const noexcept {
     return reject_all[(is_import ? 0 : 2) + (v4 ? 0 : 1)];
   }
+};
+
+/// Route objects: base prefix -> sorted unique origin ASNs, with the ASN
+/// lists in a pool the table owns. Immutable once a snapshot holds it; the
+/// next generation shares it when no route object was added or removed, and
+/// otherwise copies it (one node-vector and one pool copy) and patches the
+/// prefixes of the origin-changed ASes. A patch appends a changed list to
+/// the pool and leaves the old one dead; the pool is compacted once the
+/// dead entries outnumber the live ones.
+class OriginTable {
+ public:
+  OriginTable() = default;
+  /// From-scratch: one entry per distinct prefix of `keys` (any order,
+  /// duplicates allowed).
+  explicit OriginTable(std::vector<std::pair<net::Prefix, ir::Asn>> keys);
+
+  /// Store `origins` (sorted unique) at `prefix`, replacing what it held.
+  void insert(const net::Prefix& prefix, std::span<const ir::Asn> origins);
+  /// Move `asn` from the prefixes in `before` to those in `after` (both
+  /// sorted unique): the route keys of one AS in two generations.
+  void patch(ir::Asn asn, std::span<const net::Prefix> before,
+             std::span<const net::Prefix> after);
+
+  /// The origins at exactly `prefix`; empty when none.
+  std::span<const ir::Asn> exact(const net::Prefix& prefix) const {
+    const Run* run = trie_.exact(prefix);
+    return run == nullptr ? std::span<const ir::Asn>() : origins(*run);
+  }
+  /// PrefixTrie::for_each_cover over the origin lists.
+  template <typename Visit>
+  void for_each_cover(const net::Prefix& prefix, Visit visit) const {
+    trie_.for_each_cover(prefix, [&](const net::Prefix& base, const Run& run) {
+      return visit(base, origins(run));
+    });
+  }
+  /// PrefixTrie::for_each over the origin lists: prefix order.
+  template <typename Visit>
+  void for_each(Visit visit) const {
+    trie_.for_each([&](const net::Prefix& base, const Run& run) { visit(base, origins(run)); });
+  }
+
+  std::size_t node_count() const noexcept { return trie_.node_count(); }
+  std::size_t node_slots() const noexcept { return trie_.node_slots(); }
+  /// Pool entries that some prefix's list holds, and all of them.
+  std::size_t live_origins() const noexcept { return live_; }
+  std::size_t pool_size() const noexcept { return pool_.size(); }
+
+ private:
+  struct Run {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+  };
+  std::span<const ir::Asn> origins(const Run& run) const noexcept {
+    return {pool_.data() + run.offset, run.size};
+  }
+  void add(const net::Prefix& prefix, ir::Asn asn);
+  void remove(const net::Prefix& prefix, ir::Asn asn);
+  Run append(std::span<const ir::Asn> origins);
+
+  net::PrefixTrie<Run> trie_;
+  std::vector<ir::Asn> pool_;
+  std::size_t live_ = 0;
 };
 
 /// What an incremental rebuild must recompile: the transitive closure of
@@ -172,8 +248,8 @@ struct DirtySet {
   /// scratch (used by the `delta.dirty` failpoint and any change the dirty
   /// analysis cannot bound).
   bool everything = false;
-  /// The (prefix, origin) route key set changed: the origin trie is patched
-  /// for `origins_changed` instead of copied wholesale.
+  /// The (prefix, origin) route key set changed: the origin table is copied
+  /// and patched for `origins_changed`; otherwise it is shared.
   bool routes_changed = false;
   /// Closed under reverse membership edges: a dirty as-set dirties every
   /// set that references it.
@@ -182,8 +258,9 @@ struct DirtySet {
   /// origin-changed ASes and kAsSet members of dirty as-sets.
   std::set<std::string, util::ILess> route_sets;
   std::set<std::string, util::ILess> filter_sets;
-  /// aut-num objects whose merged form changed (their NFA tables cannot be
-  /// paired with the previous generation's).
+  /// aut-num objects whose merged form changed. The compiler goes by rule
+  /// lists instead: it carries an aut-num's piece exactly when its lists are
+  /// the ones the piece was compiled from.
   std::set<ir::Asn> aut_nums;
   /// ASes whose route-object prefix set changed; sorted unique.
   std::vector<ir::Asn> origins_changed;
@@ -204,9 +281,13 @@ struct IncrementalStats {
   std::size_t regexes_reused = 0;      // NFA tables rehydrated from previous
   std::size_t regexes_recompiled = 0;  // Thompson constructions run
   std::size_t cones_reused = 0;
-  /// Aut-nums whose rule lists are the previous generation's, so their
-  /// compiled rules were carried forward instead of re-lowered.
+  /// Aut-nums whose rule lists are the previous generation's, carried
+  /// forward whole (their compiled piece is the previous one).
   std::size_t aut_nums_reused = 0;
+  /// Of those, the ones with no AS-path filter: no regex work at all.
+  std::size_t aut_nums_skipped = 0;
+  /// Of those, the ones whose regexes were rehydrated from their AS-path list.
+  std::size_t aut_nums_rehydrated = 0;
 };
 
 /// Does `asn` only specify rules for its providers (§5.1.2)? The canonical
@@ -231,11 +312,12 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   /// Incremental rebuild after a journal batch: recompiles only what
   /// `dirty` names and reuses everything else from `previous` — clean
   /// as-set flattenings are seeded into the new index's memo (so prewarm
-  /// only walks the dirty subgraph), clean route-set tries and origin-trie
-  /// entries are copied forward, customer cones are carried over whenever
-  /// `relations` is the same object, and clean aut-nums' AS-path NFAs are
-  /// rehydrated from the previous tables instead of re-running Thompson
-  /// construction. The result must be observably byte-identical to
+  /// only walks the dirty subgraph), clean route-set tries are copied
+  /// forward, the origin table is shared or copied and patched, an aut-num
+  /// whose rule lists and relation graph are unchanged keeps its compiled
+  /// piece (its AS-path NFAs rehydrated from the previous tables instead of
+  /// re-running Thompson construction), and customer cones are carried over
+  /// whenever `relations` is the same object. The result must be observably byte-identical to
   /// build(index, relations) — the delta differential harness enforces
   /// this after every batch. dirty.everything falls back to build().
   static std::shared_ptr<const CompiledPolicySnapshot> build_incremental(
@@ -253,6 +335,8 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::size_t interned_symbols() const noexcept { return symbols_.size(); }
   /// Allocated nodes across the origin trie and every route-set trie.
   std::size_t trie_nodes() const noexcept { return trie_nodes_; }
+  /// The route-object table behind origin_matches() and exact_origins().
+  const OriginTable& origin_table() const noexcept { return *origins_; }
   /// Where this snapshot came from: "memory" for in-process builds,
   /// "file:<path>" / "cache:<key>" when restored from an arena file by the
   /// persistence layer. Surfaced through the server's `!stats`.
@@ -320,42 +404,48 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
                         const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
   void build_aut_nums(const CompiledPolicySnapshot* previous = nullptr,
                       const DirtySet* dirty = nullptr, IncrementalStats* stats = nullptr);
-  /// Fills every aut-num's RejectAll entries into a snapshot's reject_pool_
-  /// and plan_pool_, one aut-num at a time right after its rules are
-  /// compiled or restored (while they are still in cache). The pools grow
-  /// meanwhile, so entries record offsets and finish() takes the spans.
-  /// build_aut_nums and the persistence codec's restore are the two users.
+  /// Derives an aut-num's RejectAll entries from its compiled rules, right
+  /// after they are compiled or restored (while they are still in cache).
+  /// build_aut_nums and the persistence codec's restore are the two users;
+  /// one builder's scratch serves every aut-num of a build.
   class RejectAllBuilder {
    public:
-    RejectAllBuilder(std::vector<ir::Asn>& pool, std::vector<std::uint32_t>& plans,
-                     std::size_t aut_nums);
-    /// Derive `can`'s entries from its CompiledRules.
-    void derive(CompiledAutNum& can);
-    /// Copy the entries of `previous`, compiled last generation from an
-    /// equal aut-num object. Copying skips re-reading every rule, which is
-    /// most of what derive() costs.
-    void carry(CompiledAutNum& can, const CompiledAutNum& previous);
-    void finish();
+    /// Complete `can` from its filled `storage` (the rules of its lists,
+    /// imports first, and its AS-path list): point its spans there, append
+    /// its RejectAll entries to the block's `asns` and `plans`, and hand it
+    /// the block. Nothing grows the block afterwards.
+    void finish(CompiledAutNum& can, std::shared_ptr<CompiledAutNum::Storage> storage);
 
    private:
     struct Placed {
-      RejectAll* entry;
-      std::size_t peers, asns, size;  // offsets into the pool; both lists have `size` ASNs
-      std::size_t plan, plan_size;    // offset into the plan pool
+      std::size_t peers, asns, size;  // offsets into `asns`; both lists have `size` ASNs
+      std::size_t plan, plan_size;    // offset into `plans`
     };
-    void derive(const CompiledRuleList& rules, RejectAll& v4, RejectAll& v6);
+    /// One direction: fills the flags of `entries[0..1]` (v4, v6) and where
+    /// their lists went.
+    void derive(std::span<const CompiledRule> rules, std::vector<ir::Asn>& asns,
+                std::vector<std::uint32_t>& plans, RejectAll* entries, Placed* placed);
 
-    std::vector<ir::Asn>& pool_;
-    std::vector<std::uint32_t>& plans_;
-    std::vector<Placed> placed_;
     std::array<std::vector<ir::Asn>, 2> staged_;  // per family, rule order
     std::vector<ir::Asn> union_;                  // the staged ASNs, sorted unique
     std::vector<std::uint32_t> last_;  // by position in union_: latest plan entry
   };
-  void compile_filter(const ir::Filter& filter);
+  void compile_as_path(const ir::FilterAsPath& filter);
+  /// Copy the NFA of `twin`, the same filter in `previous`, as `filter`'s;
+  /// false (and nothing added) when `filter` has one or `twin` has no
+  /// supported one.
+  bool rehydrate(const ir::FilterAsPath& filter, const CompiledPolicySnapshot& previous,
+                 const ir::FilterAsPath& twin);
+  /// Compile the filter's AS-path regexes, appending each AS-path node to
+  /// `as_paths` (when given) in traversal order.
+  void compile_filter(const ir::Filter& filter,
+                      std::vector<const ir::FilterAsPath*>* as_paths = nullptr);
   CompiledRule compile_rule(const ir::Rule& rule) const;
-  /// compile_rule over a list, compiling each rule's filter regexes too.
-  CompiledRuleList compile_rules(const ir::RuleList& rules);
+  /// A fresh piece for aut-num `asn`: its rules, their regexes, its cone
+  /// (copied from `previous_cone` when given) and RejectAll entries.
+  CompiledAutNum compile_aut_num(ir::Asn asn, const ir::AutNum& an,
+                                 const CompiledAutNum* previous_cone,
+                                 RejectAllBuilder& reject_all);
 
   std::shared_ptr<const irr::Index> index_;
   std::shared_ptr<const relations::AsRelations> relations_;
@@ -376,23 +466,18 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   std::unordered_map<SymbolId, CompiledRouteSet> route_sets_;
 
   // Route objects: base prefix -> sorted unique origin ASNs.
-  net::PrefixTrie<std::span<const ir::Asn>> origins_;
+  std::shared_ptr<const OriginTable> origins_;
 
   std::unordered_map<const ir::FilterAsPath*, CompiledAsPath> regexes_;
   std::unordered_map<ir::Asn, CompiledAutNum> aut_nums_;
 
-  // Backing storage for every span above when the snapshot is built in
-  // process. Each pool is reserved to its exact final size before the first
-  // span into it is taken (vector growth would invalidate them); an
-  // mmap-restored snapshot leaves the pools empty and points the spans into
-  // the file mapping instead, whose lifetime the persistence layer ties to
-  // this object via an aliasing shared_ptr.
+  // Backing storage for the as-set and route-set spans above when the
+  // snapshot is built in process. Each pool is reserved to its exact final
+  // size before the first span into it is taken (vector growth would
+  // invalidate them); an mmap-restored snapshot leaves the pools empty and
+  // points the spans into the file mapping instead, whose lifetime the
+  // persistence layer ties to this object via an aliasing shared_ptr.
   std::vector<ir::Asn> as_set_pool_;
-  std::vector<ir::Asn> origin_pool_;
-  std::vector<ir::Asn> cone_pool_;
-  // RejectAll spans; unlike the pools above, filled on restore too.
-  std::vector<ir::Asn> reject_pool_;
-  std::vector<std::uint32_t> plan_pool_;
   std::vector<LengthInterval> interval_pool_;
 };
 

@@ -8,12 +8,13 @@
 //    prewarm() resolves only the dirty flattening subgraph and
 //    build_as_sets() — unchanged code — reproduces identical compiled
 //    tables through cheap memo hits;
-//  * the origin trie starts from the previous generation's entries and is
-//    patched for origin-changed ASes only;
+//  * the origin table is shared when no route key changed, else copied and
+//    patched for the origin-changed ASes only;
 //  * clean route-set tries are copied; dirty ones re-run the expander;
-//  * clean aut-nums'/filter-sets' AS-path NFAs are rehydrated from the
-//    previous flat tables; customer cones are carried over whenever the
-//    relation graph object is shared.
+//  * an aut-num whose rule lists and relation graph are the previous
+//    generation's keeps its compiled piece, its AS-path NFAs rehydrated
+//    from the previous flat tables (clean filter-sets' likewise); customer
+//    cones are carried over whenever the relation graph object is shared.
 //
 // The contract — enforced by tests/delta_test.cpp and
 // scripts/delta_equiv_check.sh — is byte-identical observable behaviour
@@ -77,7 +78,7 @@ std::shared_ptr<const CompiledPolicySnapshot> CompiledPolicySnapshot::build_incr
   snap->build_route_sets(&previous, &dirty, stats);
   snap->build_aut_nums(&previous, &dirty, stats);
 
-  snap->trie_nodes_ = snap->origins_.node_count();
+  snap->trie_nodes_ = snap->origins_->node_count();
   for (const auto& [id, set] : snap->route_sets_) {
     snap->trie_nodes_ += set.bases.node_count();
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -127,7 +128,7 @@ std::shared_ptr<const CompiledPolicySnapshot> CompiledPolicySnapshot::build(
   snap->build_route_sets();
   snap->build_aut_nums();
 
-  snap->trie_nodes_ = snap->origins_.node_count();
+  snap->trie_nodes_ = snap->origins_->node_count();
   for (const auto& [id, set] : snap->route_sets_) {
     snap->trie_nodes_ += set.bases.node_count();
   }
@@ -186,49 +187,120 @@ void CompiledPolicySnapshot::build_as_sets() {
 
 void CompiledPolicySnapshot::build_origin_trie(const CompiledPolicySnapshot* previous,
                                                const DirtySet* dirty) {
-  // PrefixTrie::insert overwrites, so accumulate per-prefix origin lists
-  // first and insert each base exactly once.
-  std::map<Prefix, std::vector<ir::Asn>> acc;
   if (previous != nullptr && dirty != nullptr) {
-    // Incremental: start from the previous generation's trie (its lists are
-    // already sorted unique) and patch only the origin-changed ASes —
-    // remove their old prefixes, insert their new ones. Every untouched
-    // (prefix, origins) entry is carried over verbatim.
-    previous->origins_.for_each([&](const Prefix& base, std::span<const ir::Asn> origins) {
-      acc.emplace(base, std::vector<ir::Asn>(origins.begin(), origins.end()));
-    });
-    if (dirty->routes_changed) {
-      for (ir::Asn asn : dirty->origins_changed) {
-        for (const Prefix& base : previous->index_->origins_of(asn)) {
-          auto it = acc.find(base);
-          if (it == acc.end()) continue;
-          auto pos = std::lower_bound(it->second.begin(), it->second.end(), asn);
-          if (pos != it->second.end() && *pos == asn) it->second.erase(pos);
-          if (it->second.empty()) acc.erase(it);
-        }
-        for (const Prefix& base : index_->origins_of(asn)) {
-          auto& origins = acc[base];
-          auto pos = std::lower_bound(origins.begin(), origins.end(), asn);
-          if (pos == origins.end() || *pos != asn) origins.insert(pos, asn);
-        }
-      }
+    // Incremental: the table depends on the route keys alone. Share it when
+    // none was added or removed; otherwise copy it and patch the prefixes of
+    // the origin-changed ASes, carrying every other entry verbatim.
+    if (!dirty->routes_changed) {
+      origins_ = previous->origins_;
+      return;
     }
+    auto table = std::make_shared<OriginTable>(*previous->origins_);
+    for (ir::Asn asn : dirty->origins_changed) {
+      table->patch(asn, previous->index_->origins_of(asn), index_->origins_of(asn));
+    }
+    origins_ = std::move(table);
+    return;
+  }
+  std::vector<std::pair<Prefix, ir::Asn>> keys;
+  keys.reserve(index_->ir().routes.size());
+  for (const ir::RouteObject& r : index_->ir().routes) keys.emplace_back(r.prefix, r.origin);
+  origins_ = std::make_shared<const OriginTable>(std::move(keys));
+}
+
+OriginTable::OriginTable(std::vector<std::pair<Prefix, ir::Asn>> keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  pool_.reserve(keys.size());
+  for (std::size_t i = 0; i < keys.size();) {
+    const auto offset = static_cast<std::uint32_t>(pool_.size());
+    std::size_t j = i;
+    for (; j < keys.size() && keys[j].first == keys[i].first; ++j) pool_.push_back(keys[j].second);
+    trie_.insert(keys[i].first, Run{offset, static_cast<std::uint32_t>(j - i)});
+    i = j;
+  }
+  live_ = pool_.size();
+}
+
+OriginTable::Run OriginTable::append(std::span<const ir::Asn> origins) {
+  const Run run{static_cast<std::uint32_t>(pool_.size()),
+                static_cast<std::uint32_t>(origins.size())};
+  pool_.insert(pool_.end(), origins.begin(), origins.end());
+  return run;
+}
+
+void OriginTable::insert(const Prefix& prefix, std::span<const ir::Asn> origins) {
+  const Run run = append(origins);
+  if (Run* old = trie_.exact(prefix)) {
+    live_ -= old->size;
+    *old = run;
   } else {
-    for (const ir::RouteObject& r : index_->ir().routes) acc[r.prefix].push_back(r.origin);
-    for (auto& [prefix, origins] : acc) {
-      std::sort(origins.begin(), origins.end());
-      origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
+    trie_.insert(prefix, run);
+  }
+  live_ += run.size;
+}
+
+void OriginTable::patch(ir::Asn asn, std::span<const Prefix> before,
+                        std::span<const Prefix> after) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      remove(before[i++], asn);
+    } else if (i == before.size() || after[j] < before[i]) {
+      add(after[j++], asn);
+    } else {
+      ++i;
+      ++j;
     }
   }
-  std::size_t total = 0;
-  for (const auto& [prefix, origins] : acc) total += origins.size();
-  origin_pool_.reserve(total);
-  for (const auto& [prefix, origins] : acc) {
-    const std::size_t offset = origin_pool_.size();
-    origin_pool_.insert(origin_pool_.end(), origins.begin(), origins.end());
-    origins_.insert(prefix,
-                    std::span<const ir::Asn>(origin_pool_).subspan(offset, origins.size()));
+  // Compact once the dead entries outnumber the live ones, so a table that
+  // is patched forever stays within twice its contents.
+  if (pool_.size() - live_ <= live_) return;
+  std::vector<ir::Asn> packed;
+  packed.reserve(live_);
+  trie_.for_each_value([&](Run& run) {
+    const auto offset = static_cast<std::uint32_t>(packed.size());
+    packed.insert(packed.end(), pool_.begin() + run.offset,
+                  pool_.begin() + run.offset + run.size);
+    run.offset = offset;
+  });
+  pool_ = std::move(packed);
+}
+
+void OriginTable::add(const Prefix& prefix, ir::Asn asn) {
+  Run* run = trie_.exact(prefix);
+  if (run == nullptr) {
+    trie_.insert(prefix, append({&asn, 1}));
+    ++live_;
+    return;
   }
+  // The grown list goes to the end of the pool; the old one is dead.
+  std::vector<ir::Asn> grown(pool_.begin() + run->offset,
+                             pool_.begin() + run->offset + run->size);
+  const auto pos = std::lower_bound(grown.begin(), grown.end(), asn);
+  if (pos != grown.end() && *pos == asn) return;
+  grown.insert(pos, asn);
+  *run = append(grown);
+  ++live_;
+}
+
+void OriginTable::remove(const Prefix& prefix, ir::Asn asn) {
+  Run* run = trie_.exact(prefix);
+  if (run == nullptr) return;
+  // This copy's pool is its own: shrink the list in place, leaving one dead
+  // entry behind it, or drop the prefix with its last origin.
+  const auto begin = pool_.begin() + run->offset;
+  const auto end = begin + run->size;
+  const auto pos = std::lower_bound(begin, end, asn);
+  if (pos == end || *pos != asn) return;
+  --live_;
+  if (run->size == 1) {
+    trie_.erase(prefix);
+    return;
+  }
+  std::copy(pos + 1, end, pos);
+  --run->size;
 }
 
 namespace {
@@ -260,13 +332,11 @@ void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* prev
   const ir::Ir& ir = index_->ir();
 
   // member-of reverse map for route objects (the Index keeps its own copy
-  // private): canon set symbol -> indices into ir.routes.
-  std::unordered_map<ir::Symbol, std::vector<std::size_t>> member_of;
-  for (std::size_t i = 0; i < ir.routes.size(); ++i) {
-    for (const ir::Symbol set_name : ir.routes[i].member_of) {
-      member_of[ir::symbols().canon(set_name)].push_back(i);
-    }
-  }
+  // private): canon set symbol -> indices into ir.routes. Only the expansion
+  // of a set with mbrs-by-ref reads it, and an incremental build expands
+  // only the dirty sets, so it is built on first use.
+  using MemberOf = std::unordered_map<ir::Symbol, std::vector<std::size_t>>;
+  std::optional<MemberOf> member_of;
 
   // Expansion mirrors Index::route_set_matches_rec with the query-time
   // prefix abstracted away: matches become (base, pre-outer interval)
@@ -275,7 +345,19 @@ void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* prev
   struct Expander {
     const CompiledPolicySnapshot& snap;
     const ir::Ir& ir;
-    const decltype(member_of)& members_by_ref;
+    std::optional<MemberOf>& member_of;
+
+    const MemberOf& members_by_ref() const {
+      if (!member_of) {
+        member_of.emplace();
+        for (std::size_t i = 0; i < ir.routes.size(); ++i) {
+          for (const ir::Symbol set_name : ir.routes[i].member_of) {
+            (*member_of)[ir::symbols().canon(set_name)].push_back(i);
+          }
+        }
+      }
+      return *member_of;
+    }
 
     void expand(const ir::RouteSet& set, std::vector<RangeOp>& chain, CompiledRouteSet& out,
                 BaseAccumulator& acc, std::unordered_set<ir::Symbol>& visiting) const {
@@ -338,8 +420,8 @@ void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* prev
       // Indirect members by reference: route objects naming this set in
       // member-of, admitted by the set's mbrs-by-ref maintainer list.
       if (!set.mbrs_by_ref.empty()) {
-        if (auto it = members_by_ref.find(ir::symbols().canon(set.name));
-            it != members_by_ref.end()) {
+        const MemberOf& by_ref = members_by_ref();
+        if (auto it = by_ref.find(ir::symbols().canon(set.name)); it != by_ref.end()) {
           for (std::size_t idx : it->second) {
             const ir::RouteObject& r = ir.routes[idx];
             if (irr::mbrs_by_ref_allows(set.mbrs_by_ref, r.mnt_by)) {
@@ -411,23 +493,39 @@ void CompiledPolicySnapshot::build_route_sets(const CompiledPolicySnapshot* prev
   }
 }
 
-void CompiledPolicySnapshot::compile_filter(const ir::Filter& filter) {
+void CompiledPolicySnapshot::compile_as_path(const ir::FilterAsPath& filter) {
+  if (regexes_.contains(&filter)) return;
+  regexes_.emplace(&filter, CompiledAsPath{aspath::CompiledRegex(filter.regex),
+                                           ir::uses_skipped_constructs(filter.regex)});
+}
+
+bool CompiledPolicySnapshot::rehydrate(const ir::FilterAsPath& filter,
+                                       const CompiledPolicySnapshot& previous,
+                                       const ir::FilterAsPath& twin) {
+  if (regexes_.contains(&filter)) return false;
+  auto it = previous.regexes_.find(&twin);
+  if (it == previous.regexes_.end() || !it->second.regex.supported()) return false;
+  regexes_.emplace(&filter, CompiledAsPath{aspath::CompiledRegex(it->second.regex.image()),
+                                           it->second.skipped});
+  return true;
+}
+
+void CompiledPolicySnapshot::compile_filter(const ir::Filter& filter,
+                                            std::vector<const ir::FilterAsPath*>* as_paths) {
   std::visit(util::overloaded{
                  [&](const ir::FilterAsPath& f) {
-                   if (regexes_.contains(&f)) return;
-                   CompiledAsPath compiled{aspath::CompiledRegex(f.regex),
-                                           ir::uses_skipped_constructs(f.regex)};
-                   regexes_.emplace(&f, std::move(compiled));
+                   if (as_paths != nullptr) as_paths->push_back(&f);
+                   compile_as_path(f);
                  },
                  [&](const ir::FilterAnd& f) {
-                   compile_filter(*f.left);
-                   compile_filter(*f.right);
+                   compile_filter(*f.left, as_paths);
+                   compile_filter(*f.right, as_paths);
                  },
                  [&](const ir::FilterOr& f) {
-                   compile_filter(*f.left);
-                   compile_filter(*f.right);
+                   compile_filter(*f.left, as_paths);
+                   compile_filter(*f.right, as_paths);
                  },
-                 [&](const ir::FilterNot& f) { compile_filter(*f.inner); },
+                 [&](const ir::FilterNot& f) { compile_filter(*f.inner, as_paths); },
                  [&](const auto&) {},
              },
              filter.node);
@@ -457,7 +555,7 @@ void for_each_filter(const ir::Entry& entry, Fn&& fn) {
 /// Collect every FilterAsPath in `filter`, in the exact traversal order
 /// compile_filter uses. Two parses of identical policy text yield
 /// identical sequences, which is what lets the incremental build pair a
-/// clean aut-num's filters with the previous generation's positionally.
+/// clean filter-set's filters with the previous generation's positionally.
 void collect_as_paths(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
   std::visit(util::overloaded{
                  [&](const ir::FilterAsPath& f) { out.push_back(&f); },
@@ -473,16 +571,6 @@ void collect_as_paths(const ir::Filter& filter, std::vector<const ir::FilterAsPa
                  [&](const auto&) {},
              },
              filter.node);
-}
-
-std::vector<const ir::FilterAsPath*> collect_as_paths(const ir::AutNum& an) {
-  std::vector<const ir::FilterAsPath*> out;
-  for (const auto* rules : {&an.imports, &an.exports}) {
-    for (const ir::Rule& rule : *rules) {
-      for_each_filter(rule.entry, [&](const ir::Filter& f) { collect_as_paths(f, out); });
-    }
-  }
-  return out;
 }
 
 std::vector<const ir::FilterAsPath*> collect_as_paths(const ir::FilterSet& set) {
@@ -525,124 +613,95 @@ CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
   return out;
 }
 
-CompiledRuleList CompiledPolicySnapshot::compile_rules(const ir::RuleList& rules) {
-  std::vector<CompiledRule> out;
-  out.reserve(rules.size());
-  for (const ir::Rule& rule : rules) {
-    out.push_back(compile_rule(rule));
-    for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
+CompiledAutNum CompiledPolicySnapshot::compile_aut_num(ir::Asn asn, const ir::AutNum& an,
+                                                      const CompiledAutNum* previous_cone,
+                                                      RejectAllBuilder& reject_all) {
+  auto storage = std::make_shared<CompiledAutNum::Storage>();
+  storage->imports = an.imports;
+  storage->exports = an.exports;
+  storage->rules.reserve(an.imports.size() + an.exports.size());
+  for (const auto* rules : {&an.imports, &an.exports}) {
+    for (const ir::Rule& rule : *rules) {
+      storage->rules.push_back(compile_rule(rule));
+      for_each_filter(rule.entry,
+                      [&](const ir::Filter& f) { compile_filter(f, &storage->as_paths); });
+    }
   }
-  return CompiledRuleList(std::move(out));
+  // Cones depend only on the relation graph, so a caller that shares the
+  // previous generation's AsRelations hands in the previous cone.
+  if (previous_cone != nullptr) {
+    storage->asns.assign(previous_cone->customer_cone.begin(),
+                         previous_cone->customer_cone.end());
+  } else {
+    storage->asns = relations_->customer_cone(asn);
+  }
+  const std::size_t cone = storage->asns.size();
+
+  CompiledAutNum can;
+  can.only_provider = only_provider_policies(*index_, *relations_, asn);
+  reject_all.finish(can, std::move(storage));
+  can.customer_cone = std::span<const ir::Asn>(can.storage->asns).first(cone);
+  return can;
 }
 
 void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previous,
                                             const DirtySet* dirty,
                                             IncrementalStats* stats) {
-  // Incremental: rehydrate clean objects' AS-path NFAs from the previous
-  // generation's flat tables (image() -> CompiledRegex skips Thompson
-  // construction) before the compile loop runs; compile_filter's
-  // regexes_.contains() check then skips recompilation. Pairing is
-  // positional over the deterministic filter walk, guarded by a merged-
-  // object equality re-check so a missed dirty entry degrades to a
-  // recompile, never to a stale automaton. The same check picks the
-  // aut-nums whose RejectAll entries are copied rather than re-derived.
-  // Those whose rule lists are the previous generation's (the delta store
-  // shares an unedited aut-num's lists) also keep its compiled rules: each
-  // `rule` pointer still points into the shared list.
-  std::vector<const CompiledAutNum*> unchanged(index_->ir().aut_nums.size(), nullptr);
-  std::vector<char> carried(index_->ir().aut_nums.size(), 0);
-  if (previous != nullptr && dirty != nullptr) {
-    auto seed_pairs = [&](const std::vector<const ir::FilterAsPath*>& olds,
-                          const std::vector<const ir::FilterAsPath*>& news) {
-      if (olds.size() != news.size()) return;
-      for (std::size_t i = 0; i < news.size(); ++i) {
-        if (regexes_.contains(news[i])) continue;
-        auto it = previous->regexes_.find(olds[i]);
-        if (it == previous->regexes_.end() || !it->second.regex.supported()) continue;
-        regexes_.emplace(news[i],
-                         CompiledAsPath{aspath::CompiledRegex(it->second.regex.image()),
-                                        it->second.skipped});
-        if (stats != nullptr) ++stats->regexes_reused;
-      }
-    };
-    std::size_t at = 0;
-    for (const auto& [asn, an] : index_->ir().aut_nums) {
-      const std::size_t i = at++;
-      if (dirty->aut_nums.contains(asn)) continue;
-      const ir::AutNum* prev_an = previous->index_->aut_num(asn);
-      if (prev_an == nullptr || !(*prev_an == an)) continue;
-      unchanged[i] = previous->compiled_aut_num(asn);
-      if (unchanged[i] != nullptr && prev_an->imports.shares(an.imports) &&
-          prev_an->exports.shares(an.exports)) {
-        carried[i] = 1;
-        const auto paths = collect_as_paths(an);  // the previous ones too
-        seed_pairs(paths, paths);
-      } else {
-        seed_pairs(collect_as_paths(*prev_an), collect_as_paths(an));
-      }
-    }
+  IncrementalStats unused;
+  if (stats == nullptr) stats = &unused;
+  const bool incremental = previous != nullptr && dirty != nullptr;
+  if (incremental) {
+    // Rehydrate clean filter-sets' AS-path NFAs from the previous
+    // generation's flat tables (image() -> CompiledRegex skips Thompson
+    // construction) before they are compiled below; compile_filter's
+    // regexes_.contains() check then skips recompilation. Pairing is
+    // positional over the deterministic filter walk, guarded by an
+    // object equality re-check so a missed dirty entry degrades to a
+    // recompile, never to a stale automaton.
     for (const auto& [name, set] : index_->ir().filter_sets) {
       if (dirty->filter_sets.contains(name)) continue;
       const ir::FilterSet* prev_fs = previous->index_->filter_set(name);
       if (prev_fs == nullptr || !(*prev_fs == set)) continue;
-      seed_pairs(collect_as_paths(*prev_fs), collect_as_paths(set));
+      const std::vector<const ir::FilterAsPath*> olds = collect_as_paths(*prev_fs);
+      const std::vector<const ir::FilterAsPath*> news = collect_as_paths(set);
+      if (olds.size() != news.size()) continue;
+      for (std::size_t i = 0; i < news.size(); ++i) {
+        if (rehydrate(*news[i], *previous, *olds[i])) ++stats->regexes_reused;
+      }
     }
   }
 
-  // Materialize every cone first so the pool reserves exactly once (spans
-  // into a growing vector would dangle). Cones depend only on the relation
-  // graph, so when the incremental build shares the previous generation's
-  // AsRelations the previous cone span is copied instead of re-deriving.
-  const bool reuse_cones =
-      previous != nullptr && previous->relations_.get() == relations_.get();
-  std::vector<std::vector<ir::Asn>> cones;
-  cones.reserve(index_->ir().aut_nums.size());
-  std::size_t total = 0;
+  // A compiled aut-num depends on its rule lists and the relation graph
+  // alone. While both are the previous generation's (the delta store shares
+  // an unedited aut-num's lists, and the pipeline one AsRelations), the
+  // previous piece is carried as is: no rule is read, and only its AS-path
+  // regexes (rarely any) are rehydrated into this snapshot's table.
+  const bool same_relations = incremental && previous->relations_.get() == relations_.get();
+  aut_nums_.reserve(index_->ir().aut_nums.size());
+  RejectAllBuilder reject_all;
   for (const auto& [asn, an] : index_->ir().aut_nums) {
-    const CompiledAutNum* prev_can =
-        reuse_cones ? previous->compiled_aut_num(asn) : nullptr;
-    if (prev_can != nullptr) {
-      cones.emplace_back(prev_can->customer_cone.begin(), prev_can->customer_cone.end());
-      if (stats != nullptr) ++stats->cones_reused;
-    } else {
-      cones.push_back(relations_->customer_cone(asn));
-    }
-    total += cones.back().size();
-  }
-  cone_pool_.reserve(total);
-  RejectAllBuilder reject_all(reject_pool_, plan_pool_, index_->ir().aut_nums.size());
-  std::size_t i = 0;
-  for (const auto& [asn, an] : index_->ir().aut_nums) {
-    CompiledAutNum compiled;
-    compiled.an = &an;
-    if (carried[i] != 0) {
-      compiled.imports = unchanged[i]->imports;
-      compiled.exports = unchanged[i]->exports;
-      if (stats != nullptr) ++stats->aut_nums_reused;
-      // Seeding rehydrated the supported regexes; this compiles the rest.
-      for (const auto* rules : {&an.imports, &an.exports}) {
-        for (const ir::Rule& rule : *rules) {
-          for_each_filter(rule.entry, [&](const ir::Filter& f) { compile_filter(f); });
+    const CompiledAutNum* prev = same_relations ? previous->compiled_aut_num(asn) : nullptr;
+    if (prev != nullptr) ++stats->cones_reused;
+    if (prev != nullptr && prev->storage->imports.shares(an.imports) &&
+        prev->storage->exports.shares(an.exports)) {
+      aut_nums_.emplace(asn, *prev);
+      ++stats->aut_nums_reused;
+      if (prev->as_paths.empty()) {
+        ++stats->aut_nums_skipped;
+        continue;
+      }
+      ++stats->aut_nums_rehydrated;
+      for (const ir::FilterAsPath* path : prev->as_paths) {
+        if (rehydrate(*path, *previous, *path)) {
+          ++stats->regexes_reused;
+        } else {
+          compile_as_path(*path);
         }
       }
-    } else {
-      compiled.imports = compile_rules(an.imports);
-      compiled.exports = compile_rules(an.exports);
+      continue;
     }
-    const std::vector<ir::Asn>& cone = cones[i];
-    const std::size_t offset = cone_pool_.size();
-    cone_pool_.insert(cone_pool_.end(), cone.begin(), cone.end());
-    compiled.customer_cone = std::span<const ir::Asn>(cone_pool_).subspan(offset, cone.size());
-    compiled.only_provider = only_provider_policies(*index_, *relations_, asn);
-    CompiledAutNum& can = aut_nums_.emplace(asn, std::move(compiled)).first->second;
-    if (unchanged[i] != nullptr) {
-      reject_all.carry(can, *unchanged[i]);
-    } else {
-      reject_all.derive(can);
-    }
-    ++i;
+    aut_nums_.emplace(asn, compile_aut_num(asn, an, prev, reject_all));
   }
-  reject_all.finish();
   // Filter-set bodies are reached by name at evaluation time; precompile
   // their regexes too so the hot path never falls back to per-call NFA
   // construction.
@@ -650,42 +709,33 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
     if (set.has_filter) compile_filter(set.filter);
     if (set.has_mp_filter) compile_filter(set.mp_filter);
   }
-  if (stats != nullptr) {
-    stats->regexes_recompiled = regexes_.size() - stats->regexes_reused;
+  stats->regexes_recompiled = regexes_.size() - stats->regexes_reused;
+}
+
+void CompiledPolicySnapshot::RejectAllBuilder::finish(
+    CompiledAutNum& can, std::shared_ptr<CompiledAutNum::Storage> storage) {
+  const std::span<const CompiledRule> rules(storage->rules);
+  can.imports = rules.first(storage->imports.size());
+  can.exports = rules.subspan(storage->imports.size());
+  can.as_paths = storage->as_paths;
+  std::array<Placed, 4> placed;
+  derive(can.imports, storage->asns, storage->plans, &can.reject_all[0], &placed[0]);
+  derive(can.exports, storage->asns, storage->plans, &can.reject_all[2], &placed[2]);
+  const std::span<const ir::Asn> pool(storage->asns);
+  const std::span<const std::uint32_t> plan_pool(storage->plans);
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    const Placed& p = placed[i];
+    can.reject_all[i].peers = pool.subspan(p.peers, p.size);
+    can.reject_all[i].no_match_asns = pool.subspan(p.asns, p.size);
+    can.reject_all[i].plan = plan_pool.subspan(p.plan, p.plan_size);
   }
+  can.storage = std::move(storage);
 }
 
-CompiledPolicySnapshot::RejectAllBuilder::RejectAllBuilder(std::vector<ir::Asn>& pool,
-                                                           std::vector<std::uint32_t>& plans,
-                                                           std::size_t aut_nums)
-    : pool_(pool), plans_(plans) {
-  pool_.clear();
-  plans_.clear();
-  placed_.reserve(4 * aut_nums);
-}
-
-void CompiledPolicySnapshot::RejectAllBuilder::carry(CompiledAutNum& can,
-                                                     const CompiledAutNum& previous) {
-  for (std::size_t i = 0; i < can.reject_all.size(); ++i) {
-    const RejectAll& from = previous.reject_all[i];
-    can.reject_all[i] = {from.simple, from.no_match, {}, {}, {}};
-    const std::size_t start = pool_.size();
-    pool_.insert(pool_.end(), from.peers.begin(), from.peers.end());
-    pool_.insert(pool_.end(), from.no_match_asns.begin(), from.no_match_asns.end());
-    const std::size_t plan = plans_.size();
-    plans_.insert(plans_.end(), from.plan.begin(), from.plan.end());
-    placed_.push_back({&can.reject_all[i], start, start + from.peers.size(), from.peers.size(),
-                       plan, from.plan.size()});
-  }
-}
-
-void CompiledPolicySnapshot::RejectAllBuilder::derive(CompiledAutNum& can) {
-  derive(can.imports, can.reject_all[0], can.reject_all[1]);
-  derive(can.exports, can.reject_all[2], can.reject_all[3]);
-}
-
-void CompiledPolicySnapshot::RejectAllBuilder::derive(const CompiledRuleList& rules,
-                                                      RejectAll& v4, RejectAll& v6) {
+void CompiledPolicySnapshot::RejectAllBuilder::derive(std::span<const CompiledRule> rules,
+                                                      std::vector<ir::Asn>& asns,
+                                                      std::vector<std::uint32_t>& plans,
+                                                      RejectAll* entries, Placed* placed) {
   // One pass stages each family's covering simple rules' ASNs in rule order:
   // the fold plan, and the merged list before deduplication.
   std::array<bool, 2> simple{true, true};
@@ -704,9 +754,8 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const CompiledRuleList& ru
       staged_[f].insert(staged_[f].end(), rule.no_match_asns.begin(), rule.no_match_asns.end());
     }
   }
-  const std::array<RejectAll*, 2> out{&v4, &v6};
   for (std::size_t f = 0; f < 2; ++f) {
-    *out[f] = {simple[f], simple[f] && no_match[f], {}, {}, {}};
+    entries[f] = {simple[f], simple[f] && no_match[f], {}, {}, {}};
     // A simple rule's peers are its no_match_asns sorted, so the union of
     // peers is the staged list sorted and deduplicated.
     const std::vector<ir::Asn>& list = staged_[f];
@@ -714,33 +763,23 @@ void CompiledPolicySnapshot::RejectAllBuilder::derive(const CompiledRuleList& ru
     std::sort(union_.begin(), union_.end());
     union_.erase(std::unique(union_.begin(), union_.end()), union_.end());
     const std::size_t count = simple[f] ? union_.size() : 0;
-    const std::size_t start = pool_.size();
-    pool_.insert(pool_.end(), union_.begin(), union_.begin() + static_cast<std::ptrdiff_t>(count));
+    const std::size_t start = asns.size();
+    asns.insert(asns.end(), union_.begin(), union_.begin() + static_cast<std::ptrdiff_t>(count));
     // Link each entry to the ASN's previous one. An ASN's first entry is
     // its place in the merged list, so the list is the unlinked entries.
     // The links are all kNoPrev between families.
     if (last_.size() < union_.size()) last_.resize(union_.size(), RejectAll::kNoPrev);
-    const std::size_t plan = plans_.size();
+    const std::size_t plan = plans.size();
     for (ir::Asn asn : list) {
       const auto at = static_cast<std::size_t>(
           std::lower_bound(union_.begin(), union_.end(), asn) - union_.begin());
       const std::uint32_t prev = last_[at];
-      last_[at] = static_cast<std::uint32_t>(plans_.size() - plan);
-      plans_.push_back(prev);
-      if (simple[f] && prev == RejectAll::kNoPrev) pool_.push_back(asn);
+      last_[at] = static_cast<std::uint32_t>(plans.size() - plan);
+      plans.push_back(prev);
+      if (simple[f] && prev == RejectAll::kNoPrev) asns.push_back(asn);
     }
     std::fill_n(last_.begin(), union_.size(), RejectAll::kNoPrev);
-    placed_.push_back({out[f], start, start + count, count, plan, list.size()});
-  }
-}
-
-void CompiledPolicySnapshot::RejectAllBuilder::finish() {
-  const std::span<const ir::Asn> pool(pool_);
-  const std::span<const std::uint32_t> plans(plans_);
-  for (const Placed& p : placed_) {
-    p.entry->peers = pool.subspan(p.peers, p.size);
-    p.entry->no_match_asns = pool.subspan(p.asns, p.size);
-    p.entry->plan = plans.subspan(p.plan, p.plan_size);
+    placed[f] = {start, start + count, count, plan, list.size()};
   }
 }
 
@@ -768,7 +807,7 @@ irr::Lookup CompiledPolicySnapshot::origin_matches(ir::Asn asn, const net::Range
                                                    const net::Prefix& p) const {
   if (!index_->has_routes(asn)) return irr::Lookup::kUnknown;  // zero-route AS
   bool hit = false;
-  origins_.for_each_cover(p, [&](const Prefix& base, std::span<const ir::Asn> origins) {
+  origins_->for_each_cover(p, [&](const Prefix& base, std::span<const ir::Asn> origins) {
     if (std::binary_search(origins.begin(), origins.end(), asn) &&
         net::matches_with_chain(base, op, {}, p)) {
       hit = true;
@@ -785,7 +824,7 @@ irr::Lookup CompiledPolicySnapshot::as_set_originates(std::string_view name,
   const CompiledAsSet* flat = flattened(name);
   if (flat == nullptr) return irr::Lookup::kUnknown;
   bool hit = false;
-  origins_.for_each_cover(p, [&](const Prefix& base, std::span<const ir::Asn> origins) {
+  origins_->for_each_cover(p, [&](const Prefix& base, std::span<const ir::Asn> origins) {
     if (net::matches_with_chain(base, op, {}, p) && intersects(origins, flat->asns)) {
       hit = true;
       return false;
@@ -854,9 +893,7 @@ const CompiledAutNum* CompiledPolicySnapshot::compiled_aut_num(ir::Asn asn) cons
 
 std::span<const ir::Asn> CompiledPolicySnapshot::exact_origins(
     const net::Prefix& prefix) const {
-  const std::span<const ir::Asn>* origins = origins_.exact(prefix);
-  if (origins == nullptr) return {};
-  return *origins;
+  return origins_->exact(prefix);
 }
 
 }  // namespace rpslyzer::compile

@@ -21,7 +21,8 @@ using compile::CompiledPolicySnapshot;
 // Mirrors the compiler's build order exactly (aut-nums ascending, imports
 // then exports, factor order, And/Or left before right, then filter-set
 // bodies in name order), so NFA images written positionally at save time
-// bind to the right ir::FilterAsPath node at restore time.
+// bind to the right ir::FilterAsPath node at restore time. The restore walks
+// each rule once, into its aut-num's AS-path list.
 
 void collect_filter(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
   std::visit(util::overloaded{
@@ -57,11 +58,18 @@ void collect_entry(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>&
              entry.node);
 }
 
-std::vector<const ir::FilterAsPath*> collect_aspath_filters(const ir::Ir& ir) {
+/// The NFA section's filter order: each aut-num's AS-path list (kept in
+/// this order by the compiler and the restore alike), then the filter-set
+/// bodies walked.
+std::vector<const ir::FilterAsPath*> collect_aspath_filters(const CompiledPolicySnapshot& snap) {
+  const ir::Ir& ir = snap.index().ir();
   std::vector<const ir::FilterAsPath*> out;
   for (const auto& [asn, an] : ir.aut_nums) {
-    for (const ir::Rule& rule : an.imports) collect_entry(rule.entry, out);
-    for (const ir::Rule& rule : an.exports) collect_entry(rule.entry, out);
+    const compile::CompiledAutNum* can = snap.compiled_aut_num(asn);
+    if (can == nullptr) {
+      throw SnapshotError("snapshot: aut-num missing from compiled tables");
+    }
+    out.insert(out.end(), can->as_paths.begin(), can->as_paths.end());
   }
   for (const auto& [name, set] : ir.filter_sets) {
     if (set.has_filter) collect_filter(set.filter, out);
@@ -221,7 +229,7 @@ void SnapshotCodec::write(const CompiledPolicySnapshot& snap, ArenaWriter& write
     std::uint64_t count = 0;
     std::uint64_t offset = 0;
     ByteWriter entries;
-    snap.origins_.for_each([&](const net::Prefix& prefix, std::span<const ir::Asn> origins) {
+    snap.origins_->for_each([&](const net::Prefix& prefix, std::span<const ir::Asn> origins) {
       encode_prefix(entries, prefix);
       entries.u64(offset);
       entries.u64(origins.size());
@@ -306,7 +314,7 @@ void SnapshotCodec::write(const CompiledPolicySnapshot& snap, ArenaWriter& write
 
   // NFA images, positionally matched to the deterministic filter walk.
   {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(ir);
+    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(snap);
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(filters.size()));
     for (const ir::FilterAsPath* filter : filters) {
@@ -393,6 +401,7 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
     std::span<const ir::Asn> pool = view.pool<ir::Asn>(SectionId::kOriginPool);
     ByteReader r(view.section(SectionId::kOrigins));
     const std::uint64_t count = r.u64();
+    auto table = std::make_shared<compile::OriginTable>();
     for (std::uint64_t i = 0; i < count; ++i) {
       const net::Prefix prefix = decode_prefix(r);
       const std::uint64_t off = r.u64();
@@ -400,8 +409,9 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
       if (off > pool.size() || n > pool.size() - off) {
         throw SnapshotError("snapshot origin entry out of bounds");
       }
-      snap->origins_.insert(prefix, pool.subspan(off, n));
+      table->insert(prefix, pool.subspan(off, n));
     }
+    snap->origins_ = std::move(table);
   });
 
   with_section(view, SectionId::kRouteSets, [&] {
@@ -442,8 +452,7 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
     }
     snap->aut_nums_.reserve(count);
     // Not persisted: derived from the restored rules, no format change.
-    CompiledPolicySnapshot::RejectAllBuilder reject_all(snap->reject_pool_, snap->plan_pool_,
-                                                        count);
+    CompiledPolicySnapshot::RejectAllBuilder reject_all;
     for (std::uint32_t i = 0; i < count; ++i) {
       const ir::Asn asn = r.u32();
       auto an_it = ir.aut_nums.find(asn);
@@ -451,26 +460,26 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
         throw SnapshotError("snapshot aut-num entry names an unknown AS");
       }
       const ir::AutNum& an = an_it->second;
+      auto storage = std::make_shared<compile::CompiledAutNum::Storage>();
+      storage->imports = an.imports;
+      storage->exports = an.exports;
+      storage->rules.reserve(an.imports.size() + an.exports.size());
       compile::CompiledAutNum can;
-      can.an = &an;
       can.only_provider = r.u8() != 0;
       const std::uint64_t off = r.u64();
       const std::uint64_t n = r.u64();
       if (off > pool.size() || n > pool.size() - off) {
         throw SnapshotError("snapshot customer cone out of bounds");
       }
-      can.customer_cone = pool.subspan(off, n);
-      for (auto [rules, source_rules] :
-           {std::pair{&can.imports, &an.imports}, std::pair{&can.exports, &an.exports}}) {
+      can.customer_cone = pool.subspan(off, n);  // in the mapping
+      for (const ir::RuleList* source_rules : {&an.imports, &an.exports}) {
         const std::uint32_t rule_count = r.u32();
         if (rule_count != source_rules->size()) {
           throw SnapshotError("snapshot rule count disagrees with its own IR");
         }
-        std::vector<compile::CompiledRule> restored;
-        restored.reserve(rule_count);
-        for (std::uint32_t j = 0; j < rule_count; ++j) {
+        for (const ir::Rule& source : *source_rules) {
           compile::CompiledRule rule;
-          rule.rule = &(*source_rules)[j];
+          rule.rule = &source;
           const std::uint8_t flags = r.u8();
           rule.covers_v4 = (flags & 1u) != 0;
           rule.covers_v6 = (flags & 2u) != 0;
@@ -482,17 +491,17 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
           const std::uint32_t nm_count = r.u32();
           rule.no_match_asns.reserve(nm_count);
           for (std::uint32_t k = 0; k < nm_count; ++k) rule.no_match_asns.push_back(r.u32());
-          restored.push_back(std::move(rule));
+          storage->rules.push_back(std::move(rule));
+          collect_entry(source.entry, storage->as_paths);
         }
-        *rules = compile::CompiledRuleList(std::move(restored));
       }
-      reject_all.derive(snap->aut_nums_.emplace(asn, std::move(can)).first->second);
+      reject_all.finish(can, std::move(storage));
+      snap->aut_nums_.emplace(asn, std::move(can));
     }
-    reject_all.finish();
   });
 
   with_section(view, SectionId::kNfa, [&] {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(ir);
+    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(*snap);
     ByteReader r(view.section(SectionId::kNfa));
     const std::uint32_t count = r.u32();
     if (count != filters.size()) {
@@ -530,7 +539,7 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
     }
   });
 
-  snap->trie_nodes_ = snap->origins_.node_count();
+  snap->trie_nodes_ = snap->origins_->node_count();
   for (const auto& [id, set] : snap->route_sets_) {
     snap->trie_nodes_ += set.bases.node_count();
   }

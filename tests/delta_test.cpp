@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -570,6 +571,153 @@ TEST(CorpusStoreMerge, MaterializeMatchesTheLoaderAfterEdits) {
   expect_loader_view("after revert");
   ASSERT_NE(store.merged_as_set("as-case"), nullptr);
   EXPECT_EQ(store.merged_as_set("as-case")->members.at(0).asn, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared compiled pieces: clean aut-nums and the origin table carry forward
+// ---------------------------------------------------------------------------
+
+TEST_F(DeltaTest, CleanAutNumPiecesArePointerIdenticalAcrossAnApply) {
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
+  const auto previous = pipeline.current();
+  const ir::AutNum& target = edit_target(*previous->ir);
+  ASSERT_TRUE(pipeline.apply(edit_batch(1, target)).applied);
+  const auto next = pipeline.current();
+
+  std::size_t carried = 0;
+  for (const auto& [asn, an] : next->ir->aut_nums) {
+    const compile::CompiledAutNum* before = previous->snapshot->compiled_aut_num(asn);
+    const compile::CompiledAutNum* after = next->snapshot->compiled_aut_num(asn);
+    ASSERT_NE(before, nullptr) << "AS" << asn;
+    ASSERT_NE(after, nullptr) << "AS" << asn;
+    ASSERT_NE(after->storage, nullptr) << "AS" << asn;
+    if (asn == target.asn) {
+      EXPECT_NE(after->storage.get(), before->storage.get());
+      EXPECT_NE(after->imports.data(), before->imports.data());
+      continue;
+    }
+    EXPECT_EQ(after->storage.get(), before->storage.get()) << "AS" << asn;
+    EXPECT_EQ(after->imports.data(), before->imports.data()) << "AS" << asn;
+    EXPECT_EQ(after->exports.data(), before->exports.data()) << "AS" << asn;
+    EXPECT_EQ(after->customer_cone.data(), before->customer_cone.data()) << "AS" << asn;
+    for (std::size_t i = 0; i < after->reject_all.size(); ++i) {
+      EXPECT_EQ(after->reject_all[i].plan.data(), before->reject_all[i].plan.data());
+    }
+    ++carried;
+  }
+  EXPECT_EQ(carried, next->ir->aut_nums.size() - 1);
+  EXPECT_EQ(next->stats.aut_nums_reused, carried);
+  EXPECT_EQ(next->stats.aut_nums_skipped + next->stats.aut_nums_rehydrated, carried);
+  // No route changed: the next generation holds the very same origin table.
+  EXPECT_EQ(&next->snapshot->origin_table(), &previous->snapshot->origin_table());
+}
+
+/// Every (prefix, origins) entry of a table, in prefix order: what the
+/// persisted origin section is written from.
+std::vector<std::pair<net::Prefix, std::vector<ir::Asn>>> origin_entries(
+    const compile::OriginTable& table) {
+  std::vector<std::pair<net::Prefix, std::vector<ir::Asn>>> out;
+  table.for_each([&](const net::Prefix& prefix, std::span<const ir::Asn> origins) {
+    out.emplace_back(prefix, std::vector<ir::Asn>(origins.begin(), origins.end()));
+  });
+  return out;
+}
+
+void expect_same_origin_table(const DeltaPipeline& incremental, const DeltaPipeline& full,
+                              const std::string& context) {
+  const auto inc = incremental.current_snapshot();
+  const auto ref = full.current_snapshot();
+  EXPECT_FALSE(incremental.current()->stats.full_rebuild) << context;
+  EXPECT_EQ(origin_entries(inc->origin_table()), origin_entries(ref->origin_table())) << context;
+  EXPECT_EQ(inc->trie_nodes(), ref->trie_nodes()) << context;
+  EXPECT_EQ(inc->origin_table().node_count(), ref->origin_table().node_count()) << context;
+  expect_equivalent(incremental, full, context);
+}
+
+TEST_F(DeltaTest, OriginTablePatchMatchesFromScratchBuild) {
+  const std::vector<std::pair<std::string, std::string>> dumps{
+      {"RADB",
+       "aut-num: AS1\nimport: from AS2 accept ANY\nexport: to AS2 announce AS1\n\n"
+       "aut-num: AS2\nimport: from AS1 accept AS1\nexport: to AS1 announce ANY\n\n"
+       "aut-num: AS3\nimport: from AS2 accept ANY\n\n"
+       "route: 10.0.0.0/8\norigin: AS1\n\nroute: 10.0.0.0/8\norigin: AS2\n\n"
+       "route: 10.0.0.0/8\norigin: AS3\n\nroute: 10.1.0.0/16\norigin: AS1\n\n"
+       "route6: a00::/8\norigin: AS1\n\nroute: 0.0.0.0/0\norigin: AS3\n\n"
+       "route6: ::/0\norigin: AS2\n"}};
+  const std::string relationships = "2|1|-1\n2|3|-1\n";
+  DeltaPipeline incremental(dumps, relationships);
+  PipelineOptions full_options;
+  full_options.always_full = true;
+  DeltaPipeline full(dumps, relationships, full_options);
+
+  std::uint64_t serial = 0;
+  const auto step = [&](const std::string& context,
+                        std::vector<std::pair<JournalOp::Kind, std::string>> ops) {
+    JournalBatch batch;
+    batch.first_serial = serial + 1;
+    for (auto& [kind, paragraph] : ops) batch.ops.push_back({kind, ++serial, "RADB", paragraph});
+    batch.last_serial = serial;
+    const ApplyResult inc = incremental.apply(batch);
+    ASSERT_TRUE(inc.applied) << context << ": " << inc.error;
+    ASSERT_TRUE(full.apply(batch).applied) << context;
+    expect_same_origin_table(incremental, full, context);
+  };
+  constexpr auto kAdd = JournalOp::Kind::kAdd;
+  constexpr auto kDel = JournalOp::Kind::kDel;
+  const auto route = [](const char* prefix, int asn) {
+    return std::string(std::string_view(prefix).find(':') != std::string_view::npos ? "route6: "
+                                                                                     : "route: ") +
+           prefix + "\norigin: AS" + std::to_string(asn) + "\n";
+  };
+
+  step("a shared prefix loses a middle origin", {{kDel, route("10.0.0.0/8", 2)}});
+  step("the shared prefix loses its last origins",
+       {{kDel, route("10.0.0.0/8", 1)}, {kDel, route("10.0.0.0/8", 3)}});
+  step("the emptied prefix is re-added", {{kAdd, route("10.0.0.0/8", 3)}});
+  step("v6 twin goes while the v4 one stays, /0 gains an origin",
+       {{kDel, route("a00::/8", 1)}, {kAdd, route("0.0.0.0/0", 1)}});
+  step("both /0s are emptied",
+       {{kDel, route("0.0.0.0/0", 3)}, {kDel, route("0.0.0.0/0", 1)}, {kDel, route("::/0", 2)}});
+  step("a deep branch is pruned", {{kDel, route("10.1.0.0/16", 1)}});
+  step("twins and the /0 come back", {{kAdd, route("::/0", 2)},
+                                      {kAdd, route("a00::/8", 1)},
+                                      {kAdd, route("0.0.0.0/0", 2)},
+                                      {kAdd, route("10.1.0.0/16", 3)}});
+  EXPECT_EQ(incremental.current_snapshot()->exact_origins(*net::Prefix::parse("10.0.0.0/8")).size(),
+            1u);
+}
+
+TEST_F(DeltaTest, OriginTableStaysBoundedOverChurnSoak) {
+  DeltaPipeline pipeline(corpus().dumps, corpus().relationships);
+  synth::ChurnConfig churn_config;
+  churn_config.seed = seed_from_env() ^ 0x9e3779b9u;
+  churn_config.ops_per_batch = 12;
+  synth::ChurnGenerator churn(corpus().dump_map, churn_config);
+
+  std::size_t patched = 0;
+  for (int b = 0; b < 500; ++b) {
+    const compile::OriginTable* before = &pipeline.current_snapshot()->origin_table();
+    const ApplyResult result = pipeline.apply(churn.next_batch());
+    ASSERT_FALSE(result.refused) << "batch " << b << ": " << result.error;
+    const compile::OriginTable& table = pipeline.current_snapshot()->origin_table();
+    if (&table != before) ++patched;
+    ASSERT_LE(table.pool_size(), 2 * table.live_origins()) << "batch " << b;
+    ASSERT_LE(table.node_slots(), 2 * table.node_count()) << "batch " << b;
+  }
+  EXPECT_GT(patched, 100u);
+
+  auto lyzer = std::make_shared<Rpslyzer>(Rpslyzer::from_texts(
+      pipeline.store().source_texts(), corpus().relationships));
+  auto snapshot = lyzer->snapshot();
+  const std::shared_ptr<const compile::CompiledPolicySnapshot> reference{
+      std::move(lyzer), snapshot.get()};
+  EXPECT_EQ(origin_entries(pipeline.current_snapshot()->origin_table()),
+            origin_entries(reference->origin_table()));
+  EXPECT_EQ(pipeline.current_snapshot()->trie_nodes(), reference->trie_nodes());
+  const EquivalenceResult eq =
+      compare_snapshots(pipeline.current_snapshot(), reference, test_equiv_options());
+  EXPECT_TRUE(eq.equal) << eq.mismatches << "/" << eq.probes << " probes mismatched\n"
+                        << eq.first_mismatch;
 }
 
 }  // namespace

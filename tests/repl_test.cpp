@@ -14,7 +14,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "rpslyzer/compile/snapshot.hpp"
@@ -436,6 +440,35 @@ struct Origin {
   }
 };
 
+/// Holds a loopback TCP port without listening on it: a connect() to it is
+/// refused, and no other socket is bound to it by a port-0 bind, while this
+/// lives. A dead origin's port is otherwise free for the kernel to hand to
+/// the next server that binds port 0 (say, a test running in parallel),
+/// which an edge still dialing that port would then reach.
+class PortHold {
+ public:
+  explicit PortHold(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) return;
+    int one = 1;  // the dead origin's connections may linger in TIME_WAIT
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    bound_ = ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  }
+  PortHold(const PortHold&) = delete;
+  PortHold& operator=(const PortHold&) = delete;
+  ~PortHold() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool bound() const noexcept { return bound_; }
+
+ private:
+  int fd_;
+  bool bound_ = false;
+};
+
 repl::EdgeConfig edge_config(std::uint16_t port, const std::filesystem::path& dir) {
   repl::EdgeConfig config;
   config.origin_port = port;
@@ -555,6 +588,7 @@ TEST_F(ReplIntegration, DigestMismatchIsRefusedThenRetried) {
 
 TEST_F(ReplIntegration, EdgeServesLastGoodThroughOriginOutageAndRecoversFromDisk) {
   std::uint16_t port = 0;
+  std::optional<PortHold> outage;  // keeps the dead origin's port dead
   {
     Origin origin(corpus().snapshot);
     port = origin.daemon->port();
@@ -563,6 +597,8 @@ TEST_F(ReplIntegration, EdgeServesLastGoodThroughOriginOutageAndRecoversFromDisk
     ASSERT_TRUE(client.wait_for_snapshot(milliseconds(10000)));
     client.stop();
     origin.daemon->stop();
+    outage.emplace(port);
+    ASSERT_TRUE(outage->bound()) << "port " << port;
   }  // origin gone, edge process "crashed"
 
   // A fresh client on the same state dir recovers last-good without any

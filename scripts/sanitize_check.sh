@@ -24,7 +24,7 @@ cmake -B "$BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE=ON >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" --target \
   server_test query_test irr_index_test fault_injection_test loader_files_test obs_test \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
-  persist_test repl_test delta_test delta_fuzz_test arena_interner_test rand_test \
+  persist_test repl_test source_test delta_test delta_fuzz_test arena_interner_test rand_test \
   verifier_test report_test bgp_parse_reference_test relations_parse_reference_test \
   aggregate_golden_test prefix_test rpslyzer_cli
 
@@ -39,7 +39,9 @@ run_labeled() {
 # loader's pointer fixups and bounds checks are exactly what ASan/UBSan
 # police — plus the replication suite, whose torn-transfer and digest-
 # mismatch failpoint paths juggle partial files and raw byte buffers
-# across the edge agent thread), then each action kind. Error actions are limited to sites whose
+# across the edge agent thread, and the generation-source suite, where a
+# follower polled after its server is destroyed must not touch it), then
+# each action kind. Error actions are limited to sites whose
 # callers degrade gracefully (cache bypass); tests that assert exact cache
 # hit counts are excluded from that entry since bypassing the cache is its
 # intended observable effect. The loader/server error paths are driven
@@ -103,7 +105,7 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DRPSLYZER_SANITIZE_THREAD=ON >/dev/null
   cmake --build "$TSAN_BUILD" -j "$(nproc)" --target obs_test server_test parallel_loader_test \
     compile_snapshot_test parallel_verify_test bgp_parse_reference_test verifier_test \
-    persist_test repl_test delta_test delta_fuzz_test arena_interner_test
+    persist_test repl_test source_test delta_test delta_fuzz_test arena_interner_test
   "$TSAN_BUILD/tests/obs_test"
   "$TSAN_BUILD/tests/server_test"
   "$TSAN_BUILD/tests/parallel_loader_test"
@@ -123,6 +125,10 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   # event loop: condvar wakeups, atomic status counters, and the activation
   # callback crossing threads are all under the race detector here.
   "$TSAN_BUILD/tests/repl_test"
+  # A generation source's attach()/detach() race its own threads: the
+  # follower's poll thread and the edge agent call request_reload() and
+  # read server state right up to the detach that joins them.
+  "$TSAN_BUILD/tests/source_test"
   # The delta pipeline splits its state behind two mutexes (apply vs
   # publish/stats) and shares immutable previous-generation tables into the
   # next snapshot: whole compiled aut-nums and the origin table, which

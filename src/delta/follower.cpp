@@ -22,31 +22,30 @@ JournalFollower::JournalFollower(std::shared_ptr<DeltaPipeline> pipeline,
                                  FollowerConfig config)
     : pipeline_(std::move(pipeline)), config_(std::move(config)) {}
 
-JournalFollower::~JournalFollower() { stop(); }
+JournalFollower::~JournalFollower() { detach(); }
 
 void JournalFollower::set_activation_callback(
     std::function<void(std::uint64_t serial)> callback) {
   callback_ = std::move(callback);
 }
 
-void JournalFollower::start() {
-  std::lock_guard<std::mutex> lock(thread_mutex_);
-  if (running_) return;
-  running_ = true;
+void JournalFollower::attach(server::Server& server) {
+  std::scoped_lock lock(mutex_, thread_mutex_);
+  server_ = &server;
   stop_requested_ = false;
-  thread_ = std::thread([this] { run(); });
+  if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
 }
 
-void JournalFollower::stop() {
+void JournalFollower::detach() {
   {
-    std::lock_guard<std::mutex> lock(thread_mutex_);
-    if (!running_) return;
+    std::scoped_lock lock(mutex_, thread_mutex_);
+    server_ = nullptr;
     stop_requested_ = true;
   }
   wake_.notify_all();
   if (thread_.joinable()) thread_.join();
   std::lock_guard<std::mutex> lock(thread_mutex_);
-  running_ = false;
+  stop_requested_ = false;  // poll_now() stays usable without the thread
 }
 
 void JournalFollower::run() {
@@ -62,6 +61,10 @@ void JournalFollower::run() {
 std::size_t JournalFollower::poll_now() {
   std::size_t published = 0;
   for (const std::filesystem::path& file : list_journal_files(config_.directory)) {
+    {
+      std::lock_guard<std::mutex> lock(thread_mutex_);
+      if (stop_requested_) break;  // detach() is waiting: stop between batches
+    }
     const std::string name = file.filename().string();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -101,6 +104,8 @@ std::size_t JournalFollower::poll_now() {
     if (result.applied) {
       ++published;
       if (callback_) callback_(pipeline_->applied_serial());
+      std::lock_guard<std::mutex> lock(mutex_);  // held so detach() cannot race the call
+      if (server_ != nullptr) server_->request_reload();
     }
   }
   return published;

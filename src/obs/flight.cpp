@@ -1,6 +1,7 @@
 #include "rpslyzer/obs/flight.hpp"
 
 #include <cstdio>
+#include <thread>
 
 #include "rpslyzer/obs/trace.hpp"
 
@@ -42,15 +43,32 @@ void FlightRecorder::record(const FlightRecord& record) noexcept {
   if (!enabled()) return;
   const std::uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
+  // Claim the slot by moving its seq up to our odd "busy" value. A writer
+  // preempted between fetch_add and here for a whole lap finds a later
+  // ticket's seq and drops its record, so a slot's seq never goes back and
+  // a published record is never overwritten by an older one. A slot still
+  // busy with an older ticket is waited out (it is a few stores from done),
+  // so no two writers fill the same slot's words at once.
+  const std::uint64_t busy = ticket * 2 + 1;
+  std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  do {
+    while (seq & 1) {
+      if (seq > busy) return;
+      std::this_thread::yield();
+      seq = slot.seq.load(std::memory_order_relaxed);
+    }
+    if (seq > busy) return;
+  } while (!slot.seq.compare_exchange_weak(seq, busy, std::memory_order_acquire,
+                                           std::memory_order_relaxed));
   // Seqlock write: odd marks the slot busy so a concurrent reader skips it;
   // the release store of ticket*2+2 publishes the payload words.
-  slot.seq.store(ticket * 2 + 1, std::memory_order_release);
+  std::atomic_thread_fence(std::memory_order_release);
   std::uint64_t words[kWords];
   std::memcpy(words, &record, sizeof(record));
   for (std::size_t i = 0; i < kWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.seq.store(ticket * 2 + 2, std::memory_order_release);
+  slot.seq.store(busy + 1, std::memory_order_release);
 }
 
 bool FlightRecorder::read_slot(const Slot& slot, std::uint64_t want_ticket,

@@ -9,12 +9,15 @@
 // Concurrency: writers are the worker pool plus the event loop; readers
 // are admin verbs (`!slow`, `!trace`) and post-mortem snapshot dumps.
 // Each slot is a seqlock: a writer claims a monotonically increasing
-// ticket (slot = ticket & mask), marks the slot odd, stores the payload
-// as relaxed atomic words, then publishes ticket*2+2 with release. A
-// reader validates the sequence before and after copying the words and
-// simply skips slots that were mid-write or got overwritten — no lock,
-// no retry loop, no writer stall. All payload accesses are atomic, so
-// the race a torn read represents is benign *and* TSan-clean.
+// ticket (slot = ticket & mask), CASes the slot's seq up to its odd value
+// ticket*2+1, stores the payload as relaxed atomic words, then publishes
+// ticket*2+2 with release. A slot's seq only ever grows: a writer lapped
+// by a later ticket drops its record, and one that finds an older ticket
+// mid-write yields until it publishes, so two writers never interleave
+// words. A reader validates the sequence before and after copying the
+// words and simply skips slots that were mid-write or got overwritten —
+// no lock, no reader retry loop. All payload accesses are atomic, so the
+// race a torn read represents is benign *and* TSan-clean.
 //
 // Cost discipline: `record()` starts with one relaxed load of the
 // enabled flag (same pattern as tracing_on()); the disabled path must

@@ -18,6 +18,8 @@
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/persist/arena.hpp"
+#include "rpslyzer/persist/snapshot_io.hpp"
+#include "rpslyzer/query/query.hpp"
 #include "rpslyzer/util/backoff.hpp"
 #include "rpslyzer/util/failpoint.hpp"
 
@@ -149,6 +151,20 @@ std::vector<std::byte> read_file(const std::filesystem::path& path) {
   return out;
 }
 
+/// What a heartbeat reports for the daemon serving this edge's snapshot.
+LocalState server_state(const server::Server& daemon) {
+  const server::ServerStats::Snapshot snap = daemon.stats().snapshot();
+  const server::CacheStats cache = daemon.cache_stats();
+  return {.health = server::to_string(daemon.health().state),
+          .queries_total = snap.queries_total,
+          .cache_hits = cache.hits,
+          .cache_misses = cache.misses,
+          .recorder_drops = daemon.flight().dropped(),
+          .latency_count = snap.latency.count,
+          .latency_sum_micros = static_cast<std::uint64_t>(snap.latency.sum * 1e6 + 0.5),
+          .latency_buckets = snap.latency.buckets};
+}
+
 }  // namespace
 
 ReplicationClient::ReplicationClient(EdgeConfig config)
@@ -223,6 +239,31 @@ bool ReplicationClient::recover_last_good() {
   return true;
 }
 
+std::shared_ptr<const compile::CompiledPolicySnapshot> ReplicationClient::load() {
+  const std::optional<Current> cur = current();
+  if (!cur) return nullptr;
+  auto snap = persist::open_snapshot(cur->path, "repl:" + std::to_string(cur->gen));
+  std::lock_guard<std::mutex> lock(mu_);
+  loaded_gen_ = cur->gen;
+  return snap;
+}
+
+void ReplicationClient::attach(server::Server& server) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    server_ = &server;
+    // An activation since the server's first load() found no server to
+    // tell; without this the edge serves it only after the next publish.
+    if (current_ && current_->gen != loaded_gen_) server.request_reload();
+  }
+  start();
+}
+
+std::optional<std::string> ReplicationClient::repl(std::string_view body) {
+  if (!body.empty()) return "F this instance is not an origin\n";
+  return query::frame_response(status_payload());
+}
+
 void ReplicationClient::start() {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -235,6 +276,7 @@ void ReplicationClient::start() {
 void ReplicationClient::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    server_ = nullptr;
     if (!running_ && !thread_.joinable()) return;
     running_ = false;
   }
@@ -479,10 +521,10 @@ void ReplicationClient::verify_and_activate(const GenerationInfo& info) {
   cur.digest = info.digest;
   write_meta(cur);
 
-  // Publish current_ first (the activation callback reads current()), run
-  // the callback, and only then mark the activation complete for
-  // wait_for_snapshot() waiters — a woken waiter must see the callback's
-  // side effects (the daemon reload request), not race ahead of them.
+  // Publish current_ first (the activation callback and the server's
+  // reload read current()), run the callback, request the reload, and only
+  // then mark the activation complete for wait_for_snapshot() waiters — a
+  // woken waiter must see those side effects, not race ahead of them.
   std::function<void(const Current&)> cb;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -496,6 +538,7 @@ void ReplicationClient::verify_and_activate(const GenerationInfo& info) {
   if (cb) cb(cur);
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (server_ != nullptr) server_->request_reload();
     activated_ = true;
   }
   cv_.notify_all();
@@ -526,6 +569,7 @@ void ReplicationClient::heartbeat_once() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (local_state_) state = local_state_();
+    else if (server_ != nullptr) state = server_state(*server_);
     if (current_) gen = current_->gen;
   }
 

@@ -28,6 +28,8 @@
 // refused), `repl.activate` (error → activation aborts after verify),
 // `repl.heartbeat` (error → beat skipped and counted). Metrics are
 // `rpslyzer_repl_*`, spans `repl.sync` / `repl.fetch` / `repl.activate`.
+// As a server::GenerationSource, each activation reloads the attached
+// server, and heartbeats report that server's health and counters.
 
 #include <atomic>
 #include <chrono>
@@ -44,6 +46,7 @@
 
 #include "rpslyzer/repl/protocol.hpp"
 #include "rpslyzer/server/client.hpp"
+#include "rpslyzer/server/server.hpp"
 
 namespace rpslyzer::repl {
 
@@ -83,18 +86,18 @@ struct LocalState {
   std::vector<std::uint64_t> latency_buckets;  // the daemon's own layout
 };
 
-class ReplicationClient {
+class ReplicationClient final : public server::GenerationSource {
  public:
   explicit ReplicationClient(EdgeConfig config);
-  ~ReplicationClient();
+  ~ReplicationClient() override;
 
   /// Called (from the agent thread) after a new generation has been
-  /// verified and renamed into place — the daemon hook that triggers a
-  /// reload of current().path.
+  /// verified and renamed into place, before the attached server (if any)
+  /// is asked to reload current().path.
   void set_activation_callback(std::function<void(const Current&)> cb);
 
-  /// Supplies health + cumulative query count for heartbeats; QPS is
-  /// computed from deltas between beats.
+  /// Supplies health + cumulative query count for heartbeats, in place of
+  /// the attached server's; QPS is computed from deltas between beats.
   void set_local_state(std::function<LocalState()> fn);
 
   /// Adopt `state_dir/current.rps` if its digest matches current.meta —
@@ -102,6 +105,7 @@ class ReplicationClient {
   /// without) ever reaching the origin. Returns true when recovered.
   bool recover_last_good();
 
+  /// start() is idempotent (attach() calls it too); stop() also detaches.
   void start();
   void stop();
 
@@ -117,9 +121,16 @@ class ReplicationClient {
   /// True while the last origin exchange succeeded.
   bool origin_up() const noexcept { return origin_up_.load(std::memory_order_relaxed); }
 
-  /// Framed `!repl` status page (role: edge) and the `!stats` extra line.
+  /// Unframed `!repl` status page (role: edge) and the `!stats` extra line.
   std::string status_payload() const;
-  std::string stats_line() const;
+  std::string stats_line() const override;
+
+  /// mmaps current().path as source `repl:<gen>`; nullptr before any.
+  std::shared_ptr<const compile::CompiledPolicySnapshot> load() override;
+  /// Also replays an activation that landed after the server's first load.
+  void attach(server::Server& server) override;
+  void detach() override { stop(); }
+  std::optional<std::string> repl(std::string_view body) override;
 
  private:
   struct Partial {
@@ -149,6 +160,8 @@ class ReplicationClient {
   std::optional<Current> current_;
   std::function<void(const Current&)> on_activate_;
   std::function<LocalState()> local_state_;
+  server::Server* server_ = nullptr;  // set between attach() and detach()
+  std::uint64_t loaded_gen_ = 0;      // generation of the last load()
 
   // Agent-thread-only state (no lock): the origin conversation.
   std::optional<server::Client> conn_;

@@ -8,9 +8,11 @@
 // image in under a shared_ptr, so in-flight fetches of the previous
 // generation keep their bytes alive until the last chunk is served.
 // handle() answers the `!repl*` admin verbs and returns fully framed
-// responses; the server routes the verbs here via
-// Server::set_repl_handler, bypassing the response cache (a chunk response
-// can be megabytes, and caching it would evict the entire query LRU).
+// responses; the server routes the verbs here as a GenerationSource,
+// bypassing the response cache (a chunk response can be megabytes, and
+// caching it would evict the entire query LRU). `serve --publish` makes
+// the publisher a decorator around the daemon's real source: load()
+// publishes whatever the inner source returns.
 //
 // All handle() calls arrive on the server's event-loop thread; publish()
 // arrives on whatever thread runs the reload. One mutex covers both — the
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "rpslyzer/repl/protocol.hpp"
+#include "rpslyzer/server/server.hpp"
 
 namespace rpslyzer::compile {
 class CompiledPolicySnapshot;
@@ -46,12 +49,24 @@ struct EdgeRecord {
   std::optional<MetricDigest> digest;
 };
 
-class Publisher {
+class Publisher final : public server::GenerationSource {
  public:
   /// chunk_bytes is the fetch granularity announced to edges; requests for
   /// larger ranges are refused (an edge that ignores the announcement
-  /// cannot DoS the origin's event loop with one giant frame).
-  explicit Publisher(std::size_t chunk_bytes = 256 * 1024);
+  /// cannot DoS the origin's event loop with one giant frame). Without an
+  /// inner source, generations arrive only through publish().
+  explicit Publisher(std::size_t chunk_bytes = 256 * 1024,
+                     std::shared_ptr<server::GenerationSource> inner = nullptr);
+
+  std::shared_ptr<const compile::CompiledPolicySnapshot> load() override;
+  /// Adopts the server's latency buckets, then attaches the inner source.
+  void attach(server::Server& server) override;
+  void detach() override { if (inner_) inner_->detach(); }
+  std::optional<std::string> repl(std::string_view body) override { return handle(body); }
+  std::optional<std::string> fleet() const override { return fleet_payload(); }
+  std::string metrics_text() const override {
+    return fleet_prometheus() + (inner_ ? inner_->metrics_text() : std::string());
+  }
 
   /// Serialize and (if content changed) publish a new generation. Returns
   /// the generation now current. Safe to call from the reload path on
@@ -70,8 +85,9 @@ class Publisher {
   /// publish.
   GenerationInfo current_info() const;
 
-  /// One "repl: ..." line for the extended `!stats` payload.
-  std::string stats_line() const;
+  /// One "repl: ..." line for the extended `!stats` payload, followed by
+  /// the inner source's line(s).
+  std::string stats_line() const override;
 
   /// The latency-bucket layout fleet histograms are merged against; edges
   /// whose digest carries a different bucket count are skipped (their
@@ -88,7 +104,7 @@ class Publisher {
 
   /// The same aggregation as complete Prometheus families
   /// (`rpslyzer_fleet_*`, per-edge series labelled {edge="<id>"}), ready
-  /// to append to a `!metrics` page via Server::set_metrics_extra.
+  /// to append to a `!metrics` page (metrics_text() does).
   std::string fleet_prometheus() const;
 
  private:
@@ -100,6 +116,7 @@ class Publisher {
   std::string status_payload() const;
   FleetView fleet_view() const;
 
+  const std::shared_ptr<server::GenerationSource> inner_;
   mutable std::mutex mu_;
   std::shared_ptr<const std::vector<std::byte>> image_;
   GenerationInfo info_;

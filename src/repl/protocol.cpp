@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "rpslyzer/util/rand.hpp"
+#include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::repl {
 
@@ -55,22 +56,6 @@ std::string render_info(const GenerationInfo& info) {
   return out;
 }
 
-namespace {
-
-std::optional<std::uint64_t> parse_dec(std::string_view text) noexcept {
-  if (text.empty() || text.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
-}  // namespace
-
 std::optional<GenerationInfo> parse_info(std::string_view payload) {
   GenerationInfo info;
   // Bitmask of the six required fields; a duplicate key or any parse
@@ -90,11 +75,11 @@ std::optional<GenerationInfo> parse_info(std::string_view payload) {
     unsigned bit = 0;
     if (key == "gen") {
       bit = 1u << 0;
-      parsed = parse_dec(value);
+      parsed = util::parse_u64(value);
       if (parsed) info.gen = *parsed;
     } else if (key == "build-id") {
       bit = 1u << 1;
-      parsed = parse_dec(value);
+      parsed = util::parse_u64(value);
       if (parsed) info.build_id = *parsed;
     } else if (key == "checksum") {
       bit = 1u << 2;
@@ -106,11 +91,11 @@ std::optional<GenerationInfo> parse_info(std::string_view payload) {
       if (parsed) info.digest = *parsed;
     } else if (key == "size") {
       bit = 1u << 4;
-      parsed = parse_dec(value);
+      parsed = util::parse_u64(value);
       if (parsed) info.size = *parsed;
     } else if (key == "chunk-bytes") {
       bit = 1u << 5;
-      parsed = parse_dec(value);
+      parsed = util::parse_u64(value);
       if (parsed) info.chunk_bytes = *parsed;
     } else {
       continue;  // unknown keys are forward-compatible noise
@@ -188,7 +173,7 @@ std::optional<MetricDigest> parse_digest(std::string_view token) {
       while (bpos <= value.size() && !value.empty()) {
         std::size_t bsep = value.find(':', bpos);
         if (bsep == std::string_view::npos) bsep = value.size();
-        const auto count = parse_dec(value.substr(bpos, bsep - bpos));
+        const auto count = util::parse_u64(value.substr(bpos, bsep - bpos));
         if (!count) return std::nullopt;
         digest.latency_buckets.push_back(*count);
         bpos = bsep + 1;
@@ -199,7 +184,7 @@ std::optional<MetricDigest> parse_digest(std::string_view token) {
       continue;  // unknown keys are forward-compatible noise
     }
     if ((seen & bit) != 0) return std::nullopt;  // duplicate key
-    const auto parsed = parse_dec(value);
+    const auto parsed = util::parse_u64(value);
     if (!parsed) return std::nullopt;
     *slot = *parsed;
     seen |= bit;

@@ -13,6 +13,7 @@
 #include "rpslyzer/persist/snapshot_io.hpp"
 #include "rpslyzer/query/query.hpp"
 #include "rpslyzer/server/stats.hpp"
+#include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::repl {
 
@@ -59,18 +60,6 @@ std::vector<std::string_view> split_fields(std::string_view s) {
   return out;
 }
 
-std::optional<std::uint64_t> to_u64(std::string_view s) {
-  if (s.empty() || s.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return std::nullopt;
-    v = v * 10 + d;
-  }
-  return v;
-}
-
 /// Staleness threshold for one edge: four heartbeat periods from its own
 /// digest (so a slow-beating fleet is not declared dead by a fast default),
 /// 5 s for legacy digest-less beats.
@@ -107,9 +96,21 @@ std::string format_bound(double bound) {
 
 }  // namespace
 
-Publisher::Publisher(std::size_t chunk_bytes)
-    : latency_bounds_(server::ServerStats::default_latency_bounds()),
+Publisher::Publisher(std::size_t chunk_bytes, std::shared_ptr<server::GenerationSource> inner)
+    : inner_(std::move(inner)),
+      latency_bounds_(server::ServerStats::default_latency_bounds()),
       chunk_bytes_(std::max<std::size_t>(chunk_bytes, 4096)) {}
+
+std::shared_ptr<const compile::CompiledPolicySnapshot> Publisher::load() {
+  auto snap = inner_ ? inner_->load() : nullptr;
+  if (snap) publish(*snap);
+  return snap;
+}
+
+void Publisher::attach(server::Server& server) {
+  set_latency_bounds(server.stats().latency.bounds());
+  if (inner_) inner_->attach(server);
+}
 
 void Publisher::set_latency_bounds(std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -172,9 +173,9 @@ std::string Publisher::handle_info() const {
 std::string Publisher::handle_fetch(std::string_view args) {
   const std::vector<std::string_view> fields = split_fields(args);
   if (fields.size() != 3) return "F fetch expects <gen> <offset> <length>\n";
-  const auto gen = to_u64(fields[0]);
-  const auto off = to_u64(fields[1]);
-  const auto len = to_u64(fields[2]);
+  const auto gen = util::parse_u64(fields[0]);
+  const auto off = util::parse_u64(fields[1]);
+  const auto len = util::parse_u64(fields[2]);
   if (!gen || !off || !len) return "F fetch expects numeric <gen> <offset> <length>\n";
 
   std::shared_ptr<const std::vector<std::byte>> image;
@@ -207,7 +208,7 @@ std::string Publisher::handle_beat(std::string_view args) {
   if (fields.size() != 4 && fields.size() != 5) {
     return "F beat expects <id> <gen> <health> <qps> [digest]\n";
   }
-  const auto gen = to_u64(fields[1]);
+  const auto gen = util::parse_u64(fields[1]);
   if (!gen) return "F beat expects a numeric generation\n";
   const std::string qps_text(fields[3]);
   char* end = nullptr;
@@ -257,9 +258,10 @@ std::string Publisher::status_payload() const {
 }
 
 std::string Publisher::stats_line() const {
+  const std::string inner = inner_ ? inner_->stats_line() : std::string();
   std::lock_guard<std::mutex> lock(mu_);
   return "repl: role=origin gen=" + std::to_string(info_.gen) +
-         " edges=" + std::to_string(edges_.size());
+         " edges=" + std::to_string(edges_.size()) + (inner.empty() ? "" : "\n" + inner);
 }
 
 // ---------------------------------------------------------------------------

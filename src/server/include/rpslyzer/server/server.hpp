@@ -53,6 +53,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -70,14 +71,56 @@ class CompiledPolicySnapshot;
 
 namespace rpslyzer::server {
 
+class Server;
+
 /// Produces a fresh compiled corpus snapshot (index + relations lowered by
-/// compile::CompiledPolicySnapshot::build); called once at start() and
-/// again on every reload, off the event loop. The returned pointer must
-/// keep whatever owns the underlying Index alive — build from aliasing
+/// compile::CompiledPolicySnapshot::build). The returned pointer must keep
+/// whatever owns the underlying Index alive — build from aliasing
 /// shared_ptrs over the owner. Return nullptr (or throw) on failure: the
 /// server keeps serving the previous generation and answers the reload
 /// with an error.
 using CorpusLoader = std::function<std::shared_ptr<const compile::CompiledPolicySnapshot>()>;
+
+/// How corpus generations reach the server: a dump directory, a snapshot
+/// file, a journal follower, a replication edge, or a publisher decorating
+/// any of them. `!stats`, `!metrics`, `!repl` and `!fleet` compose from it.
+class GenerationSource {
+ public:
+  GenerationSource() = default;
+  GenerationSource(const GenerationSource&) = delete;
+  GenerationSource& operator=(const GenerationSource&) = delete;
+  virtual ~GenerationSource() = default;
+  /// Called by start() and on every reload, off the event loop; the
+  /// CorpusLoader contract above.
+  virtual std::shared_ptr<const compile::CompiledPolicySnapshot> load() = 0;
+  /// Called at the end of a successful start(). Until detach() returns, the
+  /// source may call request_reload() and read live state from any thread.
+  virtual void attach(Server&) {}
+  /// Called first in stop(), before any fd closes: forget the server and
+  /// join every thread that could call into it.
+  virtual void detach() {}
+  /// Extra `!stats` line(s), no trailing newline; empty adds nothing.
+  virtual std::string stats_line() const { return {}; }
+  /// Complete Prometheus families appended to `!metrics`.
+  virtual std::string metrics_text() const { return {}; }
+  /// COMPLETE framed answer to `!repl<body>`, on the event-loop thread and
+  /// past the cache (chunks are megabytes of binary); nullopt answers
+  /// "F replication not enabled".
+  virtual std::optional<std::string> repl(std::string_view) { return std::nullopt; }
+  /// Unframed `!fleet` page; nullopt answers "F fleet aggregation not enabled".
+  virtual std::optional<std::string> fleet() const { return std::nullopt; }
+};
+
+/// A source that only loads: dump dirs, `--synth`, `--snapshot`, and every
+/// server built from a bare CorpusLoader.
+class LoaderSource final : public GenerationSource {
+ public:
+  explicit LoaderSource(CorpusLoader loader) : loader_(std::move(loader)) {}
+  std::shared_ptr<const compile::CompiledPolicySnapshot> load() override { return loader_(); }
+
+ private:
+  CorpusLoader loader_;
+};
 
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
@@ -139,18 +182,20 @@ struct HealthStatus {
 
 class Server {
  public:
-  Server(ServerConfig config, CorpusLoader loader);
+  Server(ServerConfig config, std::shared_ptr<GenerationSource> source);
+  Server(ServerConfig config, CorpusLoader loader)
+      : Server(std::move(config), std::make_shared<LoaderSource>(std::move(loader))) {}
   ~Server();  // stops and joins if still running
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Load the corpus, bind, and spawn the event loop + workers. Returns
-  /// false (with *error set) on load/bind failure. Non-blocking.
+  /// Load, bind, spawn the event loop + workers, then attach the source.
+  /// Returns false (with *error set) on load/bind failure. Non-blocking.
   bool start(std::string* error = nullptr);
 
-  /// Graceful shutdown: stop accepting, drain in-flight responses (up to
-  /// drain_timeout), close every socket, join every thread. Idempotent.
+  /// Graceful, idempotent shutdown: detach the source, stop accepting, drain
+  /// in-flight responses (up to drain_timeout), close sockets, join threads.
   void stop();
 
   /// Block until stop() or request_stop() completes the shutdown.
@@ -190,37 +235,6 @@ class Server {
   /// The text behind `!health`: first line "status: <state>", then
   /// machine-parseable "key: value" detail lines.
   std::string health_payload() const;
-
-  /// Install the `!repl*` admin-verb handler (replication publisher or
-  /// edge status). The handler receives the query body after the "repl"
-  /// token ("", ".info", ".fetch ...", ".beat ...") and returns a COMPLETE
-  /// framed response — repl chunk responses are megabytes of binary and
-  /// must bypass both frame_response's newline canonicalization and the
-  /// response cache, so they never flow through the worker/answer path.
-  /// Set before start(); the handler runs on the event-loop thread.
-  void set_repl_handler(std::function<std::string(std::string_view)> handler) {
-    repl_handler_ = std::move(handler);
-  }
-
-  /// Extra line(s) appended to the `!stats` payload (no trailing newline),
-  /// e.g. the replication role/generation line. Set before start().
-  void set_stats_extra(std::function<std::string()> fn) { stats_extra_ = std::move(fn); }
-
-  /// Install the `!fleet` admin-verb payload (origin-side aggregation of
-  /// per-edge heartbeat digests). Returns the unframed payload text; unset
-  /// means `!fleet` answers "F fleet aggregation not enabled". Set before
-  /// start(); runs on the event-loop thread.
-  void set_fleet_handler(std::function<std::string()> fn) {
-    fleet_handler_ = std::move(fn);
-  }
-
-  /// Extra Prometheus exposition text appended to `!metrics` (and the
-  /// metrics snapshot file), e.g. the origin's per-edge fleet series. Must
-  /// return complete families (`# HELP`/`# TYPE` + samples) whose names are
-  /// disjoint from the server's own. Set before start().
-  void set_metrics_extra(std::function<std::string()> fn) {
-    metrics_extra_ = std::move(fn);
-  }
 
   /// This server's per-query flight recorder (`!slow` / `!trace` storage).
   const obs::FlightRecorder& flight() const noexcept { return flight_; }
@@ -295,11 +309,7 @@ class Server {
   std::string trace_payload(std::uint64_t trace_id) const;
 
   ServerConfig config_;
-  CorpusLoader loader_;
-  std::function<std::string(std::string_view)> repl_handler_;
-  std::function<std::string()> stats_extra_;
-  std::function<std::string()> fleet_handler_;
-  std::function<std::string()> metrics_extra_;
+  std::shared_ptr<GenerationSource> source_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

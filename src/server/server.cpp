@@ -106,9 +106,9 @@ struct Server::Connection {
   std::chrono::steady_clock::time_point stalled_since;
 };
 
-Server::Server(ServerConfig config, CorpusLoader loader)
+Server::Server(ServerConfig config, std::shared_ptr<GenerationSource> source)
     : config_(std::move(config)),
-      loader_(std::move(loader)),
+      source_(std::move(source)),
       cache_(config_.cache_capacity, config_.cache_shards),
       flight_(config_.flight_capacity),
       flight_epoch_(std::chrono::steady_clock::now()),
@@ -192,7 +192,7 @@ bool Server::start(std::string* error) {
   }
   std::shared_ptr<const compile::CompiledPolicySnapshot> corpus;
   try {
-    corpus = loader_();
+    corpus = source_->load();
   } catch (const std::exception& e) {
     if (error) *error = std::string("corpus load failed: ") + e.what();
     return false;
@@ -259,11 +259,13 @@ bool Server::start(std::string* error) {
   loop_thread_ = std::thread([this] { event_loop(); });
   started_ = true;
   running_.store(true, std::memory_order_release);
+  source_->attach(*this);
   return true;
 }
 
 void Server::stop() {
   if (!started_) return;
+  source_->detach();
   request_stop();
   if (loop_thread_.joinable()) loop_thread_.join();
   {
@@ -396,7 +398,7 @@ std::string Server::do_reload() {
   std::shared_ptr<const compile::CompiledPolicySnapshot> fresh;
   std::string why;
   try {
-    fresh = loader_();
+    fresh = source_->load();
   } catch (const std::exception& e) {
     why = e.what();
   } catch (...) {
@@ -552,24 +554,17 @@ std::string Server::stats_payload() const {
       static_cast<unsigned long long>(snap.reload_failures),
       static_cast<unsigned long long>(snap.reload_retries));
   std::string out = buffer;
-  if (stats_extra_) {
-    const std::string extra = stats_extra_();
-    if (!extra.empty()) {
-      out += "\n";
-      out += extra;
-    }
-  }
+  if (const std::string extra = source_->stats_line(); !extra.empty()) out += "\n" + extra;
   return out;
 }
 
 std::string Server::metrics_payload() const {
   // Process-wide metrics (loader, query engine, failpoints) plus this
   // server's private page, in one Prometheus exposition document. The
-  // optional extra block (origin fleet aggregation) arrives pre-rendered:
-  // its families carry their own HELP/TYPE headers.
-  std::string out = obs::to_prometheus({&obs::MetricsRegistry::global(), &registry_});
-  if (metrics_extra_) out += metrics_extra_();
-  return out;
+  // source's block (origin fleet aggregation) arrives pre-rendered: its
+  // families carry their own HELP/TYPE headers.
+  return obs::to_prometheus({&obs::MetricsRegistry::global(), &registry_}) +
+         source_->metrics_text();
 }
 
 void Server::maybe_dump_metrics(std::chrono::steady_clock::time_point now) {
@@ -1063,10 +1058,10 @@ void Server::dispatch_line(Connection& conn, std::string_view raw) {
   }
   if (util::iequals(body, "fleet")) {
     stats_.admin_queries.inc();
+    const std::optional<std::string> page = source_->fleet();
     deliver_inline(seq, "!fleet",
-                   fleet_handler_
-                       ? query::frame_response(fleet_handler_())
-                       : std::string("F fleet aggregation not enabled\n"));
+                   page ? query::frame_response(*page)
+                        : std::string("F fleet aggregation not enabled\n"));
     return;
   }
   if (util::iequals(body, "reload")) {
@@ -1076,13 +1071,12 @@ void Server::dispatch_line(Connection& conn, std::string_view raw) {
   }
   if (body == "repl" || body.rfind("repl.", 0) == 0) {
     // Replication verbs are answered inline on the event-loop thread: the
-    // handler is a pointer swap + memcpy (publisher) or a counter read
-    // (edge), and routing them through answer() would push multi-megabyte
-    // chunk responses into the query LRU.
+    // source's answer is a pointer swap + memcpy (publisher) or a counter
+    // read (edge), and routing them through answer() would push
+    // multi-megabyte chunk responses into the query LRU.
     stats_.admin_queries.inc();
-    deliver(conn, seq,
-            repl_handler_ ? repl_handler_(body.substr(4))
-                          : std::string("F replication not enabled\n"));
+    std::optional<std::string> reply = source_->repl(body.substr(4));
+    deliver(conn, seq, reply ? std::move(*reply) : std::string("F replication not enabled\n"));
     return;
   }
   if (body.size() >= 2 && (body.front() == 't' || body.front() == 'T') &&

@@ -69,6 +69,9 @@ std::vector<std::string_view> split_ws(std::string_view s);
 /// overflow and trailing garbage.
 std::optional<std::uint32_t> parse_u32(std::string_view s) noexcept;
 
+/// The same for unsigned 64-bit integers.
+std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
+
 /// Parse a decimal unsigned 8-bit integer (used for prefix lengths).
 std::optional<std::uint8_t> parse_u8(std::string_view s) noexcept;
 

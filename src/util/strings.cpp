@@ -83,6 +83,18 @@ std::optional<std::uint32_t> parse_u32(std::string_view s) noexcept {
   return static_cast<std::uint32_t>(value);
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept {
+  if (s.empty() || s.size() > 20) return std::nullopt;
+  std::uint64_t value = 0;
+  for (char c : s) {
+    if (!is_digit(c)) return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 std::optional<std::uint8_t> parse_u8(std::string_view s) noexcept {
   auto v = parse_u32(s);
   if (!v || *v > std::numeric_limits<std::uint8_t>::max()) return std::nullopt;

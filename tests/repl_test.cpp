@@ -418,23 +418,16 @@ server::ServerConfig origin_config() {
   return config;
 }
 
-/// One origin daemon with a publisher wired exactly as `serve --publish`
-/// wires it: every successful load republishes.
+/// One origin daemon publishing through the library decorator exactly as
+/// `serve --publish` does: every successful load republishes.
 struct Origin {
-  std::shared_ptr<repl::Publisher> publisher = std::make_shared<repl::Publisher>(8192);
+  std::shared_ptr<repl::Publisher> publisher;
   std::unique_ptr<server::Server> daemon;
 
-  explicit Origin(std::shared_ptr<const compile::CompiledPolicySnapshot> snap) {
-    auto publisher_copy = publisher;
-    daemon = std::make_unique<server::Server>(
-        origin_config(),
-        [publisher_copy, snap]() {
-          publisher_copy->publish(*snap);
-          return snap;
-        });
-    daemon->set_repl_handler(
-        [publisher_copy](std::string_view body) { return publisher_copy->handle(body); });
-    daemon->set_stats_extra([publisher_copy] { return publisher_copy->stats_line(); });
+  explicit Origin(std::shared_ptr<const compile::CompiledPolicySnapshot> snap)
+      : publisher(std::make_shared<repl::Publisher>(
+            8192, std::make_shared<server::LoaderSource>([snap] { return snap; }))),
+        daemon(std::make_unique<server::Server>(origin_config(), publisher)) {
     std::string error;
     if (!daemon->start(&error)) throw std::runtime_error("origin start: " + error);
   }

@@ -65,6 +65,17 @@ TEST(Strings, ParseU32) {
   EXPECT_EQ(parse_u32("12x"), std::nullopt);
 }
 
+TEST(Strings, ParseU64) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_EQ(parse_u64("18446744073709551616"), std::nullopt);  // overflow
+  EXPECT_EQ(parse_u64("99999999999999999999"), std::nullopt);  // overflow, max width
+  EXPECT_EQ(parse_u64("123456789012345678901"), std::nullopt);  // too long
+  EXPECT_EQ(parse_u64(""), std::nullopt);
+  EXPECT_EQ(parse_u64("-1"), std::nullopt);
+  EXPECT_EQ(parse_u64("1 "), std::nullopt);
+}
+
 TEST(Strings, ParseU8) {
   EXPECT_EQ(parse_u8("255"), 255);
   EXPECT_EQ(parse_u8("256"), std::nullopt);

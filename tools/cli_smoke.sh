@@ -182,4 +182,103 @@ if "$CLI" serve >/dev/null 2>&1; then exit 1; fi
 # A missing corpus dir must refuse to serve, not answer D to everything.
 if "$CLI" serve "$DIR/nope" --port 0 >/dev/null 2>&1; then exit 1; fi
 if "$CLI" query "$DIR/nope" '!gAS1' >/dev/null 2>&1; then exit 1; fi
+
+# Numeric flags parse strictly and are refused before anything starts: exit
+# 2 (usage) naming the bad value, never a daemon asking for UINT_MAX
+# workers or a port wrapped mod 65536. The corpus dir does not exist, so a
+# parser that let the value through would fail later, at the load, with 1.
+expect_usage() {  # <args...>
+  local rc=0
+  "$CLI" "$@" > "$DIR/bad.out" 2> "$DIR/bad.err" || rc=$?
+  test "$rc" = 2
+  grep -q "expect" "$DIR/bad.err"
+  if grep -q "listening" "$DIR/bad.out"; then exit 1; fi
+}
+expect_usage serve "$DIR/nope" --threads -1
+expect_usage serve "$DIR/nope" --port 70000
+expect_usage serve "$DIR/nope" --cache 12x
+expect_usage serve "$DIR/nope" --idle-ms -5
+expect_usage serve --synth --scale -1
+expect_usage serve --origin 127.0.0.1:abc --repl-dir "$DIR/nope-edge" --origin-timeout-ms 1
+expect_usage load "$DIR/nope" --threads -1
+expect_usage compile "$DIR/nope" --out "$DIR/nope.rps" --threads -1
+expect_usage verify "$DIR/nope" --threads 4294967297
+expect_usage journal apply "$DIR/nope" --journal "$DIR/nope-j" --threads -1
+expect_usage generate "$DIR/nope-gen" 0.1 -7
+test ! -e "$DIR/nope-edge"
+test ! -e "$DIR/nope-gen"
+
+# The remaining generation sources, one daemon at a time: start_daemon
+# <log> <serve args...> sets SERVER_PID and PORT, ask <query...> prints the
+# answers, stop_daemon <log> asserts a clean SIGTERM shutdown.
+start_daemon() {
+  local log="$1"
+  shift
+  "$CLI" serve "$@" --port 0 --threads 2 --stats-ms 0 > "$log" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 150); do
+    grep -q "listening" "$log" 2>/dev/null && break
+    sleep 0.1
+  done
+  PORT="$(sed -n 's/^rpslyzerd listening on 127\.0\.0\.1:\([0-9]*\) .*/\1/p' "$log" | head -1)"
+  test -n "$PORT"
+}
+ask() {
+  exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+  printf '%s\n' "$@" '!q' >&3
+  cat <&3
+  exec 3<&- 3>&-
+}
+stop_daemon() {
+  kill -TERM "$SERVER_PID"
+  wait "$SERVER_PID"
+  SERVER_PID=""
+  grep -q "shut down cleanly" "$1"
+}
+
+# --synth at the generated corpus's scale and seed serves that very corpus,
+# byte for byte, and a plain loader source has no replication role.
+start_daemon "$DIR/serve-synth.log" --synth --scale 0.1 --seed 7
+grep -q "corpus=synthetic)" "$DIR/serve-synth.log"
+ask "!g$ASN" > "$DIR/synth-g.txt"
+cmp "$DIR/synth-g.txt" "$DIR/oneshot.txt"
+ask '!repl' '!fleet' > "$DIR/synth-admin.txt"
+printf 'F replication not enabled\nF fleet aggregation not enabled\n' | cmp - "$DIR/synth-admin.txt"
+stop_daemon "$DIR/serve-synth.log"
+
+# --snapshot-cache: the first load compiles and fills the cache, a !reload
+# of the unchanged corpus mmaps the cached generation, and the answers stay
+# byte-identical across the swap.
+start_daemon "$DIR/serve-cache.log" "$DIR" --snapshot-cache "$DIR/snapcache"
+ask '!stats' | grep "source=memory" >/dev/null
+ask '!reload' > "$DIR/cache-reload.txt"
+printf 'C\n' | cmp - "$DIR/cache-reload.txt"
+ask '!stats' > "$DIR/cache-stats.txt"
+grep -q "^generation: 2$" "$DIR/cache-stats.txt"
+grep -q "source=cache:" "$DIR/cache-stats.txt"
+ask "!g$ASN" > "$DIR/cache-g.txt"
+cmp "$DIR/cache-g.txt" "$DIR/oneshot.txt"
+stop_daemon "$DIR/serve-cache.log"
+
+# --journal: batches dropped into the followed directory are applied and
+# reload the daemon. The churn protects $ASN, so its answer must not move.
+"$CLI" journal synth "$DIR" --out "$DIR/jstage" --batches 2 --ops 12 --seed 5 \
+  --protect "$ASN" | grep "wrote" >/dev/null
+mkdir -p "$DIR/journal"
+start_daemon "$DIR/serve-journal.log" "$DIR" --journal "$DIR/journal" --journal-poll-ms 50
+grep -q "journal:$DIR/journal)" "$DIR/serve-journal.log"
+ask '!stats' | grep "files_done=0" >/dev/null
+mv "$DIR"/jstage/batch-*.nrtm "$DIR/journal/"
+JOURNAL_DONE=""
+for _ in $(seq 1 100); do
+  if ask '!stats' | grep "files_done=2" >/dev/null; then JOURNAL_DONE=1; break; fi
+  sleep 0.1
+done
+test -n "$JOURNAL_DONE"
+ask '!stats' > "$DIR/journal-stats.txt"
+grep -q "^delta: serial=[1-9][0-9]* generation=3 batches=2 " "$DIR/journal-stats.txt"
+grep -q "^generation: [23]$" "$DIR/journal-stats.txt"
+ask "!g$ASN" > "$DIR/journal-g.txt"
+cmp "$DIR/journal-g.txt" "$DIR/oneshot.txt"
+stop_daemon "$DIR/serve-journal.log"
 echo "cli smoke ok"

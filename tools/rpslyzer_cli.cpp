@@ -111,6 +111,56 @@ int usage() {
   return 2;
 }
 
+// Flag values. Numbers parse strictly: the whole token must be a decimal
+// integer inside the flag's range, so `--threads -1` or `--port 70000` is
+// refused with usage before anything starts instead of wrapping to a huge
+// or unrelated value.
+constexpr std::uint64_t kMaxThreads = 1024;
+constexpr std::uint64_t kMaxMs = 7ull * 24 * 3600 * 1000;  // one week
+constexpr double kMaxScale = 1000;
+
+/// Takes the token after argv[i] (advancing i) as that flag's value.
+template <class T>
+bool flag_text(int argc, char** argv, int& i, T* out) {
+  if (i + 1 >= argc) return false;
+  *out = argv[++i];
+  return true;
+}
+
+/// `value` as an integer in [lo, hi]; `what` names it in the refusal.
+template <class T>
+bool parse_number(const char* what, const char* value, std::uint64_t lo, std::uint64_t hi,
+                  T* out) {
+  const std::optional<std::uint64_t> v = util::parse_u64(value);
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr, "%s: expected an integer in [%llu, %llu], got '%s'\n", what,
+                 static_cast<unsigned long long>(lo), static_cast<unsigned long long>(hi),
+                 value);
+    return false;
+  }
+  *out = static_cast<T>(*v);
+  return true;
+}
+
+/// flag_text() for an integer flag in [lo, hi].
+template <class T>
+bool flag_number(int argc, char** argv, int& i, std::uint64_t lo, std::uint64_t hi, T* out) {
+  const char* flag = argv[i];
+  return parse_number(flag, i + 1 < argc ? argv[++i] : "", lo, hi, out);
+}
+
+/// A synthetic-corpus scale factor in (0, kMaxScale].
+bool parse_scale(const char* value, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !(v > 0 && v <= kMaxScale)) {
+    std::fprintf(stderr, "scale: expected a number in (0, %g], got '%s'\n", kMaxScale, value);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 Rpslyzer load(const std::filesystem::path& dir, const irr::LoadOptions& options = {}) {
   return Rpslyzer::from_files(dir, dir / "relationships.txt", options);
 }
@@ -137,6 +187,22 @@ std::optional<std::string> read_text_file(const std::filesystem::path& path) {
   return std::move(buffer).str();
 }
 
+// What a CorpusLoader returns must own what it points into: Rpslyzer's
+// memoized snapshot aliases the bundle, so the pointer shares the bundle.
+std::shared_ptr<const compile::CompiledPolicySnapshot> owned_snapshot(Rpslyzer lyzer) {
+  auto owner = std::make_shared<Rpslyzer>(std::move(lyzer));
+  auto snapshot = owner->snapshot();
+  return {std::move(owner), snapshot.get()};
+}
+
+std::optional<std::string> read_relationships(const std::filesystem::path& dir,
+                                              const char* who) {
+  const std::filesystem::path path = dir / "relationships.txt";
+  auto text = read_text_file(path);
+  if (!text) std::fprintf(stderr, "%s: cannot read %s\n", who, path.c_str());
+  return text;
+}
+
 // Dump texts in Table 1 priority order — what the delta pipeline's
 // CorpusStore and the churn generator both catalog. Missing files degrade
 // like the batch loader (skipped).
@@ -154,8 +220,8 @@ std::vector<std::pair<std::string, std::string>> read_dumps(
 int cmd_generate(int argc, char** argv) {
   if (argc < 1) return usage();
   synth::SynthConfig config;
-  if (argc >= 2) config.scale = std::atof(argv[1]);
-  if (argc >= 3) config.seed = static_cast<std::uint32_t>(std::atoi(argv[2]));
+  if (argc >= 2 && !parse_scale(argv[1], &config.scale)) return usage();
+  if (argc >= 3 && !parse_number("seed", argv[2], 0, UINT32_MAX, &config.seed)) return usage();
   synth::InternetGenerator generator(config);
   const std::size_t files = generator.write_to(argv[0]);
   std::printf("wrote %zu files to %s (%zu ASes, %zu aut-nums planned, %zu collectors)\n",
@@ -202,14 +268,13 @@ int cmd_load(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--trace-out") {
-      if (i + 1 >= argc) return usage();
-      trace_out = argv[++i];
+      if (!flag_text(argc, argv, i, &trace_out)) return usage();
     } else if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      options.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!flag_number(argc, argv, i, 0, kMaxThreads, &options.threads)) return usage();
     } else if (arg == "--shard-kb") {
-      if (i + 1 >= argc) return usage();
-      options.shard_target_bytes = static_cast<std::size_t>(std::atoll(argv[++i])) * 1024;
+      std::size_t kb = 0;
+      if (!flag_number(argc, argv, i, 1, 1 << 20, &kb)) return usage();
+      options.shard_target_bytes = kb * 1024;
     } else if (!arg.empty() && arg.front() != '-' && dir.empty()) {
       dir = arg;
     } else {
@@ -306,8 +371,7 @@ int cmd_verify(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!flag_number(argc, argv, i, 0, kMaxThreads, &threads)) return usage();
     } else if (arg == "--interpreted") {
       verify_options.use_snapshot = false;
     } else if (!arg.empty() && arg.front() != '-' && dir.empty()) {
@@ -379,11 +443,9 @@ int cmd_compile(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--out") {
-      if (i + 1 >= argc) return usage();
-      out = argv[++i];
+      if (!flag_text(argc, argv, i, &out)) return usage();
     } else if (arg == "--threads") {
-      if (i + 1 >= argc) return usage();
-      options.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      if (!flag_number(argc, argv, i, 0, kMaxThreads, &options.threads)) return usage();
     } else if (!arg.empty() && arg.front() != '-' && dir.empty()) {
       dir = arg;
     } else {
@@ -415,32 +477,25 @@ int cmd_journal_synth(const std::filesystem::path& dir, int argc, char** argv) {
   synth::ChurnConfig churn_config;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--out") {
-      const char* v = next_value();
-      if (!v) return usage();
-      out_dir = v;
+      if (!flag_text(argc, argv, i, &out_dir)) return usage();
     } else if (arg == "--batches") {
-      const char* v = next_value();
-      if (!v) return usage();
-      batches = static_cast<std::size_t>(std::atoll(v));
+      if (!flag_number(argc, argv, i, 1, 1'000'000, &batches)) return usage();
     } else if (arg == "--ops") {
-      const char* v = next_value();
-      if (!v) return usage();
-      churn_config.ops_per_batch = static_cast<std::size_t>(std::atoll(v));
+      if (!flag_number(argc, argv, i, 1, 1'000'000, &churn_config.ops_per_batch)) return usage();
     } else if (arg == "--seed") {
-      const char* v = next_value();
-      if (!v) return usage();
-      churn_config.seed = static_cast<std::uint32_t>(std::atoi(v));
+      if (!flag_number(argc, argv, i, 0, UINT32_MAX, &churn_config.seed)) return usage();
     } else if (arg == "--start-serial") {
-      const char* v = next_value();
-      if (!v) return usage();
-      churn_config.start_serial = static_cast<std::uint64_t>(std::atoll(v));
+      if (!flag_number(argc, argv, i, 1, UINT64_MAX / 2, &churn_config.start_serial)) {
+        return usage();
+      }
     } else if (arg == "--protect") {
-      const char* v = next_value();
-      if (!v) return usage();
-      churn_config.protect_origins.insert(
-          static_cast<synth::Asn>(std::atoll(*v == 'A' || *v == 'a' ? v + 2 : v)));
+      std::string_view asn;
+      if (!flag_text(argc, argv, i, &asn)) return usage();
+      if (util::istarts_with(asn, "AS")) asn.remove_prefix(2);
+      const auto origin = util::parse_u32(asn);
+      if (!origin) return usage();
+      churn_config.protect_origins.insert(*origin);
     } else {
       std::fprintf(stderr, "journal synth: unknown flag %s\n", argv[i]);
       return usage();
@@ -486,17 +541,12 @@ int cmd_journal_apply(const std::filesystem::path& dir, int argc, char** argv) {
   irr::LoadOptions load_options;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--journal") {
-      const char* v = next_value();
-      if (!v) return usage();
-      journal_dir = v;
+      if (!flag_text(argc, argv, i, &journal_dir)) return usage();
     } else if (arg == "--verify-full") {
       verify_full = true;
     } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (!v) return usage();
-      load_options.threads = static_cast<unsigned>(std::atoi(v));
+      if (!flag_number(argc, argv, i, 0, kMaxThreads, &load_options.threads)) return usage();
     } else {
       std::fprintf(stderr, "journal apply: unknown flag %s\n", argv[i]);
       return usage();
@@ -504,12 +554,8 @@ int cmd_journal_apply(const std::filesystem::path& dir, int argc, char** argv) {
   }
   if (journal_dir.empty()) return usage();
   if (!corpus_dir_ok(dir)) return 1;
-  const auto relationships = read_text_file(dir / "relationships.txt");
-  if (!relationships) {
-    std::fprintf(stderr, "journal apply: cannot read %s\n",
-                 (dir / "relationships.txt").c_str());
-    return 1;
-  }
+  const auto relationships = read_relationships(dir, "journal apply");
+  if (!relationships) return 1;
   const auto files = delta::list_journal_files(journal_dir);
   if (files.empty()) {
     std::fprintf(stderr, "journal apply: no .nrtm batch files in %s\n",
@@ -550,11 +596,8 @@ int cmd_journal_apply(const std::filesystem::path& dir, int argc, char** argv) {
         // Reference side: from-scratch compile of the mutated corpus through
         // the ordinary batch loader. Byte equality here is the pipeline's
         // whole correctness contract.
-        auto lyzer = std::make_shared<Rpslyzer>(Rpslyzer::from_texts(
+        const auto reference = owned_snapshot(Rpslyzer::from_texts(
             pipeline->store().source_texts(), *relationships, load_options));
-        auto snapshot = lyzer->snapshot();
-        const std::shared_ptr<const compile::CompiledPolicySnapshot> reference{
-            std::move(lyzer), snapshot.get()};
         const delta::EquivalenceResult eq =
             delta::compare_snapshots(pipeline->current_snapshot(), reference);
         if (!eq.equal) {
@@ -602,140 +645,87 @@ int cmd_serve(int argc, char** argv) {
   std::string data_dir;
   std::string snapshot_path;
   std::string snapshot_cache_dir;
-  std::string journal_dir;
-  std::chrono::milliseconds journal_poll_ms{1000};
+  delta::FollowerConfig follow;
   bool synthetic = false;
-  double scale = 0.2;
-  std::uint32_t seed = 7;
+  synth::SynthConfig synth_config;
+  synth_config.scale = 0.2;
+  synth_config.seed = 7;
   bool publish = false;
   std::size_t chunk_kb = 256;
   std::string origin_spec;
-  std::string repl_dir;
-  std::string edge_id;
-  std::chrono::milliseconds poll_ms{2000};
-  std::chrono::milliseconds heartbeat_ms{1000};
+  repl::EdgeConfig edge;
+  edge.edge_id = "edge-" + std::to_string(static_cast<long>(::getpid()));
   std::chrono::milliseconds origin_timeout_ms{30000};
   server::ServerConfig config;
   config.stats_log_interval = std::chrono::milliseconds(10000);
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    auto next_value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    auto number = [&](std::uint64_t lo, std::uint64_t hi, auto* out) {
+      return flag_number(argc, argv, i, lo, hi, out);
+    };
     if (arg == "--synth") {
       synthetic = true;
     } else if (arg == "--snapshot") {
-      const char* v = next_value();
-      if (!v) return usage();
-      snapshot_path = v;
+      if (!flag_text(argc, argv, i, &snapshot_path)) return usage();
     } else if (arg == "--snapshot-cache") {
-      const char* v = next_value();
-      if (!v) return usage();
-      snapshot_cache_dir = v;
+      if (!flag_text(argc, argv, i, &snapshot_cache_dir)) return usage();
     } else if (arg == "--journal") {
-      const char* v = next_value();
-      if (!v) return usage();
-      journal_dir = v;
+      if (!flag_text(argc, argv, i, &follow.directory)) return usage();
     } else if (arg == "--journal-poll-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      journal_poll_ms = std::chrono::milliseconds(std::atoll(v));
+      if (!number(1, kMaxMs, &follow.poll_interval)) return usage();
     } else if (arg == "--port") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.port = static_cast<std::uint16_t>(std::atoi(v));
+      if (!number(0, 65535, &config.port)) return usage();
     } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.worker_threads = static_cast<unsigned>(std::atoi(v));
+      if (!number(0, kMaxThreads, &config.worker_threads)) return usage();
     } else if (arg == "--cache") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.cache_capacity = static_cast<std::size_t>(std::atoll(v));
+      if (!number(0, 1 << 24, &config.cache_capacity)) return usage();
     } else if (arg == "--max-conns") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.max_connections = static_cast<std::size_t>(std::atoll(v));
+      if (!number(1, 1 << 20, &config.max_connections)) return usage();
     } else if (arg == "--idle-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.idle_timeout = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.idle_timeout)) return usage();
     } else if (arg == "--stats-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.stats_log_interval = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.stats_log_interval)) return usage();
     } else if (arg == "--deadline-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.query_deadline = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.query_deadline)) return usage();
     } else if (arg == "--max-out-kb") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.max_output_buffer_bytes = static_cast<std::size_t>(std::atoll(v)) * 1024;
+      std::size_t kb = 0;
+      if (!number(0, 1 << 22, &kb)) return usage();
+      config.max_output_buffer_bytes = kb * 1024;
     } else if (arg == "--stall-grace-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.write_stall_grace = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.write_stall_grace)) return usage();
     } else if (arg == "--retry-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.reload_retry_initial = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.reload_retry_initial)) return usage();
     } else if (arg == "--retry-max-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.reload_retry_max = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.reload_retry_max)) return usage();
     } else if (arg == "--metrics-file") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.metrics_snapshot_path = v;
+      if (!flag_text(argc, argv, i, &config.metrics_snapshot_path)) return usage();
     } else if (arg == "--metrics-file-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.metrics_snapshot_interval = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.metrics_snapshot_interval)) return usage();
     } else if (arg == "--slow-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.slow_threshold = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &config.slow_threshold)) return usage();
     } else if (arg == "--flight-cap") {
-      const char* v = next_value();
-      if (!v) return usage();
-      config.flight_capacity = static_cast<std::size_t>(std::atoll(v));
+      if (!number(0, 1 << 20, &config.flight_capacity)) return usage();
     } else if (arg == "--scale") {
-      const char* v = next_value();
-      if (!v) return usage();
-      scale = std::atof(v);
+      const char* v = nullptr;
+      if (!flag_text(argc, argv, i, &v) || !parse_scale(v, &synth_config.scale)) return usage();
     } else if (arg == "--seed") {
-      const char* v = next_value();
-      if (!v) return usage();
-      seed = static_cast<std::uint32_t>(std::atoi(v));
+      if (!number(0, UINT32_MAX, &synth_config.seed)) return usage();
     } else if (arg == "--publish") {
       publish = true;
     } else if (arg == "--chunk-kb") {
-      const char* v = next_value();
-      if (!v) return usage();
-      chunk_kb = static_cast<std::size_t>(std::atoll(v));
+      if (!number(1, 1 << 16, &chunk_kb)) return usage();
     } else if (arg == "--origin") {
-      const char* v = next_value();
-      if (!v) return usage();
-      origin_spec = v;
+      if (!flag_text(argc, argv, i, &origin_spec)) return usage();
     } else if (arg == "--repl-dir") {
-      const char* v = next_value();
-      if (!v) return usage();
-      repl_dir = v;
+      if (!flag_text(argc, argv, i, &edge.state_dir)) return usage();
     } else if (arg == "--edge-id") {
-      const char* v = next_value();
-      if (!v) return usage();
-      edge_id = v;
+      if (!flag_text(argc, argv, i, &edge.edge_id)) return usage();
     } else if (arg == "--poll-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      poll_ms = std::chrono::milliseconds(std::atoll(v));
+      if (!number(1, kMaxMs, &edge.poll_interval)) return usage();
     } else if (arg == "--heartbeat-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      heartbeat_ms = std::chrono::milliseconds(std::atoll(v));
+      if (!number(1, kMaxMs, &edge.heartbeat_period)) return usage();
     } else if (arg == "--origin-timeout-ms") {
-      const char* v = next_value();
-      if (!v) return usage();
-      origin_timeout_ms = std::chrono::milliseconds(std::atoll(v));
+      if (!number(0, kMaxMs, &origin_timeout_ms)) return usage();
     } else if (!arg.empty() && arg.front() != '-' && data_dir.empty()) {
       data_dir = arg;
     } else {
@@ -748,7 +738,7 @@ int cmd_serve(int argc, char** argv) {
   const int sources = (!data_dir.empty() ? 1 : 0) + (synthetic ? 1 : 0) +
                       (!snapshot_path.empty() ? 1 : 0);
   if (!origin_spec.empty()) {
-    if (publish || sources != 0 || repl_dir.empty()) return usage();
+    if (publish || sources != 0 || edge.state_dir.empty()) return usage();
   } else if (sources != 1) {
     return usage();
   }
@@ -756,55 +746,40 @@ int cmd_serve(int argc, char** argv) {
   if (!snapshot_cache_dir.empty() && data_dir.empty()) return usage();
   // --journal follows a corpus dir through the incremental delta pipeline;
   // it subsumes reload-from-disk, so the snapshot cache does not apply.
-  if (!journal_dir.empty() && (data_dir.empty() || !snapshot_cache_dir.empty())) {
+  if (!follow.directory.empty() && (data_dir.empty() || !snapshot_cache_dir.empty())) {
     return usage();
   }
 
-  server::CorpusLoader loader;
-  // Journal mode: the delta pipeline owns the corpus; the follower feeds it
-  // batches and a reload just republishes the pipeline's current generation.
-  std::shared_ptr<delta::DeltaPipeline> pipeline;
-  std::shared_ptr<delta::JournalFollower> follower;
   // The daemon's --threads knob doubles as ingestion parallelism: the
   // initial load and every SIGHUP/!reload re-ingest through the sharded
   // parallel pipeline with the same thread budget as the worker pool.
   irr::LoadOptions load_options;
   load_options.threads = config.worker_threads;
+  std::shared_ptr<server::GenerationSource> source;
   if (!snapshot_path.empty()) {
     // Every (re)load re-opens the file, so SIGHUP picks up a snapshot that
     // `compile --out` replaced in place; a corrupt or version-mismatched
     // file throws SnapshotError, which the server turns into "keep serving
     // the last good generation, degraded".
-    loader = [snapshot_path]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      return persist::open_snapshot(snapshot_path);
-    };
+    source = std::make_shared<server::LoaderSource>(
+        [snapshot_path] { return persist::open_snapshot(snapshot_path); });
   } else if (synthetic) {
-    loader = [scale, seed,
-              load_options]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      synth::SynthConfig synth_config;
-      synth_config.scale = scale;
-      synth_config.seed = seed;
+    source = std::make_shared<server::LoaderSource>([synth_config, load_options] {
       synth::InternetGenerator generator(synth_config);
       std::vector<std::pair<std::string, std::string>> ordered;
       for (const auto& name : synth::irr_names()) {
         ordered.emplace_back(name, generator.irr_dumps().at(name));
       }
-      auto lyzer = std::make_shared<Rpslyzer>(
+      return owned_snapshot(
           Rpslyzer::from_texts(ordered, generator.caida_serial1(), load_options));
-      // The memoized snapshot aliases into *lyzer; re-wrap it so the
-      // returned pointer also owns the Rpslyzer bundle.
-      auto snapshot = lyzer->snapshot();
-      return {std::move(lyzer), snapshot.get()};
-    };
-  } else if (!journal_dir.empty()) {
+    });
+  } else if (!follow.directory.empty()) {
+    // The delta pipeline owns the corpus; the follower feeds it batches and
+    // each published batch reloads the daemon.
     if (!corpus_dir_ok(data_dir)) return 1;
-    const auto relationships = read_text_file(std::filesystem::path(data_dir) /
-                                              "relationships.txt");
-    if (!relationships) {
-      std::fprintf(stderr, "rpslyzerd: cannot read %s/relationships.txt\n",
-                   data_dir.c_str());
-      return 1;
-    }
+    const auto relationships = read_relationships(data_dir, "rpslyzerd");
+    if (!relationships) return 1;
+    std::shared_ptr<delta::DeltaPipeline> pipeline;
     try {
       pipeline = std::make_shared<delta::DeltaPipeline>(read_dumps(data_dir),
                                                         *relationships);
@@ -812,158 +787,73 @@ int cmd_serve(int argc, char** argv) {
       std::fprintf(stderr, "rpslyzerd: delta pipeline: %s\n", e.what());
       return 1;
     }
-    delta::FollowerConfig follower_config;
-    follower_config.directory = journal_dir;
-    follower_config.poll_interval = journal_poll_ms;
-    follower = std::make_shared<delta::JournalFollower>(pipeline, follower_config);
+    auto follower = std::make_shared<delta::JournalFollower>(pipeline, follow);
     // Catch up on any batches already on disk before the daemon starts, so
     // the first served generation reflects the full journal.
     follower->poll_now();
-    loader = [pipeline]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      return pipeline->current_snapshot();
-    };
-  } else {
-    loader = [data_dir, snapshot_cache_dir,
-              load_options]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      if (!corpus_dir_ok(data_dir)) return nullptr;  // start + reload both bail
-      if (!snapshot_cache_dir.empty()) {
-        // Generation cache: key the compiled artifact by the content of the
-        // dumps + relationships file. Unchanged corpus → mmap the cached
-        // snapshot; changed or absent/corrupt entry → full rebuild below,
-        // then repopulate the entry for the next reload.
-        persist::SnapshotCache cache{std::filesystem::path(snapshot_cache_dir)};
-        const persist::CacheKey key = persist::derive_cache_key(data_dir, load_options);
-        if (auto cached = cache.try_load(key)) return cached;
-        auto lyzer = std::make_shared<Rpslyzer>(load(data_dir, load_options));
-        auto snapshot = lyzer->snapshot();
-        cache.store(key, *snapshot);
-        return {std::move(lyzer), snapshot.get()};
-      }
-      auto lyzer = std::make_shared<Rpslyzer>(load(data_dir, load_options));
-      auto snapshot = lyzer->snapshot();
-      return {std::move(lyzer), snapshot.get()};
-    };
-  }
-
-  // Origin role: every successful (re)load republishes through the
-  // publisher, which deduplicates by content checksum — a reload that
-  // recompiled identical dumps is a no-op for the fleet.
-  std::shared_ptr<repl::Publisher> publisher;
-  if (publish) {
-    publisher = std::make_shared<repl::Publisher>(chunk_kb * 1024);
-    auto inner = std::move(loader);
-    loader = [inner, publisher]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      auto snap = inner();
-      if (snap) publisher->publish(*snap);
-      return snap;
-    };
-  }
-
-  // Edge role: the replication client keeps state_dir/current.rps in sync
-  // with the origin; the loader just mmaps whatever generation is current.
-  // The daemon pointer lives in an atomic slot because the client's agent
-  // thread outlives neither and must stop calling into the daemon once the
-  // slot is cleared during shutdown.
-  std::shared_ptr<repl::ReplicationClient> rclient;
-  auto daemon_slot = std::make_shared<std::atomic<server::Server*>>(nullptr);
-  if (!origin_spec.empty()) {
+    source = std::move(follower);
+  } else if (!origin_spec.empty()) {
+    // The replication client keeps --repl-dir/current.rps in sync with the
+    // origin; the daemon mmaps whatever generation is current.
     const std::size_t colon = origin_spec.rfind(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= origin_spec.size()) {
       std::fprintf(stderr, "serve: --origin expects HOST:PORT\n");
       return usage();
     }
-    repl::EdgeConfig econfig;
-    econfig.origin_host = origin_spec.substr(0, colon);
-    econfig.origin_port = static_cast<std::uint16_t>(std::atoi(origin_spec.c_str() + colon + 1));
-    econfig.state_dir = repl_dir;
-    econfig.edge_id =
-        edge_id.empty() ? "edge-" + std::to_string(static_cast<long>(::getpid())) : edge_id;
-    econfig.poll_interval = poll_ms;
-    econfig.heartbeat_period = heartbeat_ms;
+    const auto port = util::parse_u32(std::string_view(origin_spec).substr(colon + 1));
+    if (!port || *port == 0 || *port > 65535) {
+      std::fprintf(stderr, "serve: --origin expects HOST:PORT with a port in [1, 65535]\n");
+      return usage();
+    }
+    edge.origin_host = origin_spec.substr(0, colon);
+    edge.origin_port = static_cast<std::uint16_t>(*port);
     // The poll interval already defines how stale an edge may run; letting
     // reconnect backoff grow past it would only delay recovery after an
     // origin outage. Cap at 2x poll so a returning origin is picked up
     // within ~3 poll intervals even from the deepest backoff step.
-    econfig.backoff_initial = std::min(econfig.backoff_initial, poll_ms);
-    econfig.backoff_max = poll_ms * 2;
-    rclient = std::make_shared<repl::ReplicationClient>(econfig);
-    rclient->set_activation_callback([daemon_slot](const repl::Current&) {
-      if (auto* s = daemon_slot->load()) s->request_reload();
-    });
-    rclient->set_local_state([daemon_slot]() {
-      repl::LocalState state;
-      if (auto* s = daemon_slot->load()) {
-        state.health = server::to_string(s->health().state);
-        const server::ServerStats::Snapshot snap = s->stats().snapshot();
-        state.queries_total = snap.queries_total;
-        const server::CacheStats cache = s->cache_stats();
-        state.cache_hits = cache.hits;
-        state.cache_misses = cache.misses;
-        state.recorder_drops = s->flight().dropped();
-        state.latency_count = snap.latency.count;
-        state.latency_sum_micros =
-            static_cast<std::uint64_t>(snap.latency.sum * 1e6 + 0.5);
-        state.latency_buckets = snap.latency.buckets;
-      }
-      return state;
-    });
-    const bool recovered = rclient->recover_last_good();
-    rclient->start();
-    if (!recovered && !rclient->wait_for_snapshot(origin_timeout_ms)) {
+    edge.backoff_initial = std::min(edge.backoff_initial, edge.poll_interval);
+    edge.backoff_max = edge.poll_interval * 2;
+    auto client = std::make_shared<repl::ReplicationClient>(edge);
+    const bool recovered = client->recover_last_good();
+    client->start();
+    if (!recovered && !client->wait_for_snapshot(origin_timeout_ms)) {
       std::fprintf(stderr,
                    "rpslyzerd: no last-good snapshot and the origin %s produced none within "
                    "%lld ms\n",
                    origin_spec.c_str(), static_cast<long long>(origin_timeout_ms.count()));
-      rclient->stop();
       return 1;
     }
-    loader = [rclient]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
-      const auto cur = rclient->current();
-      if (!cur) return nullptr;
-      return persist::open_snapshot(cur->path, "repl:" + std::to_string(cur->gen));
-    };
-  }
-
-  server::Server daemon(config, std::move(loader));
-  if (publisher) {
-    daemon.set_repl_handler(
-        [publisher](std::string_view body) { return publisher->handle(body); });
-    daemon.set_stats_extra([publisher] { return publisher->stats_line(); });
-    // Fleet aggregation: `!fleet` merges the per-edge heartbeat digests;
-    // the same aggregate rides `!metrics` as rpslyzer_fleet_* families.
-    publisher->set_latency_bounds(config.latency_bounds);
-    daemon.set_fleet_handler([publisher] { return publisher->fleet_payload(); });
-    daemon.set_metrics_extra([publisher] { return publisher->fleet_prometheus(); });
-  } else if (rclient) {
-    daemon.set_repl_handler([rclient](std::string_view body) -> std::string {
-      if (body.empty()) return query::frame_response(rclient->status_payload());
-      return "F this instance is not an origin\n";
+    source = std::move(client);
+  } else {
+    source = std::make_shared<server::LoaderSource>(
+        [data_dir, snapshot_cache_dir,
+         load_options]() -> std::shared_ptr<const compile::CompiledPolicySnapshot> {
+      if (!corpus_dir_ok(data_dir)) return nullptr;  // start + reload both bail
+      std::optional<persist::SnapshotCache> cache;
+      persist::CacheKey key;
+      if (!snapshot_cache_dir.empty()) {
+        // Generation cache: key the compiled artifact by the content of the
+        // dumps + relationships file. Unchanged corpus → mmap the cached
+        // snapshot; changed or absent/corrupt entry → full rebuild below,
+        // then repopulate the entry for the next reload.
+        cache.emplace(std::filesystem::path(snapshot_cache_dir));
+        key = persist::derive_cache_key(data_dir, load_options);
+        if (auto cached = cache->try_load(key)) return cached;
+      }
+      auto snapshot = owned_snapshot(load(data_dir, load_options));
+      if (cache) cache->store(key, *snapshot);
+      return snapshot;
     });
-    daemon.set_stats_extra([rclient] { return rclient->stats_line(); });
   }
-  if (follower) {
-    if (publisher) {
-      daemon.set_stats_extra([publisher, follower] {
-        return publisher->stats_line() + "\n" + follower->stats_line();
-      });
-    } else {
-      daemon.set_stats_extra([follower] { return follower->stats_line(); });
-    }
-  }
+  // Origin role: every successful (re)load republishes, deduplicated by
+  // content checksum.
+  if (publish) source = std::make_shared<repl::Publisher>(chunk_kb * 1024, std::move(source));
+
+  server::Server daemon(config, source);
   std::string error;
   if (!daemon.start(&error)) {
     std::fprintf(stderr, "rpslyzerd: %s\n", error.c_str());
-    if (rclient) rclient->stop();
     return 1;
-  }
-  daemon_slot->store(&daemon);
-  if (follower) {
-    // Each applied batch published a new generation; the reload just swaps
-    // the daemon's snapshot pointer (and republishes when --publish is on).
-    follower->set_activation_callback([daemon_slot](std::uint64_t) {
-      if (auto* s = daemon_slot->load()) s->request_reload();
-    });
-    follower->start();
   }
   g_server = &daemon;
   std::signal(SIGINT, on_stop_signal);
@@ -972,17 +862,15 @@ int cmd_serve(int argc, char** argv) {
   const std::string corpus_desc = !origin_spec.empty() ? "repl:" + origin_spec
                                   : synthetic          ? std::string("synthetic")
                                   : !snapshot_path.empty() ? snapshot_path
-                                  : !journal_dir.empty() ? data_dir + " journal:" + journal_dir
-                                                         : data_dir;
+                                  : !follow.directory.empty()
+                                      ? data_dir + " journal:" + follow.directory.string()
+                                      : data_dir;
   std::printf("rpslyzerd listening on %s:%u (workers=%u cache=%zu corpus=%s%s)\n",
               config.bind_address.c_str(), daemon.port(), config.worker_threads,
               config.cache_capacity, corpus_desc.c_str(), publish ? " publish" : "");
   std::fflush(stdout);
   daemon.wait();
   const std::string final_stats = daemon.stats_payload();
-  daemon_slot->store(nullptr);
-  if (follower) follower->stop();
-  if (rclient) rclient->stop();
   daemon.stop();
   g_server = nullptr;
   std::printf("%s\nrpslyzerd: shut down cleanly\n", final_stats.c_str());

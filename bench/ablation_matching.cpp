@@ -12,6 +12,7 @@
 #include "common.hpp"
 #include "rpslyzer/aspath/engine.hpp"
 #include "rpslyzer/rpsl/expr_parser.hpp"
+#include "symbolic.hpp"
 
 namespace {
 

@@ -42,9 +42,7 @@ void BM_VerifyInterpreted(benchmark::State& state) {
   w.lyzer.index().prewarm();  // flattening is a pure read during timing
   std::size_t checks = 0;
   for (auto _ : state) {
-    verify::VerifyOptions options;
-    options.use_snapshot = false;
-    verify::Verifier verifier(w.lyzer.index(), w.lyzer.relations(), options);
+    verify::Verifier verifier(w.lyzer.index(), w.lyzer.relations());
     checks = 0;
     for (const auto& route : rs) checks += verifier.verify_route(route).size();
     benchmark::DoNotOptimize(checks);
@@ -96,9 +94,7 @@ double time_interpreted_once() {
   double best = 1e9;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    verify::VerifyOptions options;
-    options.use_snapshot = false;
-    verify::Verifier verifier(w.lyzer.index(), w.lyzer.relations(), options);
+    verify::Verifier verifier(w.lyzer.index(), w.lyzer.relations());
     std::size_t checks = 0;
     for (const auto& route : rs) checks += verifier.verify_route(route).size();
     benchmark::DoNotOptimize(checks);

@@ -10,9 +10,10 @@
 // Kept as a literal implementation for the ablation benchmark against the
 // predicate-NFA engine; a budget guard bounds the exponential product.
 
+#include "symbolic.hpp"
+
 #include <vector>
 
-#include "rpslyzer/aspath/engine.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::aspath {

@@ -1,7 +1,7 @@
 // IRRd-style query REPL: the query surface tools like bgpq4 use, answered
-// from the RPSLyzer index. Run without arguments for a scripted demo on a
-// synthetic corpus, or pass a data directory and type queries on stdin
-// ("!gAS1000", "!iAS-1000-CONE,1", "!aAS-1000-CONE", ... ; EOF ends).
+// from the compiled policy snapshot. Run without arguments for a scripted
+// demo on a synthetic corpus, or pass a data directory and type queries on
+// stdin ("!gAS1000", "!iAS-1000-CONE,1", "!aAS-1000-CONE", ... ; EOF ends).
 
 #include <iostream>
 
@@ -24,13 +24,12 @@ int main(int argc, char** argv) {
     }
     lyzer = Rpslyzer::from_texts(ordered, generator.caida_serial1());
   }
-  irr::Index index(lyzer->ir());
-  query::QueryEngine engine(index);
+  query::QueryEngine engine(*lyzer->snapshot());
 
   if (argc <= 1) {
     // Scripted demo against the first transit AS that has routes.
     for (const auto& [asn, an] : lyzer->ir().aut_nums) {
-      if (!index.has_routes(asn)) continue;
+      if (!lyzer->index().has_routes(asn)) continue;
       const std::string as = "AS" + std::to_string(asn);
       for (const std::string q : {"!g" + as, "!6" + as, "!o" + as}) {
         std::cout << "> " << q << "\n" << engine.evaluate(q);

@@ -1,7 +1,7 @@
 #pragma once
 // AS-path regex evaluation (paper Appendix B, "AS-Path Regex Matching").
 //
-// Three interchangeable engines are provided:
+// Two interchangeable engines are provided:
 //
 //  * NFA engine (the default): compiles the token regex into a Thompson NFA
 //    whose edges carry AS predicates. Equivalent to the paper's symbolic
@@ -11,11 +11,10 @@
 //    the "same pattern" unary postfix operators (~*, ~+) that no finite
 //    NFA over AS predicates can express; also serves as the reference in
 //    engine-equivalence property tests.
-//  * Symbolic engine: the paper's literal construction — replace each AS
-//    token with a symbol, convert each path ASN to its set of matching
-//    symbols, enumerate the Cartesian product of symbol strings, and match
-//    each string. Exponential in the worst case (kept for the ablation
-//    bench with a budget guard).
+//
+// The paper's literal symbolic construction (Cartesian product of symbol
+// strings) lives in bench/symbolic.hpp: only the matching ablation and the
+// engine-equivalence tests use it.
 //
 // Matching semantics: POSIX-style *search* — the regex may match any
 // substring of the AS path unless anchored with '^' (path start: the
@@ -123,11 +122,6 @@ class CompiledRegex {
 /// Reference engine: memoized backtracking over the AST. Supports the full
 /// language including same-pattern operators.
 RegexMatch match_backtrack(const ir::AsPathRegex& regex, const MatchEnv& env);
-
-/// The paper's symbolic Cartesian-product construction. `budget` caps the
-/// number of symbol strings enumerated; kUnsupported when exceeded.
-RegexMatch match_symbolic(const ir::AsPathRegex& regex, const MatchEnv& env,
-                          std::size_t budget = 1u << 16);
 
 /// Bounded repeat expansion in the NFA ({m,n} with n beyond this is
 /// refused rather than exploding the automaton).

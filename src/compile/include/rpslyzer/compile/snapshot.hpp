@@ -298,6 +298,16 @@ struct IncrementalStats {
 bool only_provider_policies(const irr::Index& index,
                             const relations::AsRelations& relations, ir::Asn asn);
 
+/// The one AS-path filter walk: append the FilterAsPath nodes under a
+/// rule's entry to `out` in visit order (a term's factors in order, except
+/// and refine left before right; inside a filter, and/or left before right,
+/// then not's operand). An aut-num's `as_paths` is this walk over its
+/// imports then its exports, and the persisted NFA section binds its images
+/// positionally to as_path_order(), which is built from it.
+void collect_as_paths(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out);
+/// The same walk over a filter-set's filter, then its mp-filter.
+void collect_as_paths(const ir::FilterSet& set, std::vector<const ir::FilterAsPath*>& out);
+
 class CompiledPolicySnapshot : public aspath::AsSetMembership {
  public:
   /// Build a snapshot. Forces index->prewarm() and relations->tier1() so
@@ -371,6 +381,10 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
                                    std::span<const ir::Asn> path, ir::Asn peer) const;
   /// Precomputed ir::uses_skipped_constructs for the paper-faithful skips.
   bool as_path_skipped(const ir::FilterAsPath& filter) const;
+  /// Every AS-path filter in the persisted NFA section's order: each
+  /// aut-num's `as_paths` in ascending ASN order, then the filter-set bodies
+  /// (collect_as_paths) in name order.
+  std::vector<const ir::FilterAsPath*> as_path_order() const;
 
   /// nullptr when no aut-num object exists for `asn`.
   const CompiledAutNum* compiled_aut_num(ir::Asn asn) const;
@@ -436,10 +450,6 @@ class CompiledPolicySnapshot : public aspath::AsSetMembership {
   /// supported one.
   bool rehydrate(const ir::FilterAsPath& filter, const CompiledPolicySnapshot& previous,
                  const ir::FilterAsPath& twin);
-  /// Compile the filter's AS-path regexes, appending each AS-path node to
-  /// `as_paths` (when given) in traversal order.
-  void compile_filter(const ir::Filter& filter,
-                      std::vector<const ir::FilterAsPath*>* as_paths = nullptr);
   CompiledRule compile_rule(const ir::Rule& rule) const;
   /// A fresh piece for aut-num `asn`: its rules, their regexes, its cone
   /// (copied from `previous_cone` when given) and RejectAll entries.

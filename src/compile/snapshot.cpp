@@ -510,77 +510,62 @@ bool CompiledPolicySnapshot::rehydrate(const ir::FilterAsPath& filter,
   return true;
 }
 
-void CompiledPolicySnapshot::compile_filter(const ir::Filter& filter,
-                                            std::vector<const ir::FilterAsPath*>* as_paths) {
+namespace {
+
+/// The filter half of the walk: an AS-path node itself; and/or left before
+/// right; not's operand.
+void collect_filter(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
   std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) {
-                   if (as_paths != nullptr) as_paths->push_back(&f);
-                   compile_as_path(f);
-                 },
+                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
                  [&](const ir::FilterAnd& f) {
-                   compile_filter(*f.left, as_paths);
-                   compile_filter(*f.right, as_paths);
+                   collect_filter(*f.left, out);
+                   collect_filter(*f.right, out);
                  },
                  [&](const ir::FilterOr& f) {
-                   compile_filter(*f.left, as_paths);
-                   compile_filter(*f.right, as_paths);
+                   collect_filter(*f.left, out);
+                   collect_filter(*f.right, out);
                  },
-                 [&](const ir::FilterNot& f) { compile_filter(*f.inner, as_paths); },
+                 [&](const ir::FilterNot& f) { collect_filter(*f.inner, out); },
                  [&](const auto&) {},
              },
              filter.node);
 }
 
-namespace {
+}  // namespace
 
-/// Visit every filter reachable in an entry tree.
-template <typename Fn>
-void for_each_filter(const ir::Entry& entry, Fn&& fn) {
+void collect_as_paths(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out) {
   std::visit(util::overloaded{
                  [&](const ir::EntryTerm& term) {
-                   for (const auto& factor : term.factors) fn(factor.filter);
+                   for (const auto& factor : term.factors) collect_filter(factor.filter, out);
                  },
                  [&](const ir::EntryExcept& e) {
-                   for_each_filter(*e.left, fn);
-                   for_each_filter(*e.right, fn);
+                   collect_as_paths(*e.left, out);
+                   collect_as_paths(*e.right, out);
                  },
                  [&](const ir::EntryRefine& e) {
-                   for_each_filter(*e.left, fn);
-                   for_each_filter(*e.right, fn);
+                   collect_as_paths(*e.left, out);
+                   collect_as_paths(*e.right, out);
                  },
              },
              entry.node);
 }
 
-/// Collect every FilterAsPath in `filter`, in the exact traversal order
-/// compile_filter uses. Two parses of identical policy text yield
-/// identical sequences, which is what lets the incremental build pair a
-/// clean filter-set's filters with the previous generation's positionally.
-void collect_as_paths(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
-                 [&](const ir::FilterAnd& f) {
-                   collect_as_paths(*f.left, out);
-                   collect_as_paths(*f.right, out);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_as_paths(*f.left, out);
-                   collect_as_paths(*f.right, out);
-                 },
-                 [&](const ir::FilterNot& f) { collect_as_paths(*f.inner, out); },
-                 [&](const auto&) {},
-             },
-             filter.node);
+void collect_as_paths(const ir::FilterSet& set, std::vector<const ir::FilterAsPath*>& out) {
+  if (set.has_filter) collect_filter(set.filter, out);
+  if (set.has_mp_filter) collect_filter(set.mp_filter, out);
 }
 
-std::vector<const ir::FilterAsPath*> collect_as_paths(const ir::FilterSet& set) {
+std::vector<const ir::FilterAsPath*> CompiledPolicySnapshot::as_path_order() const {
   std::vector<const ir::FilterAsPath*> out;
-  if (set.has_filter) collect_as_paths(set.filter, out);
-  if (set.has_mp_filter) collect_as_paths(set.mp_filter, out);
+  for (const auto& [asn, an] : index_->ir().aut_nums) {
+    // A built or restored snapshot has a piece for every aut-num.
+    if (const CompiledAutNum* can = compiled_aut_num(asn)) {
+      out.insert(out.end(), can->as_paths.begin(), can->as_paths.end());
+    }
+  }
+  for (const auto& [name, set] : index_->ir().filter_sets) collect_as_paths(set, out);
   return out;
 }
-
-}  // namespace
 
 CompiledRule CompiledPolicySnapshot::compile_rule(const ir::Rule& rule) const {
   CompiledRule out;
@@ -623,10 +608,10 @@ CompiledAutNum CompiledPolicySnapshot::compile_aut_num(ir::Asn asn, const ir::Au
   for (const auto* rules : {&an.imports, &an.exports}) {
     for (const ir::Rule& rule : *rules) {
       storage->rules.push_back(compile_rule(rule));
-      for_each_filter(rule.entry,
-                      [&](const ir::Filter& f) { compile_filter(f, &storage->as_paths); });
+      collect_as_paths(rule.entry, storage->as_paths);
     }
   }
+  for (const ir::FilterAsPath* path : storage->as_paths) compile_as_path(*path);
   // Cones depend only on the relation graph, so a caller that shares the
   // previous generation's AsRelations hands in the previous cone.
   if (previous_cone != nullptr) {
@@ -653,7 +638,7 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   if (incremental) {
     // Rehydrate clean filter-sets' AS-path NFAs from the previous
     // generation's flat tables (image() -> CompiledRegex skips Thompson
-    // construction) before they are compiled below; compile_filter's
+    // construction) before they are compiled below; compile_as_path's
     // regexes_.contains() check then skips recompilation. Pairing is
     // positional over the deterministic filter walk, guarded by an
     // object equality re-check so a missed dirty entry degrades to a
@@ -662,8 +647,10 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
       if (dirty->filter_sets.contains(name)) continue;
       const ir::FilterSet* prev_fs = previous->index_->filter_set(name);
       if (prev_fs == nullptr || !(*prev_fs == set)) continue;
-      const std::vector<const ir::FilterAsPath*> olds = collect_as_paths(*prev_fs);
-      const std::vector<const ir::FilterAsPath*> news = collect_as_paths(set);
+      std::vector<const ir::FilterAsPath*> olds;
+      std::vector<const ir::FilterAsPath*> news;
+      collect_as_paths(*prev_fs, olds);
+      collect_as_paths(set, news);
       if (olds.size() != news.size()) continue;
       for (std::size_t i = 0; i < news.size(); ++i) {
         if (rehydrate(*news[i], *previous, *olds[i])) ++stats->regexes_reused;
@@ -705,9 +692,11 @@ void CompiledPolicySnapshot::build_aut_nums(const CompiledPolicySnapshot* previo
   // Filter-set bodies are reached by name at evaluation time; precompile
   // their regexes too so the hot path never falls back to per-call NFA
   // construction.
+  std::vector<const ir::FilterAsPath*> set_paths;
   for (const auto& [name, set] : index_->ir().filter_sets) {
-    if (set.has_filter) compile_filter(set.filter);
-    if (set.has_mp_filter) compile_filter(set.mp_filter);
+    set_paths.clear();
+    collect_as_paths(set, set_paths);
+    for (const ir::FilterAsPath* path : set_paths) compile_as_path(*path);
   }
   stats->regexes_recompiled = regexes_.size() - stats->regexes_reused;
 }

@@ -59,11 +59,9 @@ class Rpslyzer {
   /// object's members: call it at the Rpslyzer's final address.
   std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot() const;
 
-  /// A verifier bound to this corpus, using the snapshot backend unless
-  /// options.use_snapshot is off.
+  /// A verifier bound to this corpus's compiled snapshot.
   verify::Verifier verifier(verify::VerifyOptions options = {}) const {
-    if (options.use_snapshot) return verify::Verifier(snapshot(), options);
-    return verify::Verifier(*index_, relations_, options);
+    return verify::Verifier(snapshot(), options);
   }
 
   /// Export the IR to JSON (§3's integration story).

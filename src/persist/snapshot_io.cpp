@@ -9,74 +9,12 @@
 #include "rpslyzer/obs/log.hpp"
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
-#include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::persist {
 
 namespace {
 
 using compile::CompiledPolicySnapshot;
-
-// --- deterministic AS-path filter walk -------------------------------------
-// Mirrors the compiler's build order exactly (aut-nums ascending, imports
-// then exports, factor order, And/Or left before right, then filter-set
-// bodies in name order), so NFA images written positionally at save time
-// bind to the right ir::FilterAsPath node at restore time. The restore walks
-// each rule once, into its aut-num's AS-path list.
-
-void collect_filter(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
-                 [&](const ir::FilterAnd& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterNot& f) { collect_filter(*f.inner, out); },
-                 [&](const auto&) {},
-             },
-             filter.node);
-}
-
-void collect_entry(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::EntryTerm& term) {
-                   for (const auto& factor : term.factors) collect_filter(factor.filter, out);
-                 },
-                 [&](const ir::EntryExcept& e) {
-                   collect_entry(*e.left, out);
-                   collect_entry(*e.right, out);
-                 },
-                 [&](const ir::EntryRefine& e) {
-                   collect_entry(*e.left, out);
-                   collect_entry(*e.right, out);
-                 },
-             },
-             entry.node);
-}
-
-/// The NFA section's filter order: each aut-num's AS-path list (kept in
-/// this order by the compiler and the restore alike), then the filter-set
-/// bodies walked.
-std::vector<const ir::FilterAsPath*> collect_aspath_filters(const CompiledPolicySnapshot& snap) {
-  const ir::Ir& ir = snap.index().ir();
-  std::vector<const ir::FilterAsPath*> out;
-  for (const auto& [asn, an] : ir.aut_nums) {
-    const compile::CompiledAutNum* can = snap.compiled_aut_num(asn);
-    if (can == nullptr) {
-      throw SnapshotError("snapshot: aut-num missing from compiled tables");
-    }
-    out.insert(out.end(), can->as_paths.begin(), can->as_paths.end());
-  }
-  for (const auto& [name, set] : ir.filter_sets) {
-    if (set.has_filter) collect_filter(set.filter, out);
-    if (set.has_mp_filter) collect_filter(set.mp_filter, out);
-  }
-  return out;
-}
 
 // --- metrics ---------------------------------------------------------------
 
@@ -312,9 +250,9 @@ void SnapshotCodec::write(const CompiledPolicySnapshot& snap, ArenaWriter& write
     writer.add_section(SectionId::kAutNums, std::move(w));
   }
 
-  // NFA images, positionally matched to the deterministic filter walk.
+  // NFA images, positionally matched to the compiler's as_path_order().
   {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(snap);
+    const std::vector<const ir::FilterAsPath*> filters = snap.as_path_order();
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(filters.size()));
     for (const ir::FilterAsPath* filter : filters) {
@@ -492,16 +430,18 @@ std::shared_ptr<const CompiledPolicySnapshot> SnapshotCodec::restore(
           rule.no_match_asns.reserve(nm_count);
           for (std::uint32_t k = 0; k < nm_count; ++k) rule.no_match_asns.push_back(r.u32());
           storage->rules.push_back(std::move(rule));
-          collect_entry(source.entry, storage->as_paths);
+          compile::collect_as_paths(source.entry, storage->as_paths);
         }
       }
       reject_all.finish(can, std::move(storage));
-      snap->aut_nums_.emplace(asn, std::move(can));
+      if (!snap->aut_nums_.emplace(asn, std::move(can)).second) {
+        throw SnapshotError("snapshot aut-num table names an AS twice");
+      }
     }
   });
 
   with_section(view, SectionId::kNfa, [&] {
-    const std::vector<const ir::FilterAsPath*> filters = collect_aspath_filters(*snap);
+    const std::vector<const ir::FilterAsPath*> filters = snap->as_path_order();
     ByteReader r(view.section(SectionId::kNfa));
     const std::uint32_t count = r.u32();
     if (count != filters.size()) {

@@ -1,5 +1,5 @@
 #pragma once
-// IRRd-style query evaluation over the RPSLyzer index.
+// IRRd-style query evaluation over the compiled policy snapshot.
 //
 // IRRd (the de-facto IRR server software, [45] in the paper) answers
 // terse "!" queries that tools like bgpq4 use to build router filters.
@@ -27,20 +27,16 @@
 #include <vector>
 
 #include "rpslyzer/compile/snapshot.hpp"
-#include "rpslyzer/irr/index.hpp"
 
 namespace rpslyzer::query {
 
-/// Evaluates queries against one corpus. Stateless between calls.
+/// Evaluates queries against one compiled snapshot. Stateless between
+/// calls: set flattening reads the snapshot's immutable tables, so one
+/// engine is safely shared across server workers.
 class QueryEngine {
  public:
-  explicit QueryEngine(const irr::Index& index) : index_(index) {}
-
-  /// Evaluate against a compiled snapshot: set flattening reads the
-  /// snapshot's immutable tables instead of the index's lazy memo, so the
-  /// engine is safely shared across server workers without prewarming.
   explicit QueryEngine(const compile::CompiledPolicySnapshot& snapshot)
-      : index_(snapshot.index()), snapshot_(&snapshot) {}
+      : snapshot_(snapshot) {}
 
   /// Evaluate one query line (with or without the leading '!').
   /// Returns the full framed response, newline-terminated.
@@ -53,12 +49,12 @@ class QueryEngine {
   std::string aut_num_summary(std::string_view arg) const;
 
   /// Flattened member ASNs of an as-set (sorted unique), or nullopt when
-  /// the set is undefined. Dispatches snapshot vs. index backend; a span
-  /// because the snapshot backend may be mmap-backed.
+  /// the set is undefined; a span because the snapshot may be mmap-backed.
   std::optional<std::span<const ir::Asn>> flat_asns(std::string_view name) const;
 
-  const irr::Index& index_;
-  const compile::CompiledPolicySnapshot* snapshot_ = nullptr;
+  const irr::Index& index() const noexcept { return snapshot_.index(); }
+
+  const compile::CompiledPolicySnapshot& snapshot_;
 };
 
 /// Wrap payload text in IRRd response framing ("A<len>\n...\nC\n").

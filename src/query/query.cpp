@@ -52,14 +52,9 @@ std::string join(const Range& range, Render render) {
 }  // namespace
 
 std::optional<std::span<const ir::Asn>> QueryEngine::flat_asns(std::string_view name) const {
-  if (snapshot_ != nullptr) {
-    const compile::CompiledAsSet* flat = snapshot_->flattened(name);
-    if (flat == nullptr) return std::nullopt;
-    return flat->asns;
-  }
-  const irr::FlattenedAsSet* flat = index_.flattened(name);
+  const compile::CompiledAsSet* flat = snapshot_.flattened(name);
   if (flat == nullptr) return std::nullopt;
-  return std::span<const ir::Asn>(flat->asns);
+  return flat->asns;
 }
 
 std::string frame_response(std::string_view payload) {
@@ -73,7 +68,7 @@ std::string frame_response(std::string_view payload) {
 std::string QueryEngine::origin_prefixes(std::string_view arg, bool v6) const {
   auto asn = ir::parse_as_ref(trim(arg));
   if (!asn) return error("expected an AS number");
-  std::span<const net::Prefix> prefixes = index_.origins_of(*asn);
+  std::span<const net::Prefix> prefixes = index().origins_of(*asn);
   std::vector<std::string> matching;
   for (const auto& prefix : prefixes) {
     if (prefix.is_v4() != v6) matching.push_back(prefix.to_string());
@@ -94,7 +89,7 @@ std::string QueryEngine::set_members(std::string_view arg) const {
     arg = arg.substr(0, arg.size() - 2);
   }
 
-  if (const ir::AsSet* set = index_.as_set(arg)) {
+  if (const ir::AsSet* set = index().as_set(arg)) {
     if (recursive) {
       const auto asns = flat_asns(arg);
       if (!asns) return not_found();
@@ -121,7 +116,7 @@ std::string QueryEngine::set_members(std::string_view arg) const {
                              }));
   }
 
-  if (const ir::RouteSet* set = index_.route_set(arg)) {
+  if (const ir::RouteSet* set = index().route_set(arg)) {
     std::vector<std::string> members;
     for (const auto* list : {&set->members, &set->mp_members}) {
       for (const auto& member : *list) {
@@ -165,7 +160,7 @@ std::string QueryEngine::set_prefixes(std::string_view arg) const {
   if (!flat) {
     // A bare ASN is also accepted (an as-set of one).
     if (auto asn = ir::parse_as_ref(arg)) {
-      std::span<const net::Prefix> prefixes = index_.origins_of(*asn);
+      std::span<const net::Prefix> prefixes = index().origins_of(*asn);
       if (prefixes.empty()) return not_found();
       std::vector<std::string> out;
       for (const auto& prefix : prefixes) {
@@ -180,7 +175,7 @@ std::string QueryEngine::set_prefixes(std::string_view arg) const {
   }
   std::vector<std::string> out;
   for (ir::Asn asn : *flat) {
-    for (const auto& prefix : index_.origins_of(asn)) {
+    for (const auto& prefix : index().origins_of(asn)) {
       if ((prefix.is_v4() && want_v4) || (!prefix.is_v4() && want_v6)) {
         out.push_back(prefix.to_string());
       }
@@ -195,7 +190,7 @@ std::string QueryEngine::set_prefixes(std::string_view arg) const {
 std::string QueryEngine::aut_num_summary(std::string_view arg) const {
   auto asn = ir::parse_as_ref(trim(arg));
   if (!asn) return error("expected an AS number");
-  const ir::AutNum* an = index_.aut_num(*asn);
+  const ir::AutNum* an = index().aut_num(*asn);
   if (an == nullptr) return not_found();
   std::string payload = "aut-num AS" + std::to_string(*asn) + " source " + ir::to_string(an->source) +
                         " imports " + std::to_string(an->imports.size()) + " exports " +

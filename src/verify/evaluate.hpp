@@ -41,8 +41,8 @@ struct RuleOutcome {
   std::vector<ReportItem> items;
 };
 
-/// The interpreted corpus: evaluation directly against the IRR index, kept
-/// behind VerifyOptions::use_snapshot=false as the reference implementation.
+/// The interpreted corpus: evaluation directly against the IRR index, the
+/// reference Verifier's backend.
 struct InterpretedCorpus {
   const irr::Index& index;
 

@@ -12,11 +12,9 @@
 // but its prefix and the announced path (see verifier.hpp). A check that
 // reads more of bgp::Route silently gives routes a sibling's verdict.
 //
-// With VerifyOptions::use_snapshot (the default), the index/relations
-// overload compiles a CompiledPolicySnapshot once and all workers share a
-// single const Verifier — no prewarm dance, no per-thread caches. With
-// use_snapshot=false, the shared Index is prewarmed so as-set flattening
-// is a pure read and each worker gets its own interpreted Verifier.
+// All workers share one const Verifier over a CompiledPolicySnapshot: the
+// snapshot is immutable, so there is no prewarm step and no per-thread
+// cache. A caller holding an Rpslyzer passes lyzer.snapshot().
 
 #include <memory>
 #include <vector>
@@ -25,15 +23,9 @@
 
 namespace rpslyzer::verify {
 
-/// Verify `routes[i]` for every i, in order; results[i] matches what a
-/// serial Verifier::verify_route(routes[i]) returns. `threads` = 0 uses
-/// the hardware concurrency.
-std::vector<std::vector<HopCheck>> verify_routes_parallel(
-    const irr::Index& index, const relations::AsRelations& relations,
-    const std::vector<bgp::Route>& routes, VerifyOptions options = {},
-    unsigned threads = 0);
-
-/// Same, against an already-built snapshot (one shared const Verifier).
+/// Verify `routes[i]` for every i, in order, against `snapshot`;
+/// results[i] matches what a serial Verifier::verify_route(routes[i])
+/// returns. `threads` = 0 uses the hardware concurrency.
 std::vector<std::vector<HopCheck>> verify_routes_parallel(
     std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot,
     const std::vector<bgp::Route>& routes, VerifyOptions options = {},

@@ -11,12 +11,15 @@
 //
 // Two backends produce identical verdicts:
 //
-//  * snapshot (default): evaluation against an immutable
+//  * snapshot: evaluation against an immutable
 //    compile::CompiledPolicySnapshot. The Verifier holds no mutable state,
-//    so one const instance is safely shared across threads.
-//  * interpreted: direct evaluation against irr::Index +
-//    relations::AsRelations with per-Verifier memo caches. Kept behind
-//    VerifyOptions::use_snapshot=false for one release as the reference.
+//    so one const instance is safely shared across threads. Every
+//    evaluation path of the program uses it: Rpslyzer::verifier(),
+//    verify_routes_parallel, the query server and the CLI.
+//  * reference: direct evaluation against irr::Index +
+//    relations::AsRelations with per-Verifier memo caches. No program path
+//    selects it; tests, bench/perf_verify and the pipeline benchmark
+//    construct it by name as the oracle the snapshot is checked against.
 
 #include <array>
 #include <cstdint>
@@ -54,10 +57,10 @@ struct VerifyOptions {
   /// our engines can evaluate are evaluated instead (community filters
   /// remain skipped — communities are unobservable in collector dumps).
   bool paper_faithful_skips = true;
-  /// Verify against a compiled policy snapshot instead of interpreting the
-  /// index directly. Consulted by the entry points that can choose a
-  /// backend (Rpslyzer::verifier, verify_routes_parallel); a Verifier
-  /// constructed from an explicit backend ignores it.
+  /// Read by nothing: every evaluation path uses the snapshot backend, and
+  /// the reference backend is chosen by constructing it. Kept only because
+  /// the pipeline benchmark (pipebench/batch_verify.cpp) still assigns it;
+  /// the change that replaces that benchmark's reference sample removes it.
   bool use_snapshot = true;
 };
 
@@ -77,7 +80,8 @@ using CheckPathCounts = std::array<std::uint64_t, kCheckPathCount>;
 
 class Verifier {
  public:
-  /// Interpreted backend: evaluate directly against the index.
+  /// Reference backend: evaluate directly against the index. Not shared
+  /// across threads (its memo caches are mutable).
   Verifier(const irr::Index& index, const relations::AsRelations& relations,
            VerifyOptions options = {});
 

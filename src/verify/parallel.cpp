@@ -198,18 +198,16 @@ std::size_t worker_count(unsigned threads, const PrefixRuns& runs) {
   return std::max<std::size_t>(1, std::min<std::size_t>(threads, runs.size()));
 }
 
-/// The one worker body of both backends: `workers` threads claim runs and
-/// verify them through `verifier_for_thread(t)`. Each route belongs to one
-/// run, so each results[i] has one writer. A worker counts its checks per
-/// path locally and flushes the counts once, when it runs out of runs.
-template <typename VerifierFor>
+/// The worker body: `workers` threads claim runs and verify them through
+/// the one shared `verifier`. Each route belongs to one run, so each
+/// results[i] has one writer. A worker counts its checks per path locally
+/// and flushes the counts once, when it runs out of runs.
 std::vector<std::vector<HopCheck>> verify_runs(const std::vector<bgp::Route>& routes,
                                                const PrefixRuns& runs, std::size_t workers,
-                                               const VerifierFor& verifier_for_thread) {
+                                               const Verifier& verifier) {
   std::vector<std::vector<HopCheck>> results(routes.size());
   std::atomic<std::size_t> next{0};
-  util::run_on_pool(workers, [&](std::size_t t) {
-    const Verifier& verifier = verifier_for_thread(t);
+  util::run_on_pool(workers, [&](std::size_t) {
     RunScratch scratch;
     CheckPathCounts paths{};
     while (true) {
@@ -223,28 +221,6 @@ std::vector<std::vector<HopCheck>> verify_runs(const std::vector<bgp::Route>& ro
   return results;
 }
 
-std::vector<std::vector<HopCheck>> verify_interpreted(
-    const irr::Index& index, const relations::AsRelations& relations,
-    const std::vector<bgp::Route>& routes, VerifyOptions options, unsigned threads) {
-  obs::Span verify_span("verify.routes");
-  threads = util::resolve_threads(threads);
-  const PrefixRuns runs = group_by_prefix(routes, threads);
-  const std::size_t workers = worker_count(threads, runs);
-  if (workers > 1) {
-    // Make all as-set flattening queries pure reads before sharing the index.
-    index.prewarm();
-    // Tier-1 computation caches lazily inside AsRelations; force it now.
-    relations.tier1();
-  }
-  // Verifier-level caches (customer cones, only-provider bits) are
-  // per-thread; they deduplicate quickly across a shard.
-  std::vector<Verifier> verifiers;
-  verifiers.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) verifiers.emplace_back(index, relations, options);
-  return verify_runs(routes, runs, workers,
-                     [&](std::size_t t) -> const Verifier& { return verifiers[t]; });
-}
-
 }  // namespace
 
 std::vector<std::vector<HopCheck>> verify_routes_parallel(
@@ -255,23 +231,7 @@ std::vector<std::vector<HopCheck>> verify_routes_parallel(
   const PrefixRuns runs = group_by_prefix(routes, threads);
   // One immutable Verifier for everyone; no per-thread state exists.
   const Verifier verifier(std::move(snapshot), options);
-  return verify_runs(routes, runs, worker_count(threads, runs),
-                     [&](std::size_t) -> const Verifier& { return verifier; });
-}
-
-std::vector<std::vector<HopCheck>> verify_routes_parallel(
-    const irr::Index& index, const relations::AsRelations& relations,
-    const std::vector<bgp::Route>& routes, VerifyOptions options, unsigned threads) {
-  if (options.use_snapshot) {
-    // Build a snapshot over non-owning aliases: the caller guarantees index
-    // and relations outlive this call, and the snapshot dies with it.
-    auto snapshot = compile::CompiledPolicySnapshot::build(
-        std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &index),
-        std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(),
-                                                      &relations));
-    return verify_routes_parallel(std::move(snapshot), routes, options, threads);
-  }
-  return verify_interpreted(index, relations, routes, options, threads);
+  return verify_runs(routes, runs, worker_count(threads, runs), verifier);
 }
 
 }  // namespace rpslyzer::verify

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "rpslyzer/rpsl/expr_parser.hpp"
+#include "symbolic.hpp"
 
 namespace rpslyzer::aspath {
 namespace {

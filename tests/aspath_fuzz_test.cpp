@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "rpslyzer/aspath/engine.hpp"
+#include "symbolic.hpp"
 
 namespace rpslyzer::aspath {
 namespace {

@@ -357,10 +357,8 @@ TEST_F(FaultInjection, FailedReloadDegradesThenBackoffRetryRecovers) {
   ASSERT_TRUE(server.start(&error)) << error;
   EXPECT_EQ(server.health().state, server::Health::kHealthy);
 
-  OwnedCorpus v1(kCorpusV1);
-  OwnedCorpus v2(kCorpusV2);
-  const std::string want_v1 = query::QueryEngine(v1.index).evaluate("!gAS64500");
-  const std::string want_v2 = query::QueryEngine(v2.index).evaluate("!gAS64500");
+  const std::string want_v1 = query::QueryEngine(*make_corpus(kCorpusV1)).evaluate("!gAS64500");
+  const std::string want_v2 = query::QueryEngine(*make_corpus(kCorpusV2)).evaluate("!gAS64500");
   ASSERT_NE(want_v1, want_v2);
 
   auto client = server::Client::connect("127.0.0.1", server.port());
@@ -443,8 +441,7 @@ TEST_F(FaultInjection, StalledWorkerTimesOutWithoutStallingNeighbours) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  OwnedCorpus reference(kCorpusV1);
-  const std::string want = query::QueryEngine(reference.index).evaluate("!gAS64500");
+  const std::string want = query::QueryEngine(*make_corpus(kCorpusV1)).evaluate("!gAS64500");
 
   auto slow = server::Client::connect("127.0.0.1", server.port());
   auto fast = server::Client::connect("127.0.0.1", server.port());
@@ -572,8 +569,7 @@ TEST_F(FaultInjection, CacheFaultsAreCorrectnessNeutral) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  OwnedCorpus reference(kCorpusV1);
-  const std::string want = query::QueryEngine(reference.index).evaluate("!gAS64500");
+  const std::string want = query::QueryEngine(*make_corpus(kCorpusV1)).evaluate("!gAS64500");
   auto client = server::Client::connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.has_value());
   for (int i = 0; i < 4; ++i) {

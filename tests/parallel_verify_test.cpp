@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <span>
 
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/rpslyzer.hpp"
@@ -58,8 +59,7 @@ TEST(ParallelVerify, MatchesSerialExactly) {
   ASSERT_GT(p.routes.size(), 1000u);
 
   Verifier serial(p.lyzer.index(), p.lyzer.relations());
-  auto parallel =
-      verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), p.routes, {}, 4);
+  auto parallel = verify_routes_parallel(p.lyzer.snapshot(), p.routes, {}, 4);
   ASSERT_EQ(parallel.size(), p.routes.size());
   for (std::size_t i = 0; i < p.routes.size(); ++i) {
     auto expected = serial.verify_route(p.routes[i]);
@@ -78,11 +78,10 @@ TEST(ParallelVerify, MatchesSerialExactly) {
 TEST(ParallelVerify, SingleThreadAndEmptyInput) {
   auto& p = pipeline();
   std::vector<bgp::Route> empty;
-  EXPECT_TRUE(verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), empty).empty());
+  EXPECT_TRUE(verify_routes_parallel(p.lyzer.snapshot(), empty).empty());
 
   std::vector<bgp::Route> few(p.routes.begin(), p.routes.begin() + 3);
-  auto one_thread =
-      verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), few, {}, 1);
+  auto one_thread = verify_routes_parallel(p.lyzer.snapshot(), few, {}, 1);
   EXPECT_EQ(one_thread.size(), 3u);
 }
 
@@ -94,8 +93,7 @@ TEST(ParallelVerify, ManyThreadsOnTinyInputVerifiesEveryRouteOnce) {
   Verifier serial(p.lyzer.index(), p.lyzer.relations());
 
   std::vector<bgp::Route> tiny(p.routes.begin(), p.routes.begin() + 3);
-  auto tiny_results =
-      verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), tiny, {}, 64);
+  auto tiny_results = verify_routes_parallel(p.lyzer.snapshot(), tiny, {}, 64);
   ASSERT_EQ(tiny_results.size(), 3u);
   for (std::size_t i = 0; i < tiny.size(); ++i) {
     auto expected = serial.verify_route(tiny[i]);
@@ -109,8 +107,7 @@ TEST(ParallelVerify, ManyThreadsOnTinyInputVerifiesEveryRouteOnce) {
   // 64 threads over ~200 routes: each worker gets only a few runs.
   ASSERT_GE(p.routes.size(), 200u);
   std::vector<bgp::Route> small(p.routes.begin(), p.routes.begin() + 200);
-  auto small_results =
-      verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), small, {}, 64);
+  auto small_results = verify_routes_parallel(p.lyzer.snapshot(), small, {}, 64);
   ASSERT_EQ(small_results.size(), small.size());
   for (std::size_t i = 0; i < small.size(); ++i) {
     auto expected = serial.verify_route(small[i]);
@@ -150,8 +147,7 @@ TEST(ParallelVerify, OptionsPropagate) {
   VerifyOptions strict;
   strict.relaxations = false;
   strict.safelists = false;
-  auto strict_results =
-      verify_routes_parallel(p.lyzer.index(), p.lyzer.relations(), sample, strict, 3);
+  auto strict_results = verify_routes_parallel(p.lyzer.snapshot(), sample, strict, 3);
   for (const auto& hops : strict_results) {
     for (const auto& hop : hops) {
       EXPECT_NE(hop.import_result.status, Status::kRelaxed);
@@ -162,30 +158,25 @@ TEST(ParallelVerify, OptionsPropagate) {
   }
 }
 
-/// Every result of verify_routes_parallel, on both backends and at several
-/// thread counts, equals Verifier::verify_route on the same route.
+/// Every result of verify_routes_parallel at several thread counts equals
+/// the serial reference Verifier's verify_route on the same route.
 void expect_every_thread_count_matches(const Rpslyzer& lyzer,
                                        const std::vector<bgp::Route>& routes) {
   const Verifier serial(lyzer.index(), lyzer.relations());
-  for (const bool use_snapshot : {true, false}) {
-    VerifyOptions options;
-    options.use_snapshot = use_snapshot;
-    for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
-      SCOPED_TRACE(testing::Message() << "snapshot " << use_snapshot << " threads " << threads);
-      const auto results =
-          verify_routes_parallel(lyzer.index(), lyzer.relations(), routes, options, threads);
-      ASSERT_EQ(results.size(), routes.size());
-      for (std::size_t i = 0; i < routes.size(); ++i) {
-        const auto expected = serial.verify_route(routes[i]);
-        ASSERT_EQ(results[i].size(), expected.size()) << "route " << i;
-        for (std::size_t h = 0; h < expected.size(); ++h) {
-          EXPECT_EQ(results[i][h].from, expected[h].from) << "route " << i << " hop " << h;
-          EXPECT_EQ(results[i][h].to, expected[h].to) << "route " << i << " hop " << h;
-          EXPECT_TRUE(same_check(results[i][h].export_result, expected[h].export_result))
-              << "route " << i << " hop " << h;
-          EXPECT_TRUE(same_check(results[i][h].import_result, expected[h].import_result))
-              << "route " << i << " hop " << h;
-        }
+  for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    const auto results = verify_routes_parallel(lyzer.snapshot(), routes, {}, threads);
+    ASSERT_EQ(results.size(), routes.size());
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const auto expected = serial.verify_route(routes[i]);
+      ASSERT_EQ(results[i].size(), expected.size()) << "route " << i;
+      for (std::size_t h = 0; h < expected.size(); ++h) {
+        EXPECT_EQ(results[i][h].from, expected[h].from) << "route " << i << " hop " << h;
+        EXPECT_EQ(results[i][h].to, expected[h].to) << "route " << i << " hop " << h;
+        EXPECT_TRUE(same_check(results[i][h].export_result, expected[h].export_result))
+            << "route " << i << " hop " << h;
+        EXPECT_TRUE(same_check(results[i][h].import_result, expected[h].import_result))
+            << "route " << i << " hop " << h;
       }
     }
   }
@@ -313,11 +304,9 @@ CheckPathCounts checks_total() {
 
 /// The per-path counts one verify_routes_parallel call adds.
 CheckPathCounts checks_of(const Rpslyzer& lyzer, const std::vector<bgp::Route>& routes,
-                          bool use_snapshot, unsigned threads) {
-  VerifyOptions options;
-  options.use_snapshot = use_snapshot;
+                          unsigned threads) {
   const CheckPathCounts before = checks_total();
-  verify_routes_parallel(lyzer.index(), lyzer.relations(), routes, options, threads);
+  verify_routes_parallel(lyzer.snapshot(), routes, {}, threads);
   CheckPathCounts added = checks_total();
   for (std::size_t p = 0; p < kCheckPathCount; ++p) added[p] -= before[p];
   return added;
@@ -326,7 +315,8 @@ CheckPathCounts checks_of(const Rpslyzer& lyzer, const std::vector<bgp::Route>& 
 TEST(ParallelVerify, CheckPathCountsCoverEveryDistinctHop) {
   // Each distinct (prefix, path suffix) hop is checked once for the export
   // and once for the import, so the per-path counts sum to twice the
-  // distinct hops at every thread count and on both backends.
+  // distinct hops at every thread count, and the reference backend checking
+  // each distinct hop once counts the same early exits.
   auto& p = pipeline();
   std::set<std::pair<net::Prefix, std::vector<bgp::Asn>>> hops;
   for (const auto& route : p.routes) {
@@ -343,17 +333,25 @@ TEST(ParallelVerify, CheckPathCountsCoverEveryDistinctHop) {
     return counts[static_cast<std::size_t>(path)];
   };
 
-  const CheckPathCounts snapshot = checks_of(p.lyzer, p.routes, true, 1);
+  const CheckPathCounts snapshot = checks_of(p.lyzer, p.routes, 1);
   EXPECT_EQ(sum(snapshot), 2 * hops.size());
   EXPECT_GT(at(snapshot, CheckPath::kRejectAll), 0u);
   EXPECT_GT(at(snapshot, CheckPath::kRuleLoop), 0u);
   for (const unsigned threads : {2u, 4u, 64u}) {
-    EXPECT_EQ(checks_of(p.lyzer, p.routes, true, threads), snapshot) << threads;
+    EXPECT_EQ(checks_of(p.lyzer, p.routes, threads), snapshot) << threads;
   }
 
-  // The interpreted backend has no reject-all path: those checks run the
-  // rule loop, and the two early exits count alike.
-  const CheckPathCounts interpreted = checks_of(p.lyzer, p.routes, false, 4);
+  // The reference backend has no reject-all path: those checks run the
+  // rule loop, and the two early exits count alike. A hop's suffix starts
+  // at the importer; the exporter announced the rest of it.
+  const Verifier reference(p.lyzer.index(), p.lyzer.relations());
+  CheckPathCounts interpreted{};
+  for (const auto& [prefix, suffix] : hops) {
+    const bgp::Route route{prefix, suffix};
+    const std::span<const bgp::Asn> announced(suffix.data() + 1, suffix.size() - 1);
+    reference.check_export(suffix[1], suffix[0], route, announced, &interpreted);
+    reference.check_import(suffix[0], suffix[1], route, announced, &interpreted);
+  }
   EXPECT_EQ(sum(interpreted), 2 * hops.size());
   EXPECT_EQ(at(interpreted, CheckPath::kMissingAutNum), at(snapshot, CheckPath::kMissingAutNum));
   EXPECT_EQ(at(interpreted, CheckPath::kZeroRules), at(snapshot, CheckPath::kZeroRules));

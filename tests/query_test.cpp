@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "rpslyzer/irr/loader.hpp"
 
 namespace rpslyzer::query {
@@ -11,6 +13,8 @@ struct Fixture {
   util::Diagnostics diag;
   ir::Ir ir;
   irr::Index index;
+  relations::AsRelations relations;
+  std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot;
   QueryEngine engine;
 
   Fixture()
@@ -28,7 +32,12 @@ struct Fixture {
             "route: 198.51.100.0/24\norigin: AS64502\n",
             "TEST", diag)),
         index(ir),
-        engine(index) {}
+        // The fixture is never destroyed, so the snapshot may alias it.
+        snapshot(compile::CompiledPolicySnapshot::build(
+            std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &index),
+            std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(),
+                                                          &relations))),
+        engine(*snapshot) {}
 };
 
 Fixture& fx() {

@@ -169,8 +169,8 @@ TEST(Server, PipelinedQueriesFromConcurrentConnectionsMatchEngine) {
   ASSERT_NE(server.port(), 0);
 
   // The in-process ground truth the daemon must reproduce byte for byte.
-  OwnedCorpus reference(kCorpusV1);
-  query::QueryEngine engine(reference.index);
+  const auto reference = make_corpus(kCorpusV1);
+  query::QueryEngine engine(*reference);
   const std::vector<std::string> queries = {
       "!gAS64500", "!6AS64500",  "!iAS-CONE", "!iAS-CONE,1", "!iRS-NOPE",
       "!aAS-CONE", "!a4AS-CONE", "!a6AS-CONE", "!aAS64502",  "!oAS64500",
@@ -239,10 +239,8 @@ TEST(Server, ReloadSwapsCorpusAndInvalidatesCache) {
   auto client = Client::connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.has_value());
 
-  OwnedCorpus v1(kCorpusV1);
-  OwnedCorpus v2(kCorpusV2);
-  const std::string want_v1 = query::QueryEngine(v1.index).evaluate("!gAS64500");
-  const std::string want_v2 = query::QueryEngine(v2.index).evaluate("!gAS64500");
+  const std::string want_v1 = query::QueryEngine(*make_corpus(kCorpusV1)).evaluate("!gAS64500");
+  const std::string want_v2 = query::QueryEngine(*make_corpus(kCorpusV2)).evaluate("!gAS64500");
   ASSERT_NE(want_v1, want_v2);
 
   ASSERT_TRUE(client->send_line("!gAS64500"));
@@ -411,8 +409,7 @@ TEST(Server, TraceIdPrefixDrivesTheFlightRecorder) {
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
-  OwnedCorpus reference(kCorpusV1);
-  const std::string want = query::QueryEngine(reference.index).evaluate("!gAS64500");
+  const std::string want = query::QueryEngine(*make_corpus(kCorpusV1)).evaluate("!gAS64500");
 
   auto client = Client::connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.has_value());

@@ -928,7 +928,7 @@ TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
     for (const HopCheck& hop : hops) out += to_report_lines(hop);
     return out;
   };
-  for (bool use_snapshot : {true, false}) {
+  for (bool on_snapshot : {true, false}) {
     std::vector<HopCheck> hops;
     std::string before;
     {
@@ -939,7 +939,7 @@ TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
           "", diag);
       std::shared_ptr<const compile::CompiledPolicySnapshot> snapshot;
       std::unique_ptr<Verifier> v;
-      if (use_snapshot) {
+      if (on_snapshot) {
         snapshot = compile::CompiledPolicySnapshot::build(
             std::shared_ptr<const irr::Index>(std::shared_ptr<void>(), &w->index),
             std::shared_ptr<const relations::AsRelations>(std::shared_ptr<void>(),
@@ -958,7 +958,7 @@ TEST(Verifier, ItemNamesOutliveTheirSourcesAndInternOnce) {
       w.reset();  // the Index and the IR
     }
     EXPECT_NE(before.find("UnrecordedAsSet(\"AS-GONE\")"), std::string::npos) << before;
-    EXPECT_EQ(render(hops), before) << (use_snapshot ? "snapshot" : "interpreted");
+    EXPECT_EQ(render(hops), before) << (on_snapshot ? "snapshot" : "interpreted");
   }
 }
 

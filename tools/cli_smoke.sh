@@ -25,7 +25,12 @@ test -s "$DIR/ir.json"
   | grep "loaded" >/dev/null
 grep -q '"irr.shard"' "$DIR/trace.json"
 grep -q '"irr.parse"' "$DIR/trace.json"
-"$CLI" verify "$DIR" | grep "checks from" >/dev/null
+"$CLI" verify "$DIR" > "$DIR/verify.txt"
+grep "checks from" "$DIR/verify.txt" >/dev/null
+# The verdict report does not depend on the worker count (0 = all cores).
+for threads in 1 3 0; do
+  "$CLI" verify "$DIR" --threads "$threads" | cmp - "$DIR/verify.txt"
+done
 # Verify one concrete route: pick a line whose AS path has >= 2 hops
 # (single-AS routes are the collector peer's own prefixes).
 LINE="$(awk -F'|' 'split($2, a, " ") >= 2 {print; exit}' "$DIR/collector-0.dump")"
@@ -187,11 +192,13 @@ if "$CLI" query "$DIR/nope" '!gAS1' >/dev/null 2>&1; then exit 1; fi
 # 2 (usage) naming the bad value, never a daemon asking for UINT_MAX
 # workers or a port wrapped mod 65536. The corpus dir does not exist, so a
 # parser that let the value through would fail later, at the load, with 1.
+# A refused flag that takes no value (the last argument) is named as unknown.
 expect_usage() {  # <args...>
   local rc=0
   "$CLI" "$@" > "$DIR/bad.out" 2> "$DIR/bad.err" || rc=$?
   test "$rc" = 2
-  grep -q "expect" "$DIR/bad.err"
+  grep -q "^usage: rpslyzer" "$DIR/bad.err"
+  grep -q -e "expect" -e "unknown flag ${*: -1}\$" "$DIR/bad.err"
   if grep -q "listening" "$DIR/bad.out"; then exit 1; fi
 }
 expect_usage serve "$DIR/nope" --threads -1
@@ -203,6 +210,9 @@ expect_usage serve --origin 127.0.0.1:abc --repl-dir "$DIR/nope-edge" --origin-t
 expect_usage load "$DIR/nope" --threads -1
 expect_usage compile "$DIR/nope" --out "$DIR/nope.rps" --threads -1
 expect_usage verify "$DIR/nope" --threads 4294967297
+# verify has one backend and no flag to pick another: --interpreted is an
+# unknown flag, refused before the (existing) corpus loads.
+expect_usage verify "$DIR" --interpreted
 expect_usage journal apply "$DIR/nope" --journal "$DIR/nope-j" --threads -1
 expect_usage generate "$DIR/nope-gen" 0.1 -7
 test ! -e "$DIR/nope-edge"

@@ -61,10 +61,8 @@ int usage() {
                "  lint <dir>                      lint the corpus\n"
                "  export <dir> <out.json>         export the IR as JSON\n"
                "  report <dir> <prefix> <asn...>  verify one route (Appendix-C style)\n"
-               "  verify <dir> [--threads N] [--interpreted]\n"
-               "                                  verify collector-*.dump files\n"
-               "                                  (--threads 0 = all cores; --interpreted\n"
-               "                                   skips the compiled policy snapshot)\n"
+               "  verify <dir> [--threads N]      verify collector-*.dump files\n"
+               "                                  (--threads 0 = all cores)\n"
                "  query <dir> <!query...>         evaluate IRRd queries, print framed\n"
                "  compile <dir> --out <snap> [--threads N]\n"
                "                                  parse + compile, write a relocatable\n"
@@ -288,8 +286,7 @@ int cmd_load(int argc, char** argv) {
   obs::Tracer::global().set_enabled(true);
   {
     Rpslyzer lyzer = load(dir, options);
-    irr::Index index(lyzer.ir());
-    index.prewarm();
+    lyzer.index().prewarm();
     std::printf("loaded %zu objects (%zu aut-nums, %zu routes) from %s\n",
                 lyzer.ir().object_count(), lyzer.ir().aut_nums.size(),
                 lyzer.ir().routes.size(), dir.c_str());
@@ -367,13 +364,10 @@ int cmd_verify(int argc, char** argv) {
   if (argc < 1) return usage();
   std::filesystem::path dir;
   unsigned threads = 1;
-  verify::VerifyOptions verify_options;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--threads") {
       if (!flag_number(argc, argv, i, 0, kMaxThreads, &threads)) return usage();
-    } else if (arg == "--interpreted") {
-      verify_options.use_snapshot = false;
     } else if (!arg.empty() && arg.front() != '-' && dir.empty()) {
       dir = arg;
     } else {
@@ -403,8 +397,7 @@ int cmd_verify(int argc, char** argv) {
     return 1;
   }
   const std::vector<std::vector<verify::HopCheck>> checks =
-      verify::verify_routes_parallel(lyzer.index(), lyzer.relations(), routes,
-                                     verify_options, threads);
+      verify::verify_routes_parallel(lyzer.snapshot(), routes, {}, threads);
   for (std::size_t i = 0; i < routes.size(); ++i) {
     agg.add(routes[i], checks[i]);
   }
@@ -424,7 +417,7 @@ int cmd_query(int argc, char** argv) {
   if (argc < 2) return usage();
   if (!corpus_dir_ok(argv[0])) return 1;
   Rpslyzer lyzer = load(argv[0]);
-  query::QueryEngine engine(lyzer.index());
+  query::QueryEngine engine(*lyzer.snapshot());
   for (int i = 1; i < argc; ++i) {
     const std::string response = engine.evaluate(argv[i]);
     std::fwrite(response.data(), 1, response.size(), stdout);

@@ -2,12 +2,13 @@
 // of data, and exports the IR, all in under five minutes on an Apple M1."
 // This bench measures parse and IR-export throughput on the synthetic dumps
 // and extrapolates to the paper's corpus size. A custom main() additionally
-// hand-times the sharded parallel parse at threads ∈ {1, 2, 4, 8} and emits
-// BENCH_parsing.json (mirroring perf_metrics_overhead's BENCH_metrics.json):
-// bytes/s and objects/s per thread count, speedup vs one worker,
-// and a ≥2× speedup gate at 4 threads that only applies when the host
-// actually has ≥4 hardware threads (single-core CI boxes report the numbers
-// but cannot honestly gate on parallel speedup).
+// hand-times the production load (irr::load_irrs over the 13 dumps in
+// memory: guard, shard queue, priority merge) at threads ∈ {1, 2, 4, 8} and
+// emits BENCH_parsing.json (mirroring perf_metrics_overhead's
+// BENCH_metrics.json): bytes/s and objects/s per thread count, speedup vs
+// one worker, and a ≥2× speedup gate at 4 threads that only applies when
+// the host actually has ≥4 hardware threads (single-core CI boxes report
+// the numbers but cannot honestly gate on parallel speedup).
 
 #include <benchmark/benchmark.h>
 
@@ -65,24 +66,38 @@ void BM_ParseAllIrrs(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseAllIrrs)->Unit(benchmark::kMillisecond);
 
-// Sharded parallel parse of all 13 dumps at a given thread count. The
-// result is byte-identical to BM_ParseAllIrrs (tests/parallel_loader_test
-// proves it); only wall-clock should move.
+/// The 13 dumps in priority order, as load_irrs' in-memory overload takes
+/// them.
+const std::vector<std::pair<std::string, std::string>>& priority_dumps() {
+  static const auto dumps = [] {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& name : synth::irr_names()) {
+      out.emplace_back(name, generator().irr_dumps().at(name));
+    }
+    return out;
+  }();
+  return dumps;
+}
+
+/// One production load of all 13 dumps on `threads` workers; returns the
+/// number of RPSL objects lexed.
+std::size_t load_all(unsigned threads) {
+  irr::LoadOptions options;
+  options.threads = threads;
+  const irr::LoadResult loaded = irr::load_irrs(priority_dumps(), options);
+  std::size_t objects = 0;
+  for (const irr::IrrCounts& counts : loaded.counts) objects += counts.objects;
+  benchmark::DoNotOptimize(loaded.ir.object_count());
+  return objects;
+}
+
+// The production load of all 13 dumps at a given thread count. The result
+// is byte-identical at every count (tests/parallel_loader_test proves it);
+// only wall-clock should move.
 void BM_ParseAllIrrsParallel(benchmark::State& state) {
-  const auto& dumps = generator().irr_dumps();
   const unsigned threads = static_cast<unsigned>(state.range(0));
   std::size_t objects = 0;
-  for (auto _ : state) {
-    util::Diagnostics diag;
-    ir::Ir merged;
-    objects = 0;
-    for (const auto& name : synth::irr_names()) {
-      ir::Ir parsed = irr::parse_dump(dumps.at(name), name, diag, nullptr, threads);
-      objects += parsed.object_count();
-      irr::merge_into(merged, std::move(parsed));
-    }
-    benchmark::DoNotOptimize(merged.object_count());
-  }
+  for (auto _ : state) objects = load_all(threads);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * total_bytes()));
   state.counters["objects_per_second"] = benchmark::Counter(
       static_cast<double>(state.iterations() * objects), benchmark::Counter::kIsRate);
@@ -141,7 +156,7 @@ BENCHMARK(BM_IndexBuild)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Hand-timed threads sweep → BENCH_parsing.json. Min-over-reps wall time of
-// the full 13-dump sharded parse, like perf_metrics_overhead: the JSON is a
+// the production 13-dump load, like perf_metrics_overhead: the JSON is a
 // machine gate, not a human report.
 
 struct SweepPoint {
@@ -153,22 +168,13 @@ struct SweepPoint {
 };
 
 SweepPoint time_parse(unsigned threads, int repetitions) {
-  const auto& dumps = generator().irr_dumps();
   SweepPoint point;
   point.threads = threads;
   point.seconds = 1e9;
   std::size_t objects = 0;
   for (int rep = 0; rep < repetitions; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    util::Diagnostics diag;
-    ir::Ir merged;
-    objects = 0;
-    for (const auto& name : synth::irr_names()) {
-      ir::Ir parsed = irr::parse_dump(dumps.at(name), name, diag, nullptr, threads);
-      objects += parsed.object_count();
-      irr::merge_into(merged, std::move(parsed));
-    }
-    benchmark::DoNotOptimize(merged.object_count());
+    objects = load_all(threads);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     if (elapsed.count() < point.seconds) point.seconds = elapsed.count();

@@ -69,10 +69,12 @@ struct LoadOptions {
   /// 0 disables the guard.
   std::size_t max_object_bytes = 8u << 20;
 
-  /// Worker threads of the ingestion pipeline: with more than one, sources
-  /// are read concurrently and each dump is lexed/parsed as
-  /// blank-line-separated shards across the pool. The count only sizes the
-  /// pool; the pipeline, and its result, are the same at every count.
+  /// Workers draining the load's one queue: they read sources, cut each
+  /// dump into blank-line-separated shards, lex/parse the shards of every
+  /// source, and merge finished sources in priority order. The count only
+  /// sizes the pool; the queue, and its result, are the same at every
+  /// count. A worker reads a source only when nothing already read needs
+  /// it, so one worker holds at most one dump's text at a time.
   /// 0 = hardware_concurrency.
   unsigned threads = 0;
 
@@ -97,16 +99,16 @@ struct LoadResult {
 /// load_irrs maintains incrementally and merge_into can share.
 using RouteKeySet = std::set<std::pair<net::Prefix, ir::Asn>>;
 
-/// Parse one dump by cutting it into blank-line-separated shards and
-/// lexing/parsing them on `threads` workers (0 = hardware_concurrency; one
-/// worker takes the dump as a single shard). Shard fragments are merged in
-/// shard order — maps first-wins, routes concatenated undeduplicated — so
-/// the returned Ir, `diagnostics` (including line numbers; all lexer
-/// diagnostics before any parser diagnostic), and `counts` do not depend
-/// on the thread count or shard size. `counts` may be null. The
-/// "irr.parse" failpoint is evaluated exactly once, on the calling thread,
-/// before sharding; a shard worker exception is rethrown after the
-/// completed shard prefix's diagnostics are merged.
+/// Parse one dump: the one-source case of load_irrs' queue, without the
+/// object-size guard. The dump is cut into blank-line-separated shards
+/// that are lexed/parsed on `threads` workers (0 = hardware_concurrency),
+/// and the fragments are merged in shard order — maps first-wins, routes
+/// concatenated undeduplicated — so the returned Ir, `diagnostics`
+/// (including line numbers; all lexer diagnostics before any parser
+/// diagnostic), and `counts` do not depend on the thread count or shard
+/// size. `counts` may be null. The "irr.parse" failpoint is evaluated
+/// exactly once, before the cut; a shard exception is rethrown after the
+/// diagnostics of the shards up to it are delivered.
 ir::Ir parse_dump(std::string_view text, std::string_view source,
                   util::Diagnostics& diagnostics, IrrCounts* counts = nullptr,
                   unsigned threads = 1, std::size_t shard_target_bytes = 1u << 20);
@@ -122,18 +124,23 @@ void merge_into(ir::Ir& dst, ir::Ir&& src, RouteKeySet* seen = nullptr);
 /// exceptions are quarantined (error, nothing merged). Either way the
 /// remaining sources still load.
 ///
-/// Every thread count runs one pipeline. Each source is read and checked
-/// against the integrity guards, then parsed (parse_dump, on the pool) and
-/// merged on the coordinating thread in priority order, so outcomes,
-/// diagnostics, counts, and the merged corpus do not depend on
-/// options.threads. With one worker each source is read just before it is
-/// parsed, so at most one dump's text is resident; with more, sources are
-/// read ahead on the pool. A fault in one shard quarantines only that
-/// source. The "irr.parse" and "irr.merge" failpoints fire once per source,
-/// in priority order, on the coordinating thread; "irr.open"/"irr.read"
-/// fire per source on pool workers when reading ahead, so their N* budgets
-/// land on a nondeterministic *subset* of sources there (unbounded actions
-/// behave identically at every thread count).
+/// Every thread count runs one queue over all sources. A worker reads a
+/// source with one sized read and checks it against the integrity guards;
+/// once every earlier source has been read, the source takes its
+/// "irr.parse" turn and the worker cuts it into shards. Shards of every
+/// source are parsed by whichever worker is free, earliest source first,
+/// and a source is merged as soon as its last shard is done and every
+/// earlier source is merged, while later shards still parse. Outcomes,
+/// diagnostics (by source; lexer before parser), counts, and the merged
+/// corpus therefore do not depend on options.threads. A worker reads only
+/// when nothing already read needs it: one worker holds at most one dump's
+/// text, and releases it before reading the next. A fault in one shard
+/// quarantines only that source. The "irr.parse" and "irr.merge"
+/// failpoints fire once per source, in priority order, on whichever worker
+/// holds that turn; "irr.open"/"irr.read" fire per source on the worker
+/// that reads it, so with several workers their N* budgets land on a
+/// nondeterministic *subset* of sources (unbounded actions behave
+/// identically at every thread count).
 LoadResult load_irrs(const std::vector<IrrSource>& sources,
                      const LoadOptions& options = {});
 

@@ -4,13 +4,13 @@
 // A Span is an RAII stopwatch around one pipeline stage:
 //
 //   {
-//     obs::Span span("irr.parse", source_name);
-//     parse_dump(...);
+//     obs::Span span("irr.cut", source_name);
+//     shards = rpsl::shard_objects(...);
 //   }  // span records wall + thread-CPU time on destruction
 //
 // Spans nest naturally — each thread keeps a thread-local depth counter, so
-// "irr.load" encloses per-source "irr.open"/"irr.read"/"irr.parse"/
-// "irr.merge" children and the exported trace shows the containment.
+// a source's "irr.source" encloses its "irr.open"/"irr.read" children and
+// the exported trace shows the containment.
 //
 // Tracing is off by default. When disabled, constructing a Span is one
 // relaxed atomic load and a branch (same discipline as metrics_on()), cheap
@@ -95,7 +95,7 @@ bool parse_trace_hex(std::string_view text, std::uint64_t* out) noexcept;
 /// One completed span. Timestamps are microseconds since the tracer epoch
 /// (the moment tracing was last enabled), wall clock is steady.
 struct SpanRecord {
-  std::string name;   ///< stage name, e.g. "irr.parse" (bounded set)
+  std::string name;   ///< stage name, e.g. "irr.cut" (bounded set)
   std::string arg;    ///< free detail, e.g. the source name ("" = none)
   std::uint64_t start_us = 0;
   std::uint64_t wall_us = 0;

@@ -113,7 +113,10 @@ struct Shard {
 /// target simply yields an oversized shard; the final line needs no
 /// trailing newline. Concatenating the shard texts reproduces `text`
 /// byte-for-byte, and lexing each shard with its line_offset yields the
-/// same object sequence and diagnostics as lexing `text` whole.
+/// same object sequence and diagnostics as lexing `text` whole. Each cut
+/// jumps `target_bytes` ahead and scans only to the next blank line, and
+/// line offsets come from a vectorized newline count, so cutting costs
+/// far less than a line-by-line pass over the dump.
 std::vector<Shard> shard_objects(std::string_view text, std::size_t target_bytes);
 
 }  // namespace rpslyzer::rpsl

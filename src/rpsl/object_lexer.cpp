@@ -1,5 +1,6 @@
 #include "rpslyzer/rpsl/object_lexer.hpp"
 
+#include <cstdint>
 #include <cstring>
 
 #include "rpslyzer/util/strings.hpp"
@@ -60,6 +61,23 @@ std::string_view join_continuation(std::string_view value, std::string_view cont
   buf[value.size()] = ' ';
   std::memcpy(buf + value.size() + 1, cont.data(), cont.size());
   return {buf, value.size() + 1 + cont.size()};
+}
+
+/// Number of '\n' bytes in `text`. The fixed-size inner loop with a byte
+/// counter (a block never holds more than 255 newlines) is the shape the
+/// compiler vectorizes, which makes this several times faster than
+/// std::count or a memchr loop.
+std::size_t count_newlines(std::string_view text) noexcept {
+  constexpr std::size_t kBlock = 240;
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= text.size(); i += kBlock) {
+    std::uint8_t block = 0;
+    for (std::size_t j = 0; j < kBlock; ++j) block += text[i + j] == '\n' ? 1 : 0;
+    count += block;
+  }
+  for (; i < text.size(); ++i) count += text[i] == '\n' ? 1 : 0;
+  return count;
 }
 
 }  // namespace
@@ -233,25 +251,38 @@ std::vector<Shard> shard_objects(std::string_view text, std::size_t target_bytes
   if (text.empty()) return shards;
   if (target_bytes == 0) target_bytes = 1;
 
+  // A cut goes after the first blank line that ends at or past
+  // shard_start + target_bytes and is not the last line. Every line ending
+  // earlier is too short a shard, so the scan jumps to the line holding
+  // byte shard_start + target_bytes - 1 (that line's '\n' is the first
+  // eligible end) and walks forward from there to the next blank line.
   std::size_t shard_start = 0;       // byte offset of the current shard
   std::size_t shard_first_line = 0;  // lines before the current shard
-  std::size_t lines_seen = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    const std::size_t line_end = eol == std::string_view::npos ? text.size() : eol;
-    const std::size_t next = eol == std::string_view::npos ? text.size() : eol + 1;
-    ++lines_seen;
-    // The lexer treats a line as an object separator iff it is empty after
-    // trimming; trim's whitespace set includes '\r', so CRLF blank lines
-    // and whitespace-only lines qualify here exactly as they do there.
-    const bool blank = trim(text.substr(pos, line_end - pos)).empty();
-    if (blank && next - shard_start >= target_bytes && next < text.size()) {
-      shards.push_back({text.substr(shard_start, next - shard_start), shard_first_line});
-      shard_start = next;
-      shard_first_line = lines_seen;
+  while (text.size() - shard_start > target_bytes) {
+    const std::size_t last = shard_start + target_bytes - 1;
+    std::size_t line = shard_start;
+    if (last > shard_start) {
+      const std::size_t newline = text.rfind('\n', last - 1);
+      if (newline != std::string_view::npos && newline >= shard_start) line = newline + 1;
     }
-    pos = next;
+    std::size_t cut = std::string_view::npos;
+    while (line < text.size()) {
+      const std::size_t eol = text.find('\n', line);
+      if (eol == std::string_view::npos) break;  // the final line: never a cut
+      // The lexer treats a line as an object separator iff it is empty after
+      // trimming; trim's whitespace set includes '\r', so CRLF blank lines
+      // and whitespace-only lines qualify here exactly as they do there.
+      if (trim(text.substr(line, eol - line)).empty()) {
+        cut = eol + 1;
+        break;
+      }
+      line = eol + 1;
+    }
+    if (cut == std::string_view::npos || cut >= text.size()) break;
+    const std::string_view shard = text.substr(shard_start, cut - shard_start);
+    shards.push_back({shard, shard_first_line});
+    shard_first_line += count_newlines(shard);
+    shard_start = cut;
   }
   shards.push_back({text.substr(shard_start), shard_first_line});
   return shards;

@@ -351,7 +351,9 @@ TEST_F(DeltaTest, ChurnUnderIntermittentFaultsStaysEquivalent) {
       ASSERT_TRUE(fp::set("delta.apply", "1*error"));
       EXPECT_TRUE(incremental.apply(batch).refused);
     }
-    if (b % 7 == 3) ASSERT_TRUE(fp::set("delta.dirty", "1*error"));
+    if (b % 7 == 3) {
+      ASSERT_TRUE(fp::set("delta.dirty", "1*error"));
+    }
     ASSERT_TRUE(incremental.apply(batch).applied);
     ASSERT_TRUE(full.apply(batch).applied);
     expect_equivalent(incremental, full, "batch " + std::to_string(b));

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -504,6 +505,207 @@ TEST_F(ParallelLoader, ParseDumpParallelMatchesParseDump) {
       EXPECT_EQ(serial_counts.bytes, parallel_counts.bytes);
       EXPECT_EQ(serial_counts.routes, parallel_counts.routes);
       ASSERT_EQ(serial_diag.all().size(), parallel_diag.all().size());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The cross-dump shard queue: one queue over all sources, with each dump cut
+// by the jump-ahead cut. The checks below compare it against the serial
+// reference above and against the line-scan cut it replaced.
+
+namespace reference {
+
+/// rpsl::shard_objects as it stood before the jump-ahead cut, kept
+/// verbatim: a line-by-line scan that cuts after the first blank line
+/// ending at least `target_bytes` past the shard start.
+std::vector<rpsl::Shard> shard_objects(std::string_view text, std::size_t target_bytes) {
+  std::vector<rpsl::Shard> shards;
+  if (text.empty()) return shards;
+  if (target_bytes == 0) target_bytes = 1;
+
+  std::size_t shard_start = 0;       // byte offset of the current shard
+  std::size_t shard_first_line = 0;  // lines before the current shard
+  std::size_t lines_seen = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    const std::size_t line_end = eol == std::string_view::npos ? text.size() : eol;
+    const std::size_t next = eol == std::string_view::npos ? text.size() : eol + 1;
+    ++lines_seen;
+    // The lexer treats a line as an object separator iff it is empty after
+    // trimming; trim's whitespace set includes '\r', so CRLF blank lines
+    // and whitespace-only lines qualify here exactly as they do there.
+    const bool blank = util::trim(text.substr(pos, line_end - pos)).empty();
+    if (blank && next - shard_start >= target_bytes && next < text.size()) {
+      shards.push_back({text.substr(shard_start, next - shard_start), shard_first_line});
+      shard_start = next;
+      shard_first_line = lines_seen;
+    }
+    pos = next;
+  }
+  shards.push_back({text.substr(shard_start), shard_first_line});
+  return shards;
+}
+
+}  // namespace reference
+
+/// Rewrite one dump file of the fixture's corpus.
+void write_dump(const std::filesystem::path& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+}
+
+std::string read_dump(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return std::move(buffer).str();
+}
+
+// Dumps of one shard and dumps of dozens, an empty dump, a dump without a
+// trailing newline, and a quarantined source between two good ones: every
+// worker count drains them through the one queue, and the result is the
+// serial reference's, byte for byte.
+TEST_F(ParallelLoader, CrossDumpQueueMatchesSerial) {
+  {
+    // TC keeps its first object only: one shard at every target.
+    const std::string tc = read_dump(dir_ / "tc.db");
+    write_dump(dir_ / "tc.db", tc.substr(0, tc.find("\n\n") + 2));
+  }
+  write_dump(dir_ / "idnic.db", "");
+  {
+    std::string jpirr = read_dump(dir_ / "jpirr.db");
+    while (!jpirr.empty() && util::is_space(jpirr.back())) jpirr.pop_back();
+    write_dump(dir_ / "jpirr.db", jpirr);
+  }
+  // RIPE, between LACNIC and IDNIC, loses its separators and is quarantined.
+  write_dump(dir_ / "ripe.db", std::string(300u << 10, 'z') + ":\n");
+
+  LoadOptions options;
+  options.max_object_bytes = 256u << 10;
+  const LoadResult serial = load_reference(options);
+  ASSERT_EQ(serial.outcome("RIPE")->status, SourceStatus::kQuarantined);
+  ASSERT_EQ(serial.outcome("LACNIC")->status, SourceStatus::kOk);
+  ASSERT_EQ(serial.outcome("IDNIC")->status, SourceStatus::kOk);
+  ASSERT_EQ(serial.count_with(SourceStatus::kOk), 12u);
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    for (std::size_t shard_bytes : {std::size_t{1} << 20, std::size_t{16} << 10,
+                                    std::size_t{4096}, std::size_t{64}, std::size_t{1}}) {
+      options.threads = threads;
+      options.shard_target_bytes = shard_bytes;
+      expect_identical(serial, load_irrs(table1_sources(dir_), options),
+                       "threads=" + std::to_string(threads) +
+                           " shard_bytes=" + std::to_string(shard_bytes));
+    }
+  }
+}
+
+// "irr.parse" and "irr.merge" fire once per source in priority order at
+// every worker count, so an N* budget lands on the same sources as in the
+// serial reference.
+TEST_F(ParallelLoader, CountedParseAndMergeFaultsLandInPriorityOrder) {
+  {
+    // A first dump far larger than the rest is still being read while
+    // later ones finish theirs: a budget spent in read order would land on
+    // the wrong sources.
+    const std::string apnic = read_dump(dir_ / "apnic.db");
+    std::string big;
+    for (int copy = 0; copy < 40; ++copy) big += apnic + "\n";
+    write_dump(dir_ / "apnic.db", big);
+  }
+  for (const char* spec :
+       {"irr.parse=2*error", "irr.parse=3*truncate(2048)", "irr.merge=1*error"}) {
+    SCOPED_TRACE(spec);
+    std::string error;
+    ASSERT_TRUE(fp::configure(spec, &error)) << error;
+    const LoadResult serial = load_reference();
+    fp::clear_all();
+    for (unsigned threads : {1u, 3u, 8u}) {
+      ASSERT_TRUE(fp::configure(spec, &error)) << error;
+      expect_identical(serial, load_with(threads, 4096),
+                       "threads=" + std::to_string(threads));
+      fp::clear_all();
+    }
+  }
+}
+
+TEST_F(ParallelLoader, EmptyAndUnterminatedDumpsParseAsReference) {
+  for (const std::string& text :
+       {std::string(), std::string("\n\n"), std::string("aut-num: AS1"),
+        std::string("aut-num: AS1\nas-name: A\n\nroute: 10.0.0.0/8\norigin: AS1"),
+        std::string("aut-num: AS1\r\n\r\nbogus line\r\n\r\naut-num: AS2\r\n")}) {
+    util::Diagnostics serial_diag;
+    IrrCounts serial_counts;
+    const ir::Ir serial = reference::parse_dump(text, "TEST", serial_diag, &serial_counts);
+    for (unsigned threads : {1u, 3u}) {
+      for (std::size_t shard_bytes : {std::size_t{1}, std::size_t{5}, std::size_t{1} << 20}) {
+        SCOPED_TRACE("text=" + json::dump(json::Value(text)) +
+                     " threads=" + std::to_string(threads) +
+                     " shard_bytes=" + std::to_string(shard_bytes));
+        util::Diagnostics diag;
+        IrrCounts counts;
+        const ir::Ir parsed = parse_dump(text, "TEST", diag, &counts, threads, shard_bytes);
+        EXPECT_TRUE(serial == parsed);
+        EXPECT_EQ(serial_counts.objects, counts.objects);
+        EXPECT_EQ(serial_counts.bytes, counts.bytes);
+        ASSERT_EQ(serial_diag.all().size(), diag.all().size());
+        for (std::size_t i = 0; i < diag.all().size(); ++i) {
+          EXPECT_EQ(serial_diag.all()[i].message, diag.all()[i].message);
+          EXPECT_EQ(serial_diag.all()[i].location, diag.all()[i].location);
+        }
+      }
+    }
+  }
+}
+
+// The jump-ahead cut against the line scan it replaced, on seeded random
+// texts: CRLF and whitespace-only blank lines, runs of blanks, objects
+// larger than the target, and texts with and without a final newline.
+TEST(ShardCut, JumpAheadCutMatchesLineScan) {
+  std::mt19937 rng(20261020u);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  const auto eol = [&](std::string& text) { text += pick(0, 2) == 0 ? "\r\n" : "\n"; };
+  for (int round = 0; round < 3000; ++round) {
+    std::string text;
+    const std::size_t paragraphs = pick(0, 12);
+    for (std::size_t p = 0; p < paragraphs; ++p) {
+      // Mostly short objects, sometimes one far larger than any target.
+      const std::size_t lines = pick(0, 9) == 0 ? pick(20, 60) : pick(1, 4);
+      for (std::size_t l = 0; l < lines; ++l) {
+        switch (pick(0, 5)) {
+          case 0:
+            text += "# comment";
+            break;
+          case 1:
+            text += "  continued value";
+            break;
+          default:
+            text += "attr-" + std::to_string(pick(0, 99)) + ": " +
+                    std::string(pick(0, 40), 'v');
+        }
+        eol(text);
+      }
+      const std::size_t blanks = pick(0, 3) == 0 ? pick(2, 5) : 1;
+      for (std::size_t b = 0; b < blanks; ++b) {
+        text += std::string(pick(0, 3) == 0 ? pick(1, 3) : 0, pick(0, 1) == 0 ? ' ' : '\t');
+        eol(text);
+      }
+    }
+    if (pick(0, 2) == 0 && !text.empty()) text.pop_back();  // no final newline
+    for (std::size_t target :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, pick(3, 64), pick(64, 512),
+          text.size(), text.size() + 1}) {
+      const std::vector<rpsl::Shard> want = reference::shard_objects(text, target);
+      const std::vector<rpsl::Shard> got = rpsl::shard_objects(text, target);
+      ASSERT_EQ(want.size(), got.size()) << "round " << round << " target " << target;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(want[i].text.data(), got[i].text.data()) << "round " << round << " shard " << i;
+        ASSERT_EQ(want[i].text.size(), got[i].text.size()) << "round " << round << " shard " << i;
+        ASSERT_EQ(want[i].line_offset, got[i].line_offset) << "round " << round << " shard " << i;
+      }
     }
   }
 }

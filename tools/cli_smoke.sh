@@ -24,7 +24,7 @@ test -s "$DIR/ir.json"
 "$CLI" load "$DIR" --threads 2 --shard-kb 4 --trace-out "$DIR/trace.json" \
   | grep "loaded" >/dev/null
 grep -q '"irr.shard"' "$DIR/trace.json"
-grep -q '"irr.parse"' "$DIR/trace.json"
+grep -q '"irr.cut"' "$DIR/trace.json"
 "$CLI" verify "$DIR" > "$DIR/verify.txt"
 grep "checks from" "$DIR/verify.txt" >/dev/null
 # The verdict report does not depend on the worker count (0 = all cores).

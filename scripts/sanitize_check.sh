@@ -66,9 +66,11 @@ run_labeled "" "" "fault|persist|repl|delta|parallel"
 # So are the prefix trie's 32-bit child links, its erase-time pruning and
 # re-layout (prefix_test's property tests), and the origin table's pool
 # offsets as the delta pipeline patches and compacts them (delta_test).
+# delta_fuzz_test loads its corpus through the delta store's pooled init
+# and then refuses seeded malformed journals on top of it.
 for suite in verifier_test report_test compile_snapshot_test obs_test bgp_parse_reference_test \
              relations_parse_reference_test aggregate_golden_test persist_test \
-             parallel_verify_test prefix_test delta_test; do
+             parallel_verify_test prefix_test delta_test delta_fuzz_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
 done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"
@@ -134,7 +136,9 @@ if cc -fsanitize=thread "$tsan_probe/probe.c" -o "$tsan_probe/probe" 2>/dev/null
   # next snapshot: whole compiled aut-nums and the origin table, which
   # server workers read while the reclaimer thread frees old generations.
   # The differential suite recompiles under that sharing on every batch, so
-  # a TSan pass here signs off the reuse scheme.
+  # a TSan pass here signs off the reuse scheme. Both suites also load
+  # their corpora through the store's init, whose workers parse dump shards
+  # into tables of their own that the calling thread then merges.
   "$TSAN_BUILD/tests/delta_test"
   "$TSAN_BUILD/tests/delta_fuzz_test"
   # The interner's lock-free read path (acquire cell loads against the

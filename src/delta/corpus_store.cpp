@@ -1,81 +1,35 @@
 #include "rpslyzer/delta/corpus_store.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <malloc.h>
 #include <variant>
 
+#include "rpslyzer/irr/loader.hpp"
 #include "rpslyzer/rpsl/object_lexer.hpp"
+#include "rpslyzer/util/pool.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::delta {
 
 namespace {
 
-/// Canonical paragraph rendering: one "name: value" line per attribute, in
-/// declaration order, comments already stripped and continuations already
-/// joined by the lexer. Re-lexing the rendering reproduces the same
-/// RawObject (up to line numbers), which is what makes the store's dump
-/// rendering parse-equivalent to the original text.
-std::string render_paragraph(const rpsl::RawObject& raw) {
-  std::string out;
-  for (const rpsl::RawAttribute& attr : raw.attributes) {
-    out += attr.name;
-    out += ':';
-    if (!attr.value.empty()) {
-      out += ' ';
-      out += attr.value;
-    }
-    out += '\n';
-  }
-  return out;
+/// A merged key as it reads in an identity.
+std::string key_text(ir::Asn asn) { return "AS" + std::to_string(asn); }
+const std::string& key_text(const std::string& name) { return name; }
+std::string key_text(const std::pair<net::Prefix, ir::Asn>& key) {
+  return key.first.to_string() + ":" + key_text(key.second);
 }
 
-struct Classified {
-  ObjectClass cls = ObjectClass::kOther;
-  std::string identity;
-  ir::Asn asn = 0;
-  std::string name;
-  std::pair<net::Prefix, ir::Asn> route_key{};
-};
-
-Classified classify(const rpsl::ParsedObject& object, const rpsl::RawObject& raw) {
-  Classified c;
-  if (const auto* an = std::get_if<ir::AutNum>(&object)) {
-    c.cls = ObjectClass::kAutNum;
-    c.asn = an->asn;
-    c.identity = "aut-num:AS" + std::to_string(an->asn);
-  } else if (const auto* as = std::get_if<ir::AsSet>(&object)) {
-    c.cls = ObjectClass::kAsSet;
-    c.name = ir::to_string(as->name);
-    c.identity = "as-set:" + c.name;
-  } else if (const auto* rs = std::get_if<ir::RouteSet>(&object)) {
-    c.cls = ObjectClass::kRouteSet;
-    c.name = ir::to_string(rs->name);
-    c.identity = "route-set:" + c.name;
-  } else if (const auto* ps = std::get_if<ir::PeeringSet>(&object)) {
-    c.cls = ObjectClass::kPeeringSet;
-    c.name = ir::to_string(ps->name);
-    c.identity = "peering-set:" + c.name;
-  } else if (const auto* fs = std::get_if<ir::FilterSet>(&object)) {
-    c.cls = ObjectClass::kFilterSet;
-    c.name = ir::to_string(fs->name);
-    c.identity = "filter-set:" + c.name;
-  } else if (const auto* route = std::get_if<ir::RouteObject>(&object)) {
-    c.cls = ObjectClass::kRoute;
-    c.route_key = {route->prefix, route->origin};
-    c.identity =
-        "route:" + route->prefix.to_string() + ":AS" + std::to_string(route->origin);
-  } else {
-    // Unmodeled class, or a modeled class whose key failed to parse — the
-    // loader would skip it too; it survives only in the text store.
-    c.cls = ObjectClass::kOther;
-    c.identity = raw.class_name + ":" + raw.key;
-  }
-  return c;
+bool modeled(const rpsl::ParsedObject& object) {
+  return !std::holds_alternative<std::monostate>(object);
 }
 
-/// Copy every object of `from` whose key `into` does not hold yet.
-template <typename Map>
-void insert_absent(Map& into, const Map& from) {
-  for (const auto& [key, object] : from) into.try_emplace(key, object);
+/// A stored object's parsed value: on the heap when modeled, so that the
+/// table entry of an unmodeled object costs one null pointer over its text.
+std::unique_ptr<rpsl::ParsedObject> boxed(rpsl::ParsedObject object) {
+  return modeled(object) ? std::make_unique<rpsl::ParsedObject>(std::move(object)) : nullptr;
 }
 
 /// The object `key` resolves to in a keyed map, or null.
@@ -87,82 +41,127 @@ const typename Map::mapped_type* find_in(const Map& map, const Key& key) {
 
 }  // namespace
 
-template <typename Map, typename Key>
-void CorpusStore::refresh(Map SourceState::*objects, const Key& key) {
-  // Re-insert rather than assign: a name key then takes the winning
-  // source's spelling, as merging the sources from scratch would.
-  Map& merged = merged_.*objects;
-  merged.erase(key);
-  for (const SourceState& src : sources_) {
-    const Map& from = src.*objects;
-    if (const auto it = from.find(key); it != from.end()) {
-      merged.emplace(it->first, it->second);
-      return;
-    }
-  }
+template <typename Fn>
+void CorpusStore::visit_slot(const rpsl::ParsedObject& object, Fn&& fn) {
+  std::visit(
+      util::overloaded{
+          [](std::monostate) {},
+          [&](const ir::AutNum& an) { fn(&MergedMaps::aut_nums, "aut-num", an.asn, an); },
+          [&](const ir::AsSet& set) {
+            fn(&MergedMaps::as_sets, "as-set", ir::to_string(set.name), set);
+          },
+          [&](const ir::RouteSet& set) {
+            fn(&MergedMaps::route_sets, "route-set", ir::to_string(set.name), set);
+          },
+          [&](const ir::PeeringSet& set) {
+            fn(&MergedMaps::peering_sets, "peering-set", ir::to_string(set.name), set);
+          },
+          [&](const ir::FilterSet& set) {
+            fn(&MergedMaps::filter_sets, "filter-set", ir::to_string(set.name), set);
+          },
+          [&](const ir::RouteObject& route) {
+            fn(&MergedMaps::routes, "route", std::pair{route.prefix, route.origin}, route);
+          },
+      },
+      object);
 }
 
-void CorpusStore::refresh_merged(const PreparedOp& op) {
-  switch (op.cls) {
-    case ObjectClass::kAutNum:
-      refresh(&SourceState::aut_nums, op.asn);
-      break;
-    case ObjectClass::kAsSet:
-      refresh(&SourceState::as_sets, op.name);
-      break;
-    case ObjectClass::kRouteSet:
-      refresh(&SourceState::route_sets, op.name);
-      break;
-    case ObjectClass::kPeeringSet:
-      refresh(&SourceState::peering_sets, op.name);
-      break;
-    case ObjectClass::kFilterSet:
-      refresh(&SourceState::filter_sets, op.name);
-      break;
-    case ObjectClass::kRoute:
-      refresh(&SourceState::routes, op.route_key);
-      break;
-    case ObjectClass::kOther:
-      break;
+std::string CorpusStore::identity_of(const rpsl::ParsedObject& object,
+                                     const rpsl::RawObjectView& raw) {
+  std::string identity;
+  visit_slot(object, [&](auto, std::string_view class_name, const auto& key, const auto&) {
+    identity = std::string(class_name) + ":" + key_text(key);
+  });
+  // Unmodeled class, or a modeled class whose key failed to parse — the
+  // loader would skip it too; it survives only as text.
+  if (identity.empty()) identity = std::string(raw.class_name) + ":" + std::string(raw.key);
+  return identity;
+}
+
+void CorpusStore::refresh(const std::string& identity, const rpsl::ParsedObject& keyed) {
+  // Re-insert rather than assign: a name key then takes the winning
+  // source's spelling, as merging the sources from scratch would.
+  visit_slot(keyed, [&](auto slot, std::string_view, const auto& key, const auto&) {
+    (merged_.*slot).erase(key);
+  });
+  for (const SourceState& src : sources_) {
+    const auto it = src.objects.find(identity);
+    if (it == src.objects.end() || it->second.object == nullptr) continue;
+    visit_slot(*it->second.object,
+               [&](auto slot, std::string_view, const auto& key, const auto& value) {
+                 (merged_.*slot).emplace(key, value);
+               });
+    return;
   }
 }
 
 void CorpusStore::init(const std::vector<std::pair<std::string, std::string>>& dumps) {
-  sources_.clear();
-  sources_.reserve(dumps.size());
-  for (const auto& [name, text] : dumps) {
-    SourceState src;
-    src.name = name;
-    util::Diagnostics diags;
-    for (const rpsl::RawObject& raw : rpsl::lex_objects(text, name, diags)) {
-      util::Diagnostics object_diags;
-      rpsl::ParsedObject object = rpsl::parse_object(raw, object_diags);
-      Classified c = classify(object, raw);
-      if (src.texts.contains(c.identity)) continue;  // first definition wins
-      PreparedOp op;
-      op.kind = JournalOp::Kind::kAdd;
-      op.source_index = sources_.size();
-      op.cls = c.cls;
-      op.identity = std::move(c.identity);
-      op.text = render_paragraph(raw);
-      op.object = std::move(object);
-      op.asn = c.asn;
-      op.name = std::move(c.name);
-      op.route_key = c.route_key;
-      store_object(src, op);
+  // Pool workers allocate in malloc arenas of their own, which the calling
+  // thread never allocates from, and a new pool need not land on the
+  // arenas where an earlier store freed its objects. So hand every arena's
+  // free pages back before the load, and after it (the workers' scratch).
+  // At pipebench scale 4 a pipeline built after another was destroyed
+  // peaked 10-18 MB higher without the first trim, and a first pipeline
+  // 6 MB higher without the second.
+  malloc_trim(0);
+
+  // Cut every dump as the loader does; shard s belongs to dump owner[s].
+  std::vector<rpsl::Shard> shards;
+  std::vector<std::size_t> owner;
+  for (std::size_t d = 0; d < dumps.size(); ++d) {
+    for (const rpsl::Shard& shard :
+         rpsl::shard_objects(dumps[d].second, irr::LoadOptions{}.shard_target_bytes)) {
+      shards.push_back(shard);
+      owner.push_back(d);
     }
-    sources_.push_back(std::move(src));
   }
+
+  // Lex, parse, identify and render every shard on the pool, each into a
+  // table of its own; diagnostics are discarded. Its nodes move into the
+  // source's table below, so what a worker allocates is what the store keeps.
+  std::vector<ir::NameMap<StoredObject>> parts(shards.size());
+  std::vector<std::exception_ptr> errors(shards.size());
+  std::atomic<std::size_t> next{0};
+  const auto work = [&](std::size_t) {
+    for (std::size_t s = next++; s < shards.size(); s = next++) {
+      try {
+        util::Arena arena;
+        util::Diagnostics lex_diags;
+        for (const rpsl::RawObjectView& raw :
+             rpsl::lex_objects_view(shards[s].text, dumps[owner[s]].first, lex_diags, arena,
+                                    shards[s].line_offset)) {
+          util::Diagnostics object_diags;
+          rpsl::ParsedObject object = rpsl::parse_object(raw, object_diags);
+          std::string identity = identity_of(object, raw);
+          parts[s].try_emplace(std::move(identity),  // first definition wins
+                               StoredObject{rpsl::render_paragraph(raw), boxed(std::move(object))});
+        }
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  util::run_on_pool(std::min<std::size_t>(util::resolve_threads(0), shards.size()), work);
+
+  sources_.clear();
+  sources_.resize(dumps.size());
+  for (std::size_t d = 0; d < dumps.size(); ++d) sources_[d].name = dumps[d].first;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (errors[s]) std::rethrow_exception(errors[s]);
+    sources_[owner[s]].objects.merge(parts[s]);  // keeps an earlier shard's definition
+  }
+  malloc_trim(0);  // the workers' scratch: lexer arenas, view vectors, parse temporaries
   // The first (highest-priority) definition of each key wins, as in
   // irr::merge_into. Later mutations refresh one key at a time.
   merged_ = {};
   for (const SourceState& src : sources_) {
-    insert_absent(merged_.aut_nums, src.aut_nums);
-    insert_absent(merged_.as_sets, src.as_sets);
-    insert_absent(merged_.route_sets, src.route_sets);
-    insert_absent(merged_.peering_sets, src.peering_sets);
-    insert_absent(merged_.filter_sets, src.filter_sets);
-    insert_absent(merged_.routes, src.routes);
+    for (const auto& [identity, stored] : src.objects) {
+      if (stored.object == nullptr) continue;
+      visit_slot(*stored.object,
+                 [&](auto slot, std::string_view, const auto& key, const auto& value) {
+                   (merged_.*slot).try_emplace(key, value);
+                 });
+    }
   }
 }
 
@@ -193,9 +192,10 @@ std::optional<std::vector<PreparedOp>> CorpusStore::prepare(const JournalBatch& 
       }
       return std::nullopt;
     }
+    util::Arena arena;
     util::Diagnostics lex_diags;
     const auto raws =
-        rpsl::lex_objects(jop.paragraph, sources_[*idx].name, lex_diags);
+        rpsl::lex_objects_view(jop.paragraph, sources_[*idx].name, lex_diags, arena);
     if (raws.size() != 1 || !lex_diags.empty()) {
       if (error != nullptr) {
         *error = "op serial " + std::to_string(jop.serial) + ": unusable paragraph";
@@ -204,148 +204,52 @@ std::optional<std::vector<PreparedOp>> CorpusStore::prepare(const JournalBatch& 
     }
     // Parse diagnostics are tolerated exactly like the loader tolerates
     // them: a recoverable problem still yields an object; a fatal one
-    // classifies as kOther (text only).
+    // leaves monostate (text only).
     util::Diagnostics parse_diags;
-    rpsl::ParsedObject object = rpsl::parse_object(raws[0], parse_diags);
-    Classified c = classify(object, raws[0]);
     PreparedOp op;
     op.kind = jop.kind;
     op.serial = jop.serial;
     op.source_index = *idx;
-    op.cls = c.cls;
-    op.identity = std::move(c.identity);
-    op.asn = c.asn;
-    op.name = std::move(c.name);
-    op.route_key = c.route_key;
-    if (jop.kind == JournalOp::Kind::kAdd) {
-      op.text = render_paragraph(raws[0]);
-      op.object = std::move(object);
-    }
+    op.object = rpsl::parse_object(raws[0], parse_diags);
+    op.identity = identity_of(op.object, raws[0]);
+    if (jop.kind == JournalOp::Kind::kAdd) op.text = rpsl::render_paragraph(raws[0]);
     out.push_back(std::move(op));
   }
   return out;
 }
 
-void CorpusStore::store_object(SourceState& src, const PreparedOp& op) {
-  src.texts.insert_or_assign(op.identity, op.text);
-  switch (op.cls) {
-    case ObjectClass::kAutNum:
-      src.aut_nums.insert_or_assign(op.asn, std::get<ir::AutNum>(op.object));
-      break;
-    case ObjectClass::kAsSet:
-      src.as_sets.insert_or_assign(op.name, std::get<ir::AsSet>(op.object));
-      break;
-    case ObjectClass::kRouteSet:
-      src.route_sets.insert_or_assign(op.name, std::get<ir::RouteSet>(op.object));
-      break;
-    case ObjectClass::kPeeringSet:
-      src.peering_sets.insert_or_assign(op.name, std::get<ir::PeeringSet>(op.object));
-      break;
-    case ObjectClass::kFilterSet:
-      src.filter_sets.insert_or_assign(op.name, std::get<ir::FilterSet>(op.object));
-      break;
-    case ObjectClass::kRoute:
-      src.routes.insert_or_assign(op.route_key, std::get<ir::RouteObject>(op.object));
-      break;
-    case ObjectClass::kOther:
-      break;
+PreparedOp CorpusStore::exchange(PreparedOp op) {
+  ir::NameMap<StoredObject>& objects = sources_[op.source_index].objects;
+  PreparedOp inverse{JournalOp::Kind::kDel, op.serial, op.source_index, op.identity, {}, {}};
+  auto it = objects.find(op.identity);
+  if (it != objects.end()) {
+    inverse.kind = JournalOp::Kind::kAdd;
+    inverse.text = std::move(it->second.text);
+    if (it->second.object != nullptr) inverse.object = std::move(*it->second.object);
   }
-}
-
-void CorpusStore::erase_object(SourceState& src, const PreparedOp& op) {
-  src.texts.erase(op.identity);
-  switch (op.cls) {
-    case ObjectClass::kAutNum:
-      src.aut_nums.erase(op.asn);
-      break;
-    case ObjectClass::kAsSet:
-      src.as_sets.erase(op.name);
-      break;
-    case ObjectClass::kRouteSet:
-      src.route_sets.erase(op.name);
-      break;
-    case ObjectClass::kPeeringSet:
-      src.peering_sets.erase(op.name);
-      break;
-    case ObjectClass::kFilterSet:
-      src.filter_sets.erase(op.name);
-      break;
-    case ObjectClass::kRoute:
-      src.routes.erase(op.route_key);
-      break;
-    case ObjectClass::kOther:
-      break;
+  if (op.kind == JournalOp::Kind::kDel) {
+    if (it != objects.end()) objects.erase(it);  // DEL of an absent identity is a no-op
+    refresh(op.identity, inverse.object);
+    return inverse;
   }
+  if (it == objects.end()) it = objects.try_emplace(op.identity).first;
+  it->second.text = std::move(op.text);
+  it->second.object = boxed(std::move(op.object));
+  // The old and the new object name the same merged key when both are
+  // modeled; either one alone names it.
+  refresh(op.identity, it->second.object != nullptr ? *it->second.object : inverse.object);
+  return inverse;
 }
 
 CorpusStore::UndoLog CorpusStore::apply(const std::vector<PreparedOp>& ops) {
   UndoLog undo;
   undo.reserve(ops.size());
-  for (const PreparedOp& op : ops) {
-    SourceState& src = sources_[op.source_index];
-    UndoEntry entry;
-    entry.source_index = op.source_index;
-    entry.cls = op.cls;
-    entry.identity = op.identity;
-    entry.asn = op.asn;
-    entry.name = op.name;
-    entry.route_key = op.route_key;
-    if (const auto it = src.texts.find(op.identity); it != src.texts.end()) {
-      entry.old_text = it->second;
-      switch (op.cls) {
-        case ObjectClass::kAutNum:
-          entry.old_object = src.aut_nums.at(op.asn);
-          break;
-        case ObjectClass::kAsSet:
-          entry.old_object = src.as_sets.at(op.name);
-          break;
-        case ObjectClass::kRouteSet:
-          entry.old_object = src.route_sets.at(op.name);
-          break;
-        case ObjectClass::kPeeringSet:
-          entry.old_object = src.peering_sets.at(op.name);
-          break;
-        case ObjectClass::kFilterSet:
-          entry.old_object = src.filter_sets.at(op.name);
-          break;
-        case ObjectClass::kRoute:
-          entry.old_object = src.routes.at(op.route_key);
-          break;
-        case ObjectClass::kOther:
-          break;
-      }
-    }
-    undo.push_back(std::move(entry));
-    if (op.kind == JournalOp::Kind::kAdd) {
-      store_object(src, op);
-    } else {
-      erase_object(src, op);  // DEL of an absent identity is a clean no-op
-    }
-    refresh_merged(op);
-  }
+  for (const PreparedOp& op : ops) undo.push_back(exchange(op));
   return undo;
 }
 
 void CorpusStore::revert(UndoLog&& undo) {
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    UndoEntry& entry = *it;
-    SourceState& src = sources_[entry.source_index];
-    PreparedOp op;
-    op.source_index = entry.source_index;
-    op.cls = entry.cls;
-    op.identity = std::move(entry.identity);
-    op.asn = entry.asn;
-    op.name = std::move(entry.name);
-    op.route_key = entry.route_key;
-    if (!entry.old_text.has_value()) {
-      erase_object(src, op);
-    } else {
-      op.text = std::move(*entry.old_text);
-      op.object = std::move(entry.old_object);
-      store_object(src, op);
-    }
-    refresh_merged(op);
-  }
+  for (auto it = undo.rbegin(); it != undo.rend(); ++it) exchange(std::move(*it));
   undo.clear();
 }
 
@@ -354,24 +258,32 @@ const ir::AutNum* CorpusStore::merged_aut_num(ir::Asn asn) const {
 }
 
 const ir::AsSet* CorpusStore::merged_as_set(std::string_view name) const {
-  return find_in(merged_.as_sets, std::string(name));
+  return find_in(merged_.as_sets, name);
 }
 
 const ir::RouteSet* CorpusStore::merged_route_set(std::string_view name) const {
-  return find_in(merged_.route_sets, std::string(name));
+  return find_in(merged_.route_sets, name);
 }
 
 const ir::PeeringSet* CorpusStore::merged_peering_set(std::string_view name) const {
-  return find_in(merged_.peering_sets, std::string(name));
+  return find_in(merged_.peering_sets, name);
 }
 
 const ir::FilterSet* CorpusStore::merged_filter_set(std::string_view name) const {
-  return find_in(merged_.filter_sets, std::string(name));
+  return find_in(merged_.filter_sets, name);
 }
 
 const ir::RouteObject* CorpusStore::merged_route(
     const std::pair<net::Prefix, ir::Asn>& key) const {
   return find_in(merged_.routes, key);
+}
+
+rpsl::ParsedObject CorpusStore::merged_object(const rpsl::ParsedObject& keyed) const {
+  rpsl::ParsedObject out;
+  visit_slot(keyed, [&](auto slot, std::string_view, const auto& key, const auto&) {
+    if (const auto* found = find_in(merged_.*slot, key)) out = *found;
+  });
+  return out;
 }
 
 ir::Ir CorpusStore::materialize() const {
@@ -391,8 +303,8 @@ std::vector<std::pair<std::string, std::string>> CorpusStore::source_texts() con
   out.reserve(sources_.size());
   for (const SourceState& src : sources_) {
     std::string text;
-    for (const auto& [identity, paragraph] : src.texts) {
-      text += paragraph;
+    for (const auto& [identity, stored] : src.objects) {
+      text += stored.text;
       text += '\n';
     }
     out.emplace_back(src.name, std::move(text));
@@ -402,7 +314,7 @@ std::vector<std::pair<std::string, std::string>> CorpusStore::source_texts() con
 
 std::size_t CorpusStore::object_count() const noexcept {
   std::size_t total = 0;
-  for (const SourceState& src : sources_) total += src.texts.size();
+  for (const SourceState& src : sources_) total += src.objects.size();
   return total;
 }
 

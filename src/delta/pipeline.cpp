@@ -52,42 +52,6 @@ Metrics& metrics() {
   return m;
 }
 
-/// Identity of one touched object plus its merged (priority-resolved) value
-/// before the batch mutated the store. monostate = absent.
-struct TouchedValue {
-  ObjectClass cls = ObjectClass::kOther;
-  ir::Asn asn = 0;
-  std::string name;
-  std::pair<net::Prefix, ir::Asn> route_key{};
-  rpsl::ParsedObject value;
-};
-
-rpsl::ParsedObject merged_value(const CorpusStore& store, const TouchedValue& t) {
-  switch (t.cls) {
-    case ObjectClass::kAutNum:
-      if (const auto* p = store.merged_aut_num(t.asn)) return *p;
-      break;
-    case ObjectClass::kAsSet:
-      if (const auto* p = store.merged_as_set(t.name)) return *p;
-      break;
-    case ObjectClass::kRouteSet:
-      if (const auto* p = store.merged_route_set(t.name)) return *p;
-      break;
-    case ObjectClass::kPeeringSet:
-      if (const auto* p = store.merged_peering_set(t.name)) return *p;
-      break;
-    case ObjectClass::kFilterSet:
-      if (const auto* p = store.merged_filter_set(t.name)) return *p;
-      break;
-    case ObjectClass::kRoute:
-      if (const auto* p = store.merged_route(t.route_key)) return *p;
-      break;
-    case ObjectClass::kOther:
-      break;
-  }
-  return {};
-}
-
 void add_member_of(const rpsl::ParsedObject& value,
                    std::set<std::string, util::ILess>& into) {
   if (const auto* an = std::get_if<ir::AutNum>(&value)) {
@@ -313,13 +277,14 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
   }
 
   // Merged view of every touched identity before mutation (one entry per
-  // identity: the pre-batch state, even when a batch touches it twice).
-  std::map<std::string, TouchedValue, util::ILess> before;
+  // identity: the pre-batch state, even when a batch touches it twice),
+  // next to the op's object, which names the identity's merged key.
+  std::map<std::string, std::pair<const rpsl::ParsedObject*, rpsl::ParsedObject>,
+           util::ILess>
+      before;
   for (const PreparedOp& op : *prepared) {
     if (before.contains(op.identity)) continue;
-    TouchedValue t{op.cls, op.asn, op.name, op.route_key, {}};
-    t.value = merged_value(store_, t);
-    before.emplace(op.identity, std::move(t));
+    before.emplace(op.identity, std::pair{&op.object, store_.merged_object(op.object)});
   }
 
   auto undo = store_.apply(*prepared);
@@ -333,42 +298,40 @@ ApplyResult DeltaPipeline::apply(const JournalBatch& batch) {
     std::set<std::string, util::ILess> as_set_seeds;
     std::set<std::string, util::ILess> route_set_seeds;
     std::set<ir::Asn> origins_changed;
-    for (const auto& [identity, old] : before) {
-      const rpsl::ParsedObject now = merged_value(store_, old);
-      if (old.value == now) continue;
-      switch (old.cls) {
-        case ObjectClass::kAutNum:
-          dirty.aut_nums.insert(old.asn);
-          add_member_of(old.value, as_set_seeds);
-          add_member_of(now, as_set_seeds);
-          break;
-        case ObjectClass::kAsSet:
-          as_set_seeds.insert(old.name);
-          break;
-        case ObjectClass::kRouteSet:
-          route_set_seeds.insert(old.name);
-          break;
-        case ObjectClass::kFilterSet:
-          dirty.filter_sets.insert(old.name);
-          break;
-        case ObjectClass::kPeeringSet:
-          // Peering sets are resolved live from the fresh index at
-          // evaluation time; nothing compiled depends on them.
-          break;
-        case ObjectClass::kRoute: {
-          const bool was = std::holds_alternative<ir::RouteObject>(old.value);
-          const bool is = std::holds_alternative<ir::RouteObject>(now);
-          if (was != is) {
-            dirty.routes_changed = true;
-            origins_changed.insert(old.route_key.second);
-          }
-          add_member_of(old.value, route_set_seeds);
-          add_member_of(now, route_set_seeds);
-          break;
-        }
-        case ObjectClass::kOther:
-          break;
-      }
+    for (const auto& [identity, touched] : before) {
+      const auto& [keyed, old] = touched;
+      const rpsl::ParsedObject now = store_.merged_object(*keyed);
+      if (old == now) continue;
+      std::visit(util::overloaded{
+                     [](std::monostate) {},
+                     [&](const ir::AutNum& an) {
+                       dirty.aut_nums.insert(an.asn);
+                       add_member_of(old, as_set_seeds);
+                       add_member_of(now, as_set_seeds);
+                     },
+                     [&](const ir::AsSet& set) {
+                       as_set_seeds.insert(ir::to_string(set.name));
+                     },
+                     [&](const ir::RouteSet& set) {
+                       route_set_seeds.insert(ir::to_string(set.name));
+                     },
+                     [&](const ir::FilterSet& set) {
+                       dirty.filter_sets.insert(ir::to_string(set.name));
+                     },
+                     // Peering sets are resolved live from the fresh index at
+                     // evaluation time; nothing compiled depends on them.
+                     [](const ir::PeeringSet&) {},
+                     [&](const ir::RouteObject& route) {
+                       if (std::holds_alternative<ir::RouteObject>(old) !=
+                           std::holds_alternative<ir::RouteObject>(now)) {
+                         dirty.routes_changed = true;
+                         origins_changed.insert(route.origin);
+                       }
+                       add_member_of(old, route_set_seeds);
+                       add_member_of(now, route_set_seeds);
+                     },
+                 },
+                 *keyed);
     }
 
     std::shared_ptr<const ir::Ir> ir;

@@ -21,7 +21,7 @@ using ParsedObject = std::variant<std::monostate, ir::AutNum, ir::AsSet, ir::Rou
 /// problems (bad members, bad rules) and fatal ones (unparseable key).
 /// The view overload is the hot path (no owning copies on the way in);
 /// the RawObject overload adapts owning objects for callers that keep raw
-/// paragraphs alive (delta corpus store, synth churn, tests).
+/// paragraphs alive (tests).
 ParsedObject parse_object(const RawObjectView& raw, util::Diagnostics& diagnostics);
 ParsedObject parse_object(const RawObject& raw, util::Diagnostics& diagnostics);
 

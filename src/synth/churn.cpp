@@ -10,22 +10,6 @@ namespace rpslyzer::synth {
 
 namespace {
 
-/// Canonical paragraph rendering, matching the delta store's (one
-/// "name: value" line per attribute, declaration order).
-std::string render(const rpsl::RawObject& raw) {
-  std::string out;
-  for (const rpsl::RawAttribute& attr : raw.attributes) {
-    out += attr.name;
-    out += ':';
-    if (!attr.value.empty()) {
-      out += ' ';
-      out += attr.value;
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 std::string as_ref(Asn asn) { return "AS" + std::to_string(asn); }
 
 }  // namespace
@@ -142,7 +126,7 @@ delta::JournalOp ChurnGenerator::make_op(std::uint64_t serial) {
         {"import", "from " + as_ref(peer) + " accept " + as_ref(peer), 0});
     op.kind = delta::JournalOp::Kind::kAdd;
     op.source = entry.source;
-    op.paragraph = render(entry.raw);
+    op.paragraph = rpsl::render_paragraph(entry.raw);
     return op;
   }
   if (roll < 65) {
@@ -158,7 +142,7 @@ delta::JournalOp ChurnGenerator::make_op(std::uint64_t serial) {
     raw.attributes.push_back({"members", std::move(members), 0});
     op.kind = delta::JournalOp::Kind::kAdd;
     op.source = pick_source();
-    op.paragraph = render(raw);
+    op.paragraph = rpsl::render_paragraph(raw);
     as_sets_.push_back({op.source, std::move(raw)});
     return op;
   }
@@ -168,7 +152,7 @@ delta::JournalOp ChurnGenerator::make_op(std::uint64_t serial) {
     entry.raw.attributes.push_back({"members", as_ref(pick_asn()), 0});
     op.kind = delta::JournalOp::Kind::kAdd;
     op.source = entry.source;
-    op.paragraph = render(entry.raw);
+    op.paragraph = rpsl::render_paragraph(entry.raw);
     return op;
   }
   if (roll < 80 && !as_sets_.empty()) {

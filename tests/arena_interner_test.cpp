@@ -260,7 +260,9 @@ TEST(SymbolTable, FuzzRandomInternFindAgainstReferenceMap) {
     } else {
       const Symbol s = table.intern(key);
       auto [it, fresh] = reference.emplace(key, s);
-      if (!fresh) EXPECT_EQ(it->second, s) << key;
+      if (!fresh) {
+        EXPECT_EQ(it->second, s) << key;
+      }
       EXPECT_EQ(table.view(s), key);
     }
   }

@@ -51,7 +51,9 @@ RegexMatch all_engines(std::string_view regex_text, std::vector<Asn> path, Asn p
   RegexMatch bt = match_backtrack(re, env);
   RegexMatch sym = match_symbolic(re, env);
   // The three engines must agree whenever each supports the construct.
-  if (nfa != RegexMatch::kUnsupported) EXPECT_EQ(nfa, bt) << regex_text;
+  if (nfa != RegexMatch::kUnsupported) {
+    EXPECT_EQ(nfa, bt) << regex_text;
+  }
   if (sym != RegexMatch::kUnsupported && nfa != RegexMatch::kUnsupported) {
     EXPECT_EQ(nfa, sym) << regex_text;
   }

@@ -10,6 +10,7 @@
 // nonexistent objects; failpoint runs prove the same equality under
 // delta.apply refusals and delta.dirty degradation.
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -27,6 +28,8 @@
 #include "rpslyzer/delta/journal.hpp"
 #include "rpslyzer/delta/pipeline.hpp"
 #include "rpslyzer/irr/loader.hpp"
+#include "rpslyzer/rpsl/object_lexer.hpp"
+#include "rpslyzer/rpsl/object_parser.hpp"
 #include "rpslyzer/rpslyzer.hpp"
 #include "rpslyzer/synth/churn.hpp"
 #include "rpslyzer/synth/generator.hpp"
@@ -720,6 +723,307 @@ TEST_F(DeltaTest, OriginTableStaysBoundedOverChurnSoak) {
       compare_snapshots(pipeline.current_snapshot(), reference, test_equiv_options());
   EXPECT_TRUE(eq.equal) << eq.mismatches << "/" << eq.probes << " probes mismatched\n"
                         << eq.first_mismatch;
+}
+
+// ---------------------------------------------------------------------------
+// Pooled init: the sharded initial load equals the serial loop it replaced
+// ---------------------------------------------------------------------------
+
+/// The store's initial load as it was before it ran on the loader's shard
+/// primitives, kept as the reference: each dump is lexed whole with the
+/// owning lexer, every object parsed, classified and rendered, and the
+/// first definition of an identity within a source wins.
+class SerialInitReference {
+ public:
+  enum class ObjectClass : std::uint8_t {
+    kAutNum,
+    kAsSet,
+    kRouteSet,
+    kPeeringSet,
+    kFilterSet,
+    kRoute,
+    kOther,
+  };
+
+  struct SourceState {
+    std::string name;
+    std::map<ir::Asn, ir::AutNum> aut_nums;
+    ir::NameMap<ir::AsSet> as_sets;
+    ir::NameMap<ir::RouteSet> route_sets;
+    ir::NameMap<ir::PeeringSet> peering_sets;
+    ir::NameMap<ir::FilterSet> filter_sets;
+    std::map<std::pair<net::Prefix, ir::Asn>, ir::RouteObject> routes;
+    ir::NameMap<std::string> texts;  // identity -> canonical paragraph
+  };
+
+  explicit SerialInitReference(const std::vector<std::pair<std::string, std::string>>& dumps) {
+    for (const auto& [name, text] : dumps) {
+      SourceState src;
+      src.name = name;
+      util::Diagnostics diags;
+      for (const rpsl::RawObject& raw : rpsl::lex_objects(text, name, diags)) {
+        util::Diagnostics object_diags;
+        rpsl::ParsedObject object = rpsl::parse_object(raw, object_diags);
+        Classified c = classify(object, raw);
+        if (src.texts.contains(c.identity)) continue;  // first definition wins
+        src.texts.insert_or_assign(c.identity, render_paragraph(raw));
+        switch (c.cls) {
+          case ObjectClass::kAutNum:
+            src.aut_nums.insert_or_assign(c.asn, std::get<ir::AutNum>(object));
+            break;
+          case ObjectClass::kAsSet:
+            src.as_sets.insert_or_assign(c.name, std::get<ir::AsSet>(object));
+            break;
+          case ObjectClass::kRouteSet:
+            src.route_sets.insert_or_assign(c.name, std::get<ir::RouteSet>(object));
+            break;
+          case ObjectClass::kPeeringSet:
+            src.peering_sets.insert_or_assign(c.name, std::get<ir::PeeringSet>(object));
+            break;
+          case ObjectClass::kFilterSet:
+            src.filter_sets.insert_or_assign(c.name, std::get<ir::FilterSet>(object));
+            break;
+          case ObjectClass::kRoute:
+            src.routes.insert_or_assign(c.route_key, std::get<ir::RouteObject>(object));
+            break;
+          case ObjectClass::kOther:
+            break;
+        }
+      }
+      sources_.push_back(std::move(src));
+    }
+    for (const SourceState& src : sources_) {
+      insert_absent(merged_.aut_nums, src.aut_nums);
+      insert_absent(merged_.as_sets, src.as_sets);
+      insert_absent(merged_.route_sets, src.route_sets);
+      insert_absent(merged_.peering_sets, src.peering_sets);
+      insert_absent(merged_.filter_sets, src.filter_sets);
+      insert_absent(merged_.routes, src.routes);
+    }
+  }
+
+  std::vector<std::pair<std::string, std::string>> source_texts() const {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const SourceState& src : sources_) {
+      std::string text;
+      for (const auto& [identity, paragraph] : src.texts) {
+        text += paragraph;
+        text += '\n';
+      }
+      out.emplace_back(src.name, std::move(text));
+    }
+    return out;
+  }
+
+  std::size_t object_count() const {
+    std::size_t total = 0;
+    for (const SourceState& src : sources_) total += src.texts.size();
+    return total;
+  }
+
+  const SourceState& merged() const { return merged_; }
+
+ private:
+  struct Classified {
+    ObjectClass cls = ObjectClass::kOther;
+    std::string identity;
+    ir::Asn asn = 0;
+    std::string name;
+    std::pair<net::Prefix, ir::Asn> route_key{};
+  };
+
+  static std::string render_paragraph(const rpsl::RawObject& raw) {
+    std::string out;
+    for (const rpsl::RawAttribute& attr : raw.attributes) {
+      out += attr.name;
+      out += ':';
+      if (!attr.value.empty()) {
+        out += ' ';
+        out += attr.value;
+      }
+      out += '\n';
+    }
+    return out;
+  }
+
+  static Classified classify(const rpsl::ParsedObject& object, const rpsl::RawObject& raw) {
+    Classified c;
+    if (const auto* an = std::get_if<ir::AutNum>(&object)) {
+      c.cls = ObjectClass::kAutNum;
+      c.asn = an->asn;
+      c.identity = "aut-num:AS" + std::to_string(an->asn);
+    } else if (const auto* as = std::get_if<ir::AsSet>(&object)) {
+      c.cls = ObjectClass::kAsSet;
+      c.name = ir::to_string(as->name);
+      c.identity = "as-set:" + c.name;
+    } else if (const auto* rs = std::get_if<ir::RouteSet>(&object)) {
+      c.cls = ObjectClass::kRouteSet;
+      c.name = ir::to_string(rs->name);
+      c.identity = "route-set:" + c.name;
+    } else if (const auto* ps = std::get_if<ir::PeeringSet>(&object)) {
+      c.cls = ObjectClass::kPeeringSet;
+      c.name = ir::to_string(ps->name);
+      c.identity = "peering-set:" + c.name;
+    } else if (const auto* fs = std::get_if<ir::FilterSet>(&object)) {
+      c.cls = ObjectClass::kFilterSet;
+      c.name = ir::to_string(fs->name);
+      c.identity = "filter-set:" + c.name;
+    } else if (const auto* route = std::get_if<ir::RouteObject>(&object)) {
+      c.cls = ObjectClass::kRoute;
+      c.route_key = {route->prefix, route->origin};
+      c.identity =
+          "route:" + route->prefix.to_string() + ":AS" + std::to_string(route->origin);
+    } else {
+      c.cls = ObjectClass::kOther;
+      c.identity = raw.class_name + ":" + raw.key;
+    }
+    return c;
+  }
+
+  template <typename Map>
+  static void insert_absent(Map& into, const Map& from) {
+    for (const auto& [key, object] : from) into.try_emplace(key, object);
+  }
+
+  std::vector<SourceState> sources_;
+  SourceState merged_;
+};
+
+/// A dump of several loader shards. Its first shard defines one object of
+/// every keyed class (and one unmodeled object) that its last shard defines
+/// again with other content and, for the set, another spelling; the filler
+/// between them mixes unmodeled objects with aut-nums, routes, continuation
+/// lines and upper-case attribute names.
+std::string multi_shard_dump() {
+  const std::string first =
+      "as-set: AS-SHARDDUP\nmembers: AS64500\n\n"
+      "aut-num: AS4200000001\nimport: from AS64500 accept ANY\n\n"
+      "route: 203.0.113.0/24\norigin: AS4200000001\nmember-of: RS-SHARD\n\n"
+      "route-set: RS-SHARD\nmembers: 203.0.113.0/24\n\n"
+      "person: Shard Duplicate\nnic-hdl: SD1-TEST\n\n";
+  const std::string last =
+      "as-set: as-sharddup\nmembers: AS64501\n\n"
+      "aut-num: AS4200000001\nimport: from AS64501 accept ANY\n\n"
+      "route: 203.0.113.0/24\norigin: AS4200000001\n\n"
+      "route-set: rs-shard\nmembers: 198.51.100.0/24\n\n"
+      "person: Shard Duplicate\nnic-hdl: SD2-TEST\n";
+  std::string text = first;
+  for (std::uint32_t i = 0; text.size() < (3u << 20); ++i) {
+    const std::string n = std::to_string(i);
+    switch (i % 4) {
+      case 0:
+        text += "person: Filler " + n + "\nnic-hdl: F" + n +
+                "-TEST\naddress: 1 Example Road,\n  Example City # joined\n\n";
+        break;
+      case 1:
+        text += "aut-num: AS" + std::to_string(4210000000u + i) +
+                "\nIMPORT: from AS64500 accept ANY\nexport: to AS64500\n  announce AS" +
+                std::to_string(4210000000u + i) + "\n\n";
+        break;
+      case 2:
+        text += "route: 10." + std::to_string((i >> 8) & 255) + "." + std::to_string(i & 255) +
+                ".0/24\norigin: AS" + std::to_string(4210000000u + i - 1) + "\n\n";
+        break;
+      default:
+        text += "mntner: MAINT-F" + n + "\nauth: CRYPT-PW x\n\n";
+        break;
+    }
+  }
+  return text + last;
+}
+
+/// Where two lists of dump texts first differ, or "" when they are equal:
+/// a mismatch of multi-megabyte texts reports a position and a snippet, not
+/// both texts.
+std::string first_difference(const std::vector<std::pair<std::string, std::string>>& got,
+                             const std::vector<std::pair<std::string, std::string>>& want) {
+  if (got.size() != want.size()) {
+    return std::to_string(got.size()) + " sources, want " + std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].first != want[i].first) return "source " + got[i].first + " at " + want[i].first;
+    const std::string& a = got[i].second;
+    const std::string& b = want[i].second;
+    const auto [x, y] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+    if (x != a.end() || y != b.end()) {
+      const auto at = static_cast<std::size_t>(x - a.begin());
+      return got[i].first + " differs at byte " + std::to_string(at) + ": \"" +
+             a.substr(at, 60) + "\" vs \"" + b.substr(at, 60) + "\"";
+    }
+  }
+  return "";
+}
+
+TEST_F(DeltaTest, ShardedInitMatchesTheSerialInit) {
+  std::vector<std::pair<std::string, std::string>> dumps = corpus().dumps;
+  const std::string big = multi_shard_dump();
+  ASSERT_GT(rpsl::shard_objects(big, irr::LoadOptions{}.shard_target_bytes).size(), 2u);
+  dumps.insert(dumps.begin() + 1, {"SHARDED", big});
+  // The last source redefines the first shard's as-set under a third
+  // spelling; the SHARDED source's winning spelling must shadow it.
+  dumps.back().second += "\nas-set: As-ShardDup\nmembers: AS64502\n";
+
+  CorpusStore store;
+  store.init(dumps);
+  const SerialInitReference reference(dumps);
+
+  // Comparisons print keys, not values: the corpus is megabytes.
+  EXPECT_EQ(first_difference(store.source_texts(), reference.source_texts()), "");
+  EXPECT_EQ(store.object_count(), reference.object_count());
+
+  const auto& merged = reference.merged();
+  for (const auto& [asn, an] : merged.aut_nums) {
+    const ir::AutNum* got = store.merged_aut_num(asn);
+    ASSERT_NE(got, nullptr) << asn;
+    EXPECT_TRUE(*got == an) << asn;
+  }
+  for (const auto& [name, set] : merged.as_sets) {
+    const ir::AsSet* got = store.merged_as_set(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_TRUE(*got == set) << name;
+  }
+  for (const auto& [name, set] : merged.route_sets) {
+    const ir::RouteSet* got = store.merged_route_set(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_TRUE(*got == set) << name;
+  }
+  for (const auto& [name, set] : merged.peering_sets) {
+    const ir::PeeringSet* got = store.merged_peering_set(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_TRUE(*got == set) << name;
+  }
+  for (const auto& [name, set] : merged.filter_sets) {
+    const ir::FilterSet* got = store.merged_filter_set(name);
+    ASSERT_NE(got, nullptr) << name;
+    EXPECT_TRUE(*got == set) << name;
+  }
+  for (const auto& [key, route] : merged.routes) {
+    const ir::RouteObject* got = store.merged_route(key);
+    ASSERT_NE(got, nullptr) << key.first.to_string();
+    EXPECT_TRUE(*got == route) << key.first.to_string();
+  }
+  // The first shard's definitions won over the last shard's.
+  ASSERT_NE(store.merged_as_set("AS-SHARDDUP"), nullptr);
+  EXPECT_EQ(store.merged_as_set("AS-SHARDDUP")->members.at(0).asn, 64500u);
+
+  // The merged view is the loader's, name spellings included.
+  const ir::Ir got = store.materialize();
+  const ir::Ir want = irr::load_irrs(dumps).ir;
+  EXPECT_EQ(got.aut_nums.size(), merged.aut_nums.size());
+  EXPECT_EQ(got.as_sets.size(), merged.as_sets.size());
+  EXPECT_EQ(got.routes.size(), merged.routes.size());
+  EXPECT_TRUE(got.aut_nums == want.aut_nums);
+  EXPECT_TRUE(got.as_sets == want.as_sets);
+  EXPECT_TRUE(got.route_sets == want.route_sets);
+  EXPECT_TRUE(got.peering_sets == want.peering_sets);
+  EXPECT_TRUE(got.filter_sets == want.filter_sets);
+  const auto by_key = [](std::vector<ir::RouteObject> routes) {
+    std::sort(routes.begin(), routes.end(), [](const auto& a, const auto& b) {
+      return std::pair{a.prefix, a.origin} < std::pair{b.prefix, b.origin};
+    });
+    return routes;
+  };
+  EXPECT_TRUE(by_key(got.routes) == by_key(want.routes));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 #include <span>
@@ -121,10 +122,44 @@ TEST(ParallelVerify, ManyThreadsOnTinyInputVerifiesEveryRouteOnce) {
   }
 }
 
+/// `routes` reordered so that no two consecutive routes share a prefix:
+/// each step takes a route of the prefix with the most routes left, other
+/// than the previous route's prefix.
+std::vector<bgp::Route> interleave_prefixes(const std::vector<bgp::Route>& routes) {
+  std::map<net::Prefix, std::vector<bgp::Route>> groups;
+  for (auto it = routes.rbegin(); it != routes.rend(); ++it) groups[it->prefix].push_back(*it);
+  std::vector<bgp::Route> out;
+  const net::Prefix* last = nullptr;
+  while (out.size() < routes.size()) {
+    std::vector<bgp::Route>* pick = nullptr;
+    const net::Prefix* pick_prefix = nullptr;
+    for (auto& [prefix, group] : groups) {
+      if (group.empty() || (last != nullptr && prefix == *last)) continue;
+      if (pick == nullptr || group.size() > pick->size()) {
+        pick = &group;
+        pick_prefix = &prefix;
+      }
+    }
+    if (pick == nullptr) break;  // only the previous prefix has routes left
+    out.push_back(std::move(pick->back()));
+    pick->pop_back();
+    last = pick_prefix;
+  }
+  return out;
+}
+
 TEST(ParallelVerify, SnapshotOverloadMatchesSerial) {
+  // The verifier groups routes by prefix and must return every result at
+  // its input index; an input whose neighbours never share a prefix makes
+  // each group's routes scattered across the whole input.
   auto& p = pipeline();
-  std::vector<bgp::Route> sample(
+  const std::vector<bgp::Route> first(
       p.routes.begin(), p.routes.begin() + std::min<std::size_t>(400, p.routes.size()));
+  const std::vector<bgp::Route> sample = interleave_prefixes(first);
+  ASSERT_EQ(sample.size(), first.size());
+  for (std::size_t i = 1; i < sample.size(); ++i) {
+    ASSERT_FALSE(sample[i].prefix == sample[i - 1].prefix) << i;
+  }
   Verifier serial(p.lyzer.index(), p.lyzer.relations());
   auto results = verify_routes_parallel(p.lyzer.snapshot(), sample, {}, 8);
   ASSERT_EQ(results.size(), sample.size());
@@ -132,6 +167,8 @@ TEST(ParallelVerify, SnapshotOverloadMatchesSerial) {
     auto expected = serial.verify_route(sample[i]);
     ASSERT_EQ(results[i].size(), expected.size()) << i;
     for (std::size_t h = 0; h < expected.size(); ++h) {
+      EXPECT_EQ(results[i][h].from, expected[h].from) << "route " << i << " hop " << h;
+      EXPECT_EQ(results[i][h].to, expected[h].to) << "route " << i << " hop " << h;
       EXPECT_TRUE(same_check(results[i][h].export_result, expected[h].export_result))
           << "route " << i << " hop " << h;
       EXPECT_TRUE(same_check(results[i][h].import_result, expected[h].import_result))

@@ -23,10 +23,7 @@ const bench::World& world() {
   return w;
 }
 
-const irr::Index& index() {
-  static irr::Index idx(world().lyzer.ir());
-  return idx;
-}
+const irr::Index& index() { return world().lyzer.index(); }
 
 // ---------------------------------------------------------------------------
 // 1. Regex engines

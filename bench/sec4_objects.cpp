@@ -9,7 +9,7 @@ int main() {
   using namespace rpslyzer;
   bench::World world;
   bench::print_header("Section 4 prose: rule shapes, route objects, as-sets, errors", world);
-  irr::Index index(world.lyzer.ir());
+  const irr::Index& index = world.lyzer.index();
 
   stats::ShapeCensus shapes = stats::ShapeCensus::compute(world.lyzer.ir());
   bench::print_row("peerings that are a single ASN or ANY", "98.4%",

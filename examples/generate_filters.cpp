@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     }
     lyzer = Rpslyzer::from_texts(ordered, generator.caida_serial1());
   }
-  irr::Index index(lyzer->ir());
+  const irr::Index& index = lyzer->index();
 
   if (object.empty()) {
     // Pick the largest defined as-set for the demo.

@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
     lyzer = Rpslyzer::from_texts(ordered, generator.caida_serial1());
   }
 
-  irr::Index index(lyzer->ir());
-  auto findings = lint::lint(lyzer->ir(), index);
+  auto findings = lint::lint(lyzer->ir(), lyzer->index());
   std::map<lint::LintCode, std::size_t> by_code;
   for (const auto& f : findings) ++by_code[f.code];
   std::printf("=== lint summary (%zu findings) ===\n", findings.size());

@@ -26,7 +26,7 @@ cmake --build "$BUILD" -j "$(nproc)" --target \
   parallel_loader_test shard_fuzz_test compile_snapshot_test parallel_verify_test \
   persist_test repl_test source_test delta_test delta_fuzz_test arena_interner_test rand_test \
   verifier_test report_test bgp_parse_reference_test relations_parse_reference_test \
-  aggregate_golden_test prefix_test rpslyzer_cli
+  aggregate_golden_test prefix_test stats_test lint_test sec4_golden_test rpslyzer_cli
 
 run_labeled() {
   local spec="$1" exclude="${2:-}" labels="${3:-fault}"
@@ -67,10 +67,14 @@ run_labeled "" "" "fault|persist|repl|delta|parallel"
 # re-layout (prefix_test's property tests), and the origin table's pool
 # offsets as the delta pipeline patches and compacts them (delta_test).
 # delta_fuzz_test loads its corpus through the delta store's pooled init
-# and then refuses seeded malformed journals on top of it.
+# and then refuses seeded malformed journals on top of it. The policy-tree
+# walk (ir/walk.hpp) recurses through util::Box pointers for the census,
+# the linter and the classifier: stats_test and lint_test on hand-written
+# rules, sec4_golden_test over a whole small corpus.
 for suite in verifier_test report_test compile_snapshot_test obs_test bgp_parse_reference_test \
              relations_parse_reference_test aggregate_golden_test persist_test \
-             parallel_verify_test prefix_test delta_test delta_fuzz_test; do
+             parallel_verify_test prefix_test delta_test delta_fuzz_test stats_test lint_test \
+             sec4_golden_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$BUILD/tests/$suite"
 done
 run_labeled "server.send=delay(2ms);server.dispatch=delay(1ms)"

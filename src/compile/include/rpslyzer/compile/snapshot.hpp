@@ -298,12 +298,12 @@ struct IncrementalStats {
 bool only_provider_policies(const irr::Index& index,
                             const relations::AsRelations& relations, ir::Asn asn);
 
-/// The one AS-path filter walk: append the FilterAsPath nodes under a
-/// rule's entry to `out` in visit order (a term's factors in order, except
-/// and refine left before right; inside a filter, and/or left before right,
-/// then not's operand). An aut-num's `as_paths` is this walk over its
-/// imports then its exports, and the persisted NFA section binds its images
-/// positionally to as_path_order(), which is built from it.
+/// Append the FilterAsPath nodes under a rule's entry to `out` in the visit
+/// order of ir/walk.hpp (a term's factors in order, except and refine left
+/// before right; inside a filter, and/or left before right, then not's
+/// operand). An aut-num's `as_paths` is this walk over its imports then its
+/// exports, and the persisted NFA section binds its images positionally to
+/// as_path_order(), which is built from it.
 void collect_as_paths(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out);
 /// The same walk over a filter-set's filter, then its mp-filter.
 void collect_as_paths(const ir::FilterSet& set, std::vector<const ir::FilterAsPath*>& out);

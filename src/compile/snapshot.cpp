@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "rpslyzer/ir/policy.hpp"
+#include "rpslyzer/ir/walk.hpp"
 #include "rpslyzer/obs/metrics.hpp"
 #include "rpslyzer/obs/trace.hpp"
 #include "rpslyzer/util/failpoint.hpp"
@@ -42,28 +43,16 @@ bool intersects(std::span<const ir::Asn> a, std::span<const ir::Asn> b) {
 /// any peering is not a plain ASN (sets and AS-ANY mean the AS maintains
 /// policies beyond a fixed provider list). Shared §5.1.2 primitive.
 bool collect_peering_asns(const ir::Entry& entry, std::vector<ir::Asn>& out) {
-  return std::visit(
-      util::overloaded{
-          [&](const ir::EntryTerm& term) {
-            for (const auto& factor : term.factors) {
-              for (const auto& pa : factor.peerings) {
-                const auto* spec = std::get_if<ir::PeeringSpec>(&pa.peering.node);
-                if (spec == nullptr) return false;
-                const auto* asn = std::get_if<ir::AsExprAsn>(&spec->as_expr.node);
-                if (asn == nullptr) return false;
-                out.push_back(asn->asn);
-              }
-            }
-            return true;
-          },
-          [&](const ir::EntryExcept& e) {
-            return collect_peering_asns(*e.left, out) && collect_peering_asns(*e.right, out);
-          },
-          [&](const ir::EntryRefine& e) {
-            return collect_peering_asns(*e.left, out) && collect_peering_asns(*e.right, out);
-          },
-      },
-      entry.node);
+  return ir::for_each_factor(entry, [&](const ir::PolicyFactor& factor) {
+    for (const auto& pa : factor.peerings) {
+      const auto* spec = std::get_if<ir::PeeringSpec>(&pa.peering.node);
+      if (spec == nullptr) return false;
+      const auto* asn = std::get_if<ir::AsExprAsn>(&spec->as_expr.node);
+      if (asn == nullptr) return false;
+      out.push_back(asn->asn);
+    }
+    return true;
+  });
 }
 
 }  // namespace
@@ -512,47 +501,24 @@ bool CompiledPolicySnapshot::rehydrate(const ir::FilterAsPath& filter,
 
 namespace {
 
-/// The filter half of the walk: an AS-path node itself; and/or left before
-/// right; not's operand.
-void collect_filter(const ir::Filter& filter, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::FilterAsPath& f) { out.push_back(&f); },
-                 [&](const ir::FilterAnd& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_filter(*f.left, out);
-                   collect_filter(*f.right, out);
-                 },
-                 [&](const ir::FilterNot& f) { collect_filter(*f.inner, out); },
-                 [&](const auto&) {},
-             },
-             filter.node);
-}
+/// A leaf handler that appends each FilterAsPath.
+struct AsPathCollector {
+  std::vector<const ir::FilterAsPath*>& out;
+  void operator()(const ir::FilterAsPath& f) const { out.push_back(&f); }
+  void operator()(const auto&) const {}
+};
 
 }  // namespace
 
 void collect_as_paths(const ir::Entry& entry, std::vector<const ir::FilterAsPath*>& out) {
-  std::visit(util::overloaded{
-                 [&](const ir::EntryTerm& term) {
-                   for (const auto& factor : term.factors) collect_filter(factor.filter, out);
-                 },
-                 [&](const ir::EntryExcept& e) {
-                   collect_as_paths(*e.left, out);
-                   collect_as_paths(*e.right, out);
-                 },
-                 [&](const ir::EntryRefine& e) {
-                   collect_as_paths(*e.left, out);
-                   collect_as_paths(*e.right, out);
-                 },
-             },
-             entry.node);
+  ir::for_each_factor(entry, [&](const ir::PolicyFactor& factor) {
+    ir::for_each_leaf(factor.filter, AsPathCollector{out});
+  });
 }
 
 void collect_as_paths(const ir::FilterSet& set, std::vector<const ir::FilterAsPath*>& out) {
-  if (set.has_filter) collect_filter(set.filter, out);
-  if (set.has_mp_filter) collect_filter(set.mp_filter, out);
+  if (set.has_filter) ir::for_each_leaf(set.filter, AsPathCollector{out});
+  if (set.has_mp_filter) ir::for_each_leaf(set.mp_filter, AsPathCollector{out});
 }
 
 std::vector<const ir::FilterAsPath*> CompiledPolicySnapshot::as_path_order() const {

@@ -193,10 +193,8 @@ std::optional<std::vector<PreparedOp>> CorpusStore::prepare(const JournalBatch& 
       return std::nullopt;
     }
     util::Arena arena;
-    util::Diagnostics lex_diags;
-    const auto raws =
-        rpsl::lex_objects_view(jop.paragraph, sources_[*idx].name, lex_diags, arena);
-    if (raws.size() != 1 || !lex_diags.empty()) {
+    const auto raw = lex_paragraph(jop.paragraph, sources_[*idx].name, arena);
+    if (!raw.has_value()) {
       if (error != nullptr) {
         *error = "op serial " + std::to_string(jop.serial) + ": unusable paragraph";
       }
@@ -210,9 +208,9 @@ std::optional<std::vector<PreparedOp>> CorpusStore::prepare(const JournalBatch& 
     op.kind = jop.kind;
     op.serial = jop.serial;
     op.source_index = *idx;
-    op.object = rpsl::parse_object(raws[0], parse_diags);
-    op.identity = identity_of(op.object, raws[0]);
-    if (jop.kind == JournalOp::Kind::kAdd) op.text = rpsl::render_paragraph(raws[0]);
+    op.object = rpsl::parse_object(*raw, parse_diags);
+    op.identity = identity_of(op.object, *raw);
+    if (jop.kind == JournalOp::Kind::kAdd) op.text = rpsl::render_paragraph(*raw);
     out.push_back(std::move(op));
   }
   return out;

@@ -36,6 +36,9 @@
 #include <string_view>
 #include <vector>
 
+#include "rpslyzer/rpsl/object_lexer.hpp"
+#include "rpslyzer/util/arena.hpp"
+
 namespace rpslyzer::delta {
 
 /// One journal operation: add/replace or delete the object described by the
@@ -66,6 +69,13 @@ struct JournalBatch {
 /// paragraph lexes to exactly one clean RPSL object.
 std::optional<JournalBatch> parse_journal(std::string_view text,
                                           std::string* error = nullptr);
+
+/// The one object a journal paragraph lexes to, with views into `paragraph`
+/// and `arena`. Anything else (more or fewer objects, or lexer diagnostics)
+/// is interleaved garbage: nullopt, and *error (when given) says why.
+std::optional<rpsl::RawObjectView> lex_paragraph(std::string_view paragraph,
+                                                 std::string_view source, util::Arena& arena,
+                                                 std::string* error = nullptr);
 
 /// Render a batch back to canonical journal text. parse_journal() of the
 /// result reproduces the batch exactly (paragraphs are normalized to end in

@@ -73,24 +73,23 @@ std::optional<JournalOp> parse_op_header(std::string_view line) {
   return op;
 }
 
-/// The paragraph must lex to exactly one object with zero lexer
-/// diagnostics; anything else is interleaved garbage and refuses the batch.
-bool validate_paragraph(const std::string& paragraph, std::uint64_t serial,
-                        std::string* error) {
+}  // namespace
+
+std::optional<rpsl::RawObjectView> lex_paragraph(std::string_view paragraph,
+                                                 std::string_view source, util::Arena& arena,
+                                                 std::string* error) {
   util::Diagnostics diags;
-  const auto objects = rpsl::lex_objects(paragraph, "journal", diags);
+  const auto objects = rpsl::lex_objects_view(paragraph, source, diags, arena);
   if (objects.size() != 1) {
-    return fail(error, "op serial " + std::to_string(serial) + ": paragraph lexes to " +
-                           std::to_string(objects.size()) + " objects, expected 1");
+    fail(error, "paragraph lexes to " + std::to_string(objects.size()) + " objects, expected 1");
+    return std::nullopt;
   }
   if (!diags.empty()) {
-    return fail(error, "op serial " + std::to_string(serial) +
-                           ": malformed paragraph: " + diags.all().front().message);
+    fail(error, "malformed paragraph: " + diags.all().front().message);
+    return std::nullopt;
   }
-  return true;
+  return objects.front();
 }
-
-}  // namespace
 
 std::optional<JournalBatch> parse_journal(std::string_view text, std::string* error) {
   if (text.find('\r') != std::string_view::npos) {
@@ -114,6 +113,7 @@ std::optional<JournalBatch> parse_journal(std::string_view text, std::string* er
 
   JournalBatch batch;
   batch.first_serial = *start_serial;
+  util::Arena arena;  // lexer spills of every paragraph, freed with the batch parse
   std::optional<std::uint64_t> end_serial;
 
   while (i < lines.size()) {
@@ -154,7 +154,11 @@ std::optional<JournalBatch> parse_journal(std::string_view text, std::string* er
       fail(error, "op serial " + std::to_string(op->serial) + " has no paragraph");
       return std::nullopt;
     }
-    if (!validate_paragraph(paragraph, op->serial, error)) return std::nullopt;
+    std::string problem;
+    if (!lex_paragraph(paragraph, "journal", arena, &problem)) {
+      fail(error, "op serial " + std::to_string(op->serial) + ": " + problem);
+      return std::nullopt;
+    }
     op->paragraph = std::move(paragraph);
     batch.ops.push_back(std::move(*op));
   }

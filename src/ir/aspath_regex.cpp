@@ -1,5 +1,6 @@
 #include "rpslyzer/ir/aspath_regex.hpp"
 
+#include "rpslyzer/ir/walk.hpp"
 #include "rpslyzer/util/strings.hpp"
 
 namespace rpslyzer::ir {
@@ -7,42 +8,6 @@ namespace rpslyzer::ir {
 namespace {
 
 using util::overloaded;
-
-bool node_uses_skipped(const AsPathRegexNode& node);
-
-bool token_uses_skipped(const ReToken& t) {
-  if (t.kind != ReToken::Kind::kSet) return false;
-  for (const auto& item : t.items) {
-    if (item.kind == ReSetItem::Kind::kAsnRange) return true;
-  }
-  return false;
-}
-
-bool node_uses_skipped(const AsPathRegexNode& node) {
-  return std::visit(
-      overloaded{
-          [](const ReEmpty&) { return false; },
-          [](const ReBeginAnchor&) { return false; },
-          [](const ReEndAnchor&) { return false; },
-          [](const ReTokenNode& t) { return token_uses_skipped(t.token); },
-          [](const ReConcat& c) {
-            for (const auto& p : c.parts) {
-              if (node_uses_skipped(*p)) return true;
-            }
-            return false;
-          },
-          [](const ReAlt& a) {
-            for (const auto& o : a.options) {
-              if (node_uses_skipped(*o)) return true;
-            }
-            return false;
-          },
-          [](const ReRepeatNode& r) {
-            return r.repeat.same_pattern || node_uses_skipped(*r.inner);
-          },
-      },
-      node.node);
-}
 
 std::string item_to_string(const ReSetItem& item) {
   switch (item.kind) {
@@ -101,7 +66,20 @@ bool needs_group(const AsPathRegexNode& node) {
 
 }  // namespace
 
-bool uses_skipped_constructs(const AsPathRegex& regex) { return node_uses_skipped(*regex.root); }
+bool uses_skipped_constructs(const AsPathRegex& regex) {
+  return !for_each_as_path_node(*regex.root,
+                                overloaded{
+                                    [](const ReTokenNode& t) {
+                                      if (t.token.kind != ReToken::Kind::kSet) return true;
+                                      for (const ReSetItem& item : t.token.items) {
+                                        if (item.kind == ReSetItem::Kind::kAsnRange) return false;
+                                      }
+                                      return true;
+                                    },
+                                    [](const ReRepeatNode& r) { return !r.repeat.same_pattern; },
+                                    [](const auto&) { return true; },
+                                });
+}
 
 std::string to_string(const AsPathRegexNode& node) {
   return std::visit(

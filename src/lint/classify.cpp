@@ -1,5 +1,6 @@
 #include "rpslyzer/lint/classify.hpp"
 
+#include "rpslyzer/ir/walk.hpp"
 #include "rpslyzer/stats/bgpq4.hpp"
 #include "rpslyzer/util/strings.hpp"
 
@@ -7,52 +8,16 @@ namespace rpslyzer::lint {
 
 namespace {
 
-using util::overloaded;
-
-bool entry_uses_sets(const ir::Entry& entry);
-
-bool filter_uses_sets(const ir::Filter& filter) {
-  return std::visit(overloaded{
-                        [](const ir::FilterAsSet&) { return true; },
-                        [](const ir::FilterRouteSet&) { return true; },
-                        [](const ir::FilterFilterSet&) { return true; },
-                        [](const ir::FilterAnd& f) {
-                          return filter_uses_sets(*f.left) || filter_uses_sets(*f.right);
-                        },
-                        [](const ir::FilterOr& f) {
-                          return filter_uses_sets(*f.left) || filter_uses_sets(*f.right);
-                        },
-                        [](const ir::FilterNot& f) { return filter_uses_sets(*f.inner); },
-                        [](const auto&) { return false; },
-                    },
-                    filter.node);
-}
-
+/// Does the entry name an as-set, route-set, peering-set or filter-set
+/// anywhere: a peering, a filter leaf or an AS-path regex token?
 bool entry_uses_sets(const ir::Entry& entry) {
-  return std::visit(
-      overloaded{
-          [](const ir::EntryTerm& term) {
-            for (const auto& factor : term.factors) {
-              if (filter_uses_sets(factor.filter)) return true;
-              for (const auto& pa : factor.peerings) {
-                const auto* spec = std::get_if<ir::PeeringSpec>(&pa.peering.node);
-                if (spec != nullptr &&
-                    std::holds_alternative<ir::AsExprSet>(spec->as_expr.node)) {
-                  return true;
-                }
-                if (std::holds_alternative<ir::PeeringSetRef>(pa.peering.node)) return true;
-              }
-            }
-            return false;
-          },
-          [](const ir::EntryExcept& e) {
-            return entry_uses_sets(*e.left) || entry_uses_sets(*e.right);
-          },
-          [](const ir::EntryRefine& e) {
-            return entry_uses_sets(*e.left) || entry_uses_sets(*e.right);
-          },
-      },
-      entry.node);
+  return !ir::walk(entry, util::overloaded{
+                              [](const ir::AsSetRef&, ir::Site) { return false; },
+                              [](const ir::PeeringSetRef&, ir::Site) { return false; },
+                              [](const ir::FilterRouteSet&, ir::Site) { return false; },
+                              [](const ir::FilterFilterSet&, ir::Site) { return false; },
+                              [](const auto&, ir::Site) { return true; },
+                          });
 }
 
 }  // namespace

@@ -24,7 +24,8 @@ struct Classification {
   UsageClass usage = UsageClass::kAbsent;
   std::size_t rules = 0;
   std::size_t compound_rules = 0;  // not BGPq4-compatible
-  bool uses_sets = false;          // references any as-set/route-set
+  bool uses_sets = false;          // a rule names an as-set, route-set, peering-set or
+                                   // filter-set: in a peering, a filter or an AS-path regex
 };
 
 /// Classify one aut-num (pass nullptr for an AS with no aut-num).

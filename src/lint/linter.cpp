@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rpslyzer/ir/walk.hpp"
 #include "rpslyzer/stats/census.hpp"
 #include "rpslyzer/util/strings.hpp"
 
@@ -19,6 +20,18 @@ const char* severity_name(LintSeverity s) {
       return "warning";
     case LintSeverity::kError:
       return "error";
+  }
+  return "?";
+}
+
+const char* site_name(ir::Site site) {
+  switch (site) {
+    case ir::Site::kPeering:
+      return "peering";
+    case ir::Site::kFilter:
+      return "filter";
+    case ir::Site::kAsPath:
+      return "AS-path regex";
   }
   return "?";
 }
@@ -54,125 +67,58 @@ class Linter {
 
   // --- aut-num checks -----------------------------------------------------
 
-  void check_filter_references(const ir::Filter& filter, const std::string& object) {
-    std::visit(
+  void check_references(const ir::Entry& entry, const std::string& object) {
+    // A missing-set-reference finding unless the named set was found.
+    const auto defined = [&](bool found, ir::Site site, const char* kind,
+                             std::string_view name) {
+      if (found) return;
+      add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
+          std::string(site_name(site)) + " references undefined " + kind + " " +
+              std::string(name));
+    };
+    ir::walk(
+        entry,
         overloaded{
-            [&](const ir::FilterAsNum& f) {
-              if (!index_.has_routes(f.asn)) {
+            // Only a filter's AS64500^+ asks for that AS's route objects;
+            // peering and AS-path ASNs name neighbors and path members.
+            [&](const ir::AsnRef& r, ir::Site site) {
+              if (site == ir::Site::kFilter && !index_.has_routes(r.asn)) {
                 add(LintCode::kRuleReferencesZeroRouteAs, LintSeverity::kWarning, object,
-                    "filter references AS" + std::to_string(f.asn) +
+                    "filter references AS" + std::to_string(r.asn) +
                         ", which originates no route objects; register route objects or "
                         "use a route-set");
               }
             },
-            [&](const ir::FilterAsSet& f) {
-              if (index_.as_set(f.name) == nullptr) {
-                add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
-                    "filter references undefined as-set " + f.name);
-              }
+            [&](const ir::AsSetRef& r, ir::Site site) {
+              defined(index_.as_set(r.name) != nullptr, site, "as-set", r.name);
             },
-            [&](const ir::FilterRouteSet& f) {
-              if (index_.route_set(f.name) == nullptr) {
-                add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
-                    "filter references undefined route-set " + f.name);
-              }
+            [&](const ir::PeeringSetRef& r, ir::Site site) {
+              defined(index_.peering_set(r.name) != nullptr, site, "peering-set", r.name);
             },
-            [&](const ir::FilterFilterSet& f) {
-              if (index_.filter_set(f.name) == nullptr) {
-                add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
-                    "filter references undefined filter-set " + f.name);
-              }
+            [&](const ir::FilterRouteSet& f, ir::Site site) {
+              defined(index_.route_set(f.name) != nullptr, site, "route-set", f.name);
             },
-            [&](const ir::FilterCommunity&) {
+            [&](const ir::FilterFilterSet& f, ir::Site site) {
+              defined(index_.filter_set(f.name) != nullptr, site, "filter-set", f.name);
+            },
+            [&](const ir::FilterCommunity&, ir::Site) {
               add(LintCode::kSkippedConstruct, LintSeverity::kInfo, object,
                   "community() filters cannot be checked against collector routes "
                   "(communities may be stripped in flight)");
             },
-            [&](const ir::FilterAsPath& f) {
+            [&](const ir::FilterAsPath& f, ir::Site) {
               if (ir::uses_skipped_constructs(f.regex)) {
                 add(LintCode::kSkippedConstruct, LintSeverity::kInfo, object,
                     "AS-path regex uses ASN ranges or same-pattern operators, which "
                     "verification tools commonly skip");
               }
             },
-            [&](const ir::FilterUnknown& f) {
+            [&](const ir::FilterUnknown& f, ir::Site) {
               add(LintCode::kUnparseableFilter, LintSeverity::kError, object,
                   "unparseable filter: '" + f.text + "'");
             },
-            [&](const ir::FilterAnd& f) {
-              check_filter_references(*f.left, object);
-              check_filter_references(*f.right, object);
-            },
-            [&](const ir::FilterOr& f) {
-              check_filter_references(*f.left, object);
-              check_filter_references(*f.right, object);
-            },
-            [&](const ir::FilterNot& f) { check_filter_references(*f.inner, object); },
-            [&](const auto&) {},
-        },
-        filter.node);
-  }
-
-  void check_peering_references(const ir::Peering& peering, const std::string& object) {
-    std::visit(overloaded{
-                   [&](const ir::PeeringSpec& spec) {
-                     check_as_expr_references(spec.as_expr, object);
-                   },
-                   [&](const ir::PeeringSetRef& ref) {
-                     if (index_.peering_set(ref.name) == nullptr) {
-                       add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
-                           "peering references undefined peering-set " + ref.name);
-                     }
-                   },
-               },
-               peering.node);
-  }
-
-  void check_as_expr_references(const ir::AsExpr& expr, const std::string& object) {
-    std::visit(overloaded{
-                   [&](const ir::AsExprSet& s) {
-                     if (index_.as_set(s.name) == nullptr) {
-                       add(LintCode::kRuleReferencesMissingSet, LintSeverity::kError, object,
-                           "peering references undefined as-set " + s.name);
-                     }
-                   },
-                   [&](const ir::AsExprAnd& n) {
-                     check_as_expr_references(*n.left, object);
-                     check_as_expr_references(*n.right, object);
-                   },
-                   [&](const ir::AsExprOr& n) {
-                     check_as_expr_references(*n.left, object);
-                     check_as_expr_references(*n.right, object);
-                   },
-                   [&](const ir::AsExprExcept& n) {
-                     check_as_expr_references(*n.left, object);
-                     check_as_expr_references(*n.right, object);
-                   },
-                   [&](const auto&) {},
-               },
-               expr.node);
-  }
-
-  void check_entry(const ir::Entry& entry, const std::string& object) {
-    std::visit(overloaded{
-                   [&](const ir::EntryTerm& term) {
-                     for (const auto& factor : term.factors) {
-                       for (const auto& pa : factor.peerings) {
-                         check_peering_references(pa.peering, object);
-                       }
-                       check_filter_references(factor.filter, object);
-                     }
-                   },
-                   [&](const ir::EntryExcept& e) {
-                     check_entry(*e.left, object);
-                     check_entry(*e.right, object);
-                   },
-                   [&](const ir::EntryRefine& e) {
-                     check_entry(*e.left, object);
-                     check_entry(*e.right, object);
-                   },
-               },
-               entry.node);
+            [](const auto&, ir::Site) {},
+        });
   }
 
   void lint_aut_nums() {
@@ -196,7 +142,7 @@ class Linter {
             "customer-cone set if routes from C's customers are expected");
       }
       for (const auto* rules : {&an.imports, &an.exports}) {
-        for (const auto& rule : *rules) check_entry(rule.entry, object);
+        for (const auto& rule : *rules) check_references(rule.entry, object);
       }
     }
   }
@@ -249,13 +195,14 @@ class Linter {
   // --- route-set checks -------------------------------------------------------
 
   void lint_route_sets() {
-    stats::ReferenceCensus census = stats::ReferenceCensus::compute(ir_);
-    (void)census;
-    // Collect referenced route-set names from all rules.
     std::set<std::string, util::ILess> referenced;
+    const auto collect = overloaded{
+        [&](const ir::FilterRouteSet& f, ir::Site) { referenced.insert(f.name); },
+        [](const auto&, ir::Site) {},
+    };
     for (const auto& [asn, an] : ir_.aut_nums) {
       for (const auto* rules : {&an.imports, &an.exports}) {
-        for (const auto& rule : *rules) collect_route_set_refs(rule.entry, referenced);
+        for (const auto& rule : *rules) ir::walk(rule.entry, collect);
       }
     }
     for (const auto& [name, set] : ir_.route_sets) {
@@ -268,46 +215,6 @@ class Linter {
             "defined but referenced by no rule");
       }
     }
-  }
-
-  void collect_route_set_refs(const ir::Entry& entry,
-                              std::set<std::string, util::ILess>& out) {
-    std::visit(overloaded{
-                   [&](const ir::EntryTerm& term) {
-                     for (const auto& factor : term.factors) {
-                       collect_route_set_refs_filter(factor.filter, out);
-                     }
-                   },
-                   [&](const ir::EntryExcept& e) {
-                     collect_route_set_refs(*e.left, out);
-                     collect_route_set_refs(*e.right, out);
-                   },
-                   [&](const ir::EntryRefine& e) {
-                     collect_route_set_refs(*e.left, out);
-                     collect_route_set_refs(*e.right, out);
-                   },
-               },
-               entry.node);
-  }
-
-  void collect_route_set_refs_filter(const ir::Filter& filter,
-                                     std::set<std::string, util::ILess>& out) {
-    std::visit(overloaded{
-                   [&](const ir::FilterRouteSet& f) { out.insert(f.name); },
-                   [&](const ir::FilterAnd& f) {
-                     collect_route_set_refs_filter(*f.left, out);
-                     collect_route_set_refs_filter(*f.right, out);
-                   },
-                   [&](const ir::FilterOr& f) {
-                     collect_route_set_refs_filter(*f.left, out);
-                     collect_route_set_refs_filter(*f.right, out);
-                   },
-                   [&](const ir::FilterNot& f) {
-                     collect_route_set_refs_filter(*f.inner, out);
-                   },
-                   [&](const auto&) {},
-               },
-               filter.node);
   }
 
   // --- route-object checks ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rpslyzer/ir/walk.hpp"
 #include "rpslyzer/stats/bgpq4.hpp"
 #include "rpslyzer/util/strings.hpp"
 
@@ -22,119 +23,23 @@ struct References {
   std::set<std::string, util::ILess> filter_sets;
 };
 
-void collect_as_expr(const ir::AsExpr& expr, References& refs) {
-  std::visit(overloaded{
-                 [&](const ir::AsExprAsn& a) { refs.asns_peering.insert(a.asn); },
-                 [&](const ir::AsExprSet& s) { refs.as_sets_peering.insert(s.name); },
-                 [&](const ir::AsExprAny&) {},
-                 [&](const ir::AsExprAnd& n) {
-                   collect_as_expr(*n.left, refs);
-                   collect_as_expr(*n.right, refs);
-                 },
-                 [&](const ir::AsExprOr& n) {
-                   collect_as_expr(*n.left, refs);
-                   collect_as_expr(*n.right, refs);
-                 },
-                 [&](const ir::AsExprExcept& n) {
-                   collect_as_expr(*n.left, refs);
-                   collect_as_expr(*n.right, refs);
-                 },
-             },
-             expr.node);
-}
-
-void collect_regex(const ir::AsPathRegexNode& node, References& refs) {
-  std::visit(overloaded{
-                 [&](const ir::ReEmpty&) {},
-                 [&](const ir::ReBeginAnchor&) {},
-                 [&](const ir::ReEndAnchor&) {},
-                 [&](const ir::ReTokenNode& t) {
-                   if (t.token.kind == ir::ReToken::Kind::kAsn) {
-                     refs.asns_filter.insert(t.token.asn);
-                   } else if (t.token.kind == ir::ReToken::Kind::kAsSet) {
-                     refs.as_sets_filter.insert(t.token.as_set);
-                   } else if (t.token.kind == ir::ReToken::Kind::kSet) {
-                     for (const auto& item : t.token.items) {
-                       if (item.kind == ir::ReSetItem::Kind::kAsn) {
-                         refs.asns_filter.insert(item.asn);
-                       } else if (item.kind == ir::ReSetItem::Kind::kAsSet) {
-                         refs.as_sets_filter.insert(item.as_set);
-                       }
-                     }
-                   }
-                 },
-                 [&](const ir::ReConcat& c) {
-                   for (const auto& p : c.parts) collect_regex(*p, refs);
-                 },
-                 [&](const ir::ReAlt& a) {
-                   for (const auto& o : a.options) collect_regex(*o, refs);
-                 },
-                 [&](const ir::ReRepeatNode& r) { collect_regex(*r.inner, refs); },
-             },
-             node.node);
-}
-
-void collect_filter(const ir::Filter& filter, References& refs) {
-  std::visit(overloaded{
-                 [&](const ir::FilterAny&) {},
-                 [&](const ir::FilterPeerAs&) {},
-                 [&](const ir::FilterFltrMartian&) {},
-                 [&](const ir::FilterAsNum& f) { refs.asns_filter.insert(f.asn); },
-                 [&](const ir::FilterAsSet& f) { refs.as_sets_filter.insert(f.name); },
-                 [&](const ir::FilterRouteSet& f) { refs.route_sets_filter.insert(f.name); },
-                 [&](const ir::FilterFilterSet& f) { refs.filter_sets.insert(f.name); },
-                 [&](const ir::FilterPrefixes&) {},
-                 [&](const ir::FilterAsPath& f) { collect_regex(*f.regex.root, refs); },
-                 [&](const ir::FilterCommunity&) {},
-                 [&](const ir::FilterAnd& f) {
-                   collect_filter(*f.left, refs);
-                   collect_filter(*f.right, refs);
-                 },
-                 [&](const ir::FilterOr& f) {
-                   collect_filter(*f.left, refs);
-                   collect_filter(*f.right, refs);
-                 },
-                 [&](const ir::FilterNot& f) { collect_filter(*f.inner, refs); },
-                 [&](const ir::FilterUnknown&) {},
-             },
-             filter.node);
-}
-
-void collect_entry(const ir::Entry& entry, References& refs) {
-  std::visit(overloaded{
-                 [&](const ir::EntryTerm& term) {
-                   for (const auto& factor : term.factors) {
-                     for (const auto& pa : factor.peerings) {
-                       std::visit(overloaded{
-                                      [&](const ir::PeeringSpec& spec) {
-                                        collect_as_expr(spec.as_expr, refs);
-                                      },
-                                      [&](const ir::PeeringSetRef& ref) {
-                                        refs.peering_sets.insert(ref.name);
-                                      },
-                                  },
-                                  pa.peering.node);
-                     }
-                     collect_filter(factor.filter, refs);
-                   }
-                 },
-                 [&](const ir::EntryExcept& e) {
-                   collect_entry(*e.left, refs);
-                   collect_entry(*e.right, refs);
-                 },
-                 [&](const ir::EntryRefine& e) {
-                   collect_entry(*e.left, refs);
-                   collect_entry(*e.right, refs);
-                 },
-             },
-             entry.node);
-}
-
 References collect_all_references(const ir::Ir& ir) {
   References refs;
+  const auto collect = overloaded{
+      [&](const ir::AsnRef& r, ir::Site site) {
+        (site == ir::Site::kPeering ? refs.asns_peering : refs.asns_filter).insert(r.asn);
+      },
+      [&](const ir::AsSetRef& r, ir::Site site) {
+        (site == ir::Site::kPeering ? refs.as_sets_peering : refs.as_sets_filter).emplace(r.name);
+      },
+      [&](const ir::PeeringSetRef& r, ir::Site) { refs.peering_sets.insert(r.name); },
+      [&](const ir::FilterRouteSet& f, ir::Site) { refs.route_sets_filter.insert(f.name); },
+      [&](const ir::FilterFilterSet& f, ir::Site) { refs.filter_sets.insert(f.name); },
+      [](const auto&, ir::Site) {},
+  };
   for (const auto& [asn, an] : ir.aut_nums) {
     for (const auto* rules : {&an.imports, &an.exports}) {
-      for (const auto& rule : *rules) collect_entry(rule.entry, refs);
+      for (const auto& rule : *rules) ir::walk(rule.entry, collect);
     }
   }
   return refs;
@@ -225,45 +130,30 @@ ReferenceCensus ReferenceCensus::compute(const ir::Ir& ir) {
 namespace {
 
 void shape_of_entry(const ir::Entry& entry, ShapeCensus& out) {
-  std::visit(
-      overloaded{
-          [&](const ir::EntryTerm& term) {
-            for (const auto& factor : term.factors) {
-              for (const auto& pa : factor.peerings) {
-                ++out.peerings_total;
-                const auto* spec = std::get_if<ir::PeeringSpec>(&pa.peering.node);
-                if (spec != nullptr &&
-                    (std::holds_alternative<ir::AsExprAsn>(spec->as_expr.node) ||
-                     std::holds_alternative<ir::AsExprAny>(spec->as_expr.node))) {
-                  ++out.peerings_single_asn_or_any;
-                }
-              }
-              ++out.filters_total;
-              std::visit(overloaded{
-                             [&](const ir::FilterAsSet&) { ++out.filters_as_set; },
-                             [&](const ir::FilterAsNum&) { ++out.filters_asn; },
-                             [&](const ir::FilterRouteSet&) { ++out.filters_route_set; },
-                             [&](const ir::FilterAny&) { ++out.filters_any; },
-                             [&](const ir::FilterPrefixes&) { ++out.filters_prefix_set; },
-                             [&](const ir::FilterAsPath&) { ++out.filters_as_path; },
-                             [&](const ir::FilterAnd&) { ++out.filters_compound; },
-                             [&](const ir::FilterOr&) { ++out.filters_compound; },
-                             [&](const ir::FilterNot&) { ++out.filters_compound; },
-                             [&](const auto&) { ++out.filters_other; },
-                         },
-                         factor.filter.node);
-            }
-          },
-          [&](const ir::EntryExcept& e) {
-            shape_of_entry(*e.left, out);
-            shape_of_entry(*e.right, out);
-          },
-          [&](const ir::EntryRefine& e) {
-            shape_of_entry(*e.left, out);
-            shape_of_entry(*e.right, out);
-          },
-      },
-      entry.node);
+  ir::for_each_factor(entry, [&](const ir::PolicyFactor& factor) {
+    for (const auto& pa : factor.peerings) {
+      ++out.peerings_total;
+      const auto* spec = std::get_if<ir::PeeringSpec>(&pa.peering.node);
+      if (spec != nullptr && (std::holds_alternative<ir::AsExprAsn>(spec->as_expr.node) ||
+                              std::holds_alternative<ir::AsExprAny>(spec->as_expr.node))) {
+        ++out.peerings_single_asn_or_any;
+      }
+    }
+    ++out.filters_total;
+    std::visit(overloaded{
+                   [&](const ir::FilterAsSet&) { ++out.filters_as_set; },
+                   [&](const ir::FilterAsNum&) { ++out.filters_asn; },
+                   [&](const ir::FilterRouteSet&) { ++out.filters_route_set; },
+                   [&](const ir::FilterAny&) { ++out.filters_any; },
+                   [&](const ir::FilterPrefixes&) { ++out.filters_prefix_set; },
+                   [&](const ir::FilterAsPath&) { ++out.filters_as_path; },
+                   [&](const ir::FilterAnd&) { ++out.filters_compound; },
+                   [&](const ir::FilterOr&) { ++out.filters_compound; },
+                   [&](const ir::FilterNot&) { ++out.filters_compound; },
+                   [&](const auto&) { ++out.filters_other; },
+               },
+               factor.filter.node);
+  });
 }
 
 }  // namespace

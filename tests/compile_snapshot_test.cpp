@@ -456,6 +456,69 @@ TEST(RejectAll, IncrementalBuildCarriesCleanAndRederivesDirty) {
 }
 
 // ---------------------------------------------------------------------------
+// The AS-path visit order
+// ---------------------------------------------------------------------------
+
+// Each regex names one ASN so the visit order reads off as a list. AS5 is
+// written last but ordered first; fltr-alpha sorts before fltr-both, and
+// fltr-mp-only has an mp-filter alone.
+constexpr const char* kAsPathOrderCorpus =
+    "aut-num: AS10\n"
+    "import: from AS1 accept <^AS101$> AND (<^AS102$> OR NOT <^AS103$>)\n"
+    "import: from AS1 accept <^AS104$>; EXCEPT from AS2 accept NOT (<^AS105$> AND "
+    "<^AS106$>)\n"
+    "mp-import: afi any.unicast { from AS1 accept <^AS107$>; from AS2 accept <^AS108$> OR "
+    "<^AS109$>; } REFINE afi ipv4.unicast { from AS3 accept <^AS110$>; } REFINE afi any "
+    "{ from AS-ANY accept NOT <^AS111$>; }\n"
+    "export: to AS1 announce <^AS112$> OR ANY\n"
+    "export: to AS1 announce AS10\n\n"
+    "aut-num: AS20\n"
+    "import: from AS1 accept ANY\n"
+    "export: to AS1 announce NOT (<^AS201$> OR <^AS202$>) AND fltr-both\n\n"
+    "aut-num: AS5\n"
+    "import: from AS1 accept <^AS51$>\n\n"
+    "filter-set: fltr-both\n"
+    "filter: <^AS301$> OR <^AS302$>\n"
+    "mp-filter: NOT <^AS303$> AND <^AS304$>\n\n"
+    "filter-set: fltr-alpha\n"
+    "filter: <^AS401$>\n"
+    "mp-filter: <^AS402$>\n\n"
+    "filter-set: fltr-mp-only\n"
+    "mp-filter: <^AS501$>\n";
+
+std::vector<std::string> as_path_texts(const compile::CompiledPolicySnapshot& snap) {
+  std::vector<std::string> out;
+  for (const ir::FilterAsPath* path : snap.as_path_order()) {
+    out.push_back(ir::to_string(path->regex));
+  }
+  return out;
+}
+
+// The persisted NFA section binds its images to as_path_order() by
+// position, so the order is part of the snapshot format: aut-nums in ASN
+// order, imports then exports, a term's factors in order, except and
+// refine left before right, and/or left before right, not's operand; then
+// filter-sets in name order, filter before mp-filter.
+TEST(AsPathOrder, PinsTheWalkOverNestedFiltersAndStructuredEntries) {
+  auto owned = std::make_shared<OwnedCorpus>(kAsPathOrderCorpus);
+  ASSERT_TRUE(owned->diag.empty()) << owned->diag.all().front().message;
+  auto snap = compile::CompiledPolicySnapshot::build(index_of(owned), relations_of(owned));
+  const std::vector<std::string> want = {
+      "<^AS51$>",  "<^AS101$>", "<^AS102$>", "<^AS103$>", "<^AS104$>", "<^AS105$>",
+      "<^AS106$>", "<^AS107$>", "<^AS108$>", "<^AS109$>", "<^AS110$>", "<^AS111$>",
+      "<^AS112$>", "<^AS201$>", "<^AS202$>", "<^AS401$>", "<^AS402$>", "<^AS301$>",
+      "<^AS302$>", "<^AS303$>", "<^AS304$>", "<^AS501$>"};
+  EXPECT_EQ(as_path_texts(*snap), want);
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("rpslyzer-as-path-order-" + std::to_string(::getpid()) + ".rps");
+  persist::write_snapshot(*snap, path);
+  auto restored = persist::open_snapshot(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(as_path_texts(*restored), want);
+}
+
+// ---------------------------------------------------------------------------
 // Server integration: the !v verb and compile.build quarantine
 // ---------------------------------------------------------------------------
 

@@ -66,6 +66,28 @@ TEST(Linter, MissingSetReferences) {
   EXPECT_EQ(count, 4u);  // one per missing set class
 }
 
+TEST(Linter, MissingSetInAsPathRegex) {
+  // The Table 2 census counts a regex as-set token as a filter reference;
+  // the linter checks it like one.
+  auto findings = lint_text("aut-num: AS1\nimport: from AS2 accept <^AS-MISSING+$>\n");
+  EXPECT_NE(render(findings).find("error [missing-set-reference] aut-num:AS1: AS-path regex "
+                                  "references undefined as-set AS-MISSING"),
+            std::string::npos);
+  // Inside a [...] set too, once per undefined set.
+  auto in_set = lint_text(
+      "aut-num: AS1\nimport: from AS2 accept <^[AS5 AS-GONE AS-HERE]$>\n\n"
+      "as-set: AS-HERE\nmembers: AS5\n");
+  std::size_t missing = 0;
+  for (const auto& f : in_set) {
+    if (f.code == LintCode::kRuleReferencesMissingSet) ++missing;
+  }
+  EXPECT_EQ(missing, 1u);
+  // Regex ASN tokens are not filter ASNs: no zero-route finding for AS7/AS8.
+  auto asns = lint_text("aut-num: AS1\nimport: from AS2 accept <^AS7 [AS8]$>\n");
+  EXPECT_FALSE(has(asns, LintCode::kRuleReferencesZeroRouteAs));
+  EXPECT_FALSE(has(asns, LintCode::kRuleReferencesMissingSet));
+}
+
 TEST(Linter, ZeroRouteAsReference) {
   auto findings = lint_text("aut-num: AS1\nexport: to AS2 announce AS1\n");
   EXPECT_TRUE(has(findings, LintCode::kRuleReferencesZeroRouteAs, "aut-num:AS1"));
@@ -172,6 +194,24 @@ TEST(Classify, Buckets) {
   auto hist = histogram(all);
   EXPECT_EQ(hist[UsageClass::kSilent], 1u);
   EXPECT_EQ(hist[UsageClass::kAbsent], 1u);
+}
+
+TEST(Classify, UsesSetsSeesNestedPeeringsAndRegexSets) {
+  ir::Ir ir = corpus(
+      "aut-num: AS1\nimport: from AS-A OR AS-B accept ANY\n\n"
+      "aut-num: AS2\nimport: from AS2 accept <^AS-FOO+$>\n\n"
+      "aut-num: AS3\nimport: from AS2 accept <^[AS5 AS-BAR]$>\n\n"
+      "aut-num: AS4\nimport: from AS2 accept <^AS2 [AS5 AS6]+$>\n\n"
+      "aut-num: AS5\nimport: from AS2 EXCEPT AS-C accept ANY\n");
+  auto all = classify_all(ir);
+  EXPECT_TRUE(all.at(1).uses_sets);
+  EXPECT_TRUE(all.at(2).uses_sets);
+  EXPECT_TRUE(all.at(3).uses_sets);
+  EXPECT_FALSE(all.at(4).uses_sets);
+  EXPECT_TRUE(all.at(5).uses_sets);
+  // The usage class does not read uses_sets.
+  EXPECT_EQ(all.at(1).usage, UsageClass::kMinimal);
+  EXPECT_EQ(all.at(2).usage, UsageClass::kExpressive);
 }
 
 TEST(Classify, PolicyRichThreshold) {

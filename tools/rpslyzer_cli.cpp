@@ -309,8 +309,7 @@ int cmd_load(int argc, char** argv) {
 int cmd_lint(int argc, char** argv) {
   if (argc < 1) return usage();
   Rpslyzer lyzer = load(argv[0]);
-  irr::Index index(lyzer.ir());
-  auto findings = lint::lint(lyzer.ir(), index);
+  auto findings = lint::lint(lyzer.ir(), lyzer.index());
   std::fputs(lint::render(findings).c_str(), stdout);
   std::printf("%zu findings\n", findings.size());
   return findings.empty() ? 0 : 1;
